@@ -258,39 +258,3 @@ def relation_report(a: BMatrix) -> ReachReport:
         equivalence=equivalence,
         equivalence_witness=eq_witness,
     )
-
-
-def _reachable_sites_by_iteration(a: BMatrix, from_site: int) -> set[int]:
-    """Independent reachability: iterate the state vector until it cycles.
-
-    Cross-check for :func:`reachable`; applies the matrix to the canonical
-    vector of the start site and collects every slot that ever lights up.
-    """
-    if not is_stochastic_matrix(a):
-        raise PreconditionError("reachability is defined for stochastic matrices")
-    n = a.rows
-    _check_site(n, from_site)
-    state = [0] * n
-    state[from_site - 1] = a.algebra._full
-    seen_states = set()
-    hit: set[int] = set()
-    cur = tuple(state)
-    while True:
-        nxt = tuple(
-            _or_over(a.masks[i * n + j] & cur[j] for j in range(n)) for i in range(n)
-        )
-        if nxt in seen_states:
-            break
-        seen_states.add(nxt)
-        for i, m in enumerate(nxt):
-            if m:
-                hit.add(i + 1)
-        cur = nxt
-    return hit
-
-
-def _or_over(it) -> int:
-    acc = 0
-    for x in it:
-        acc |= x
-    return acc

@@ -253,8 +253,8 @@ def _cmd_verify(args) -> int:
         raise PreconditionError(
             f"unknown theorem {theorem!r}; registered: {', '.join(sorted(oracle.THEOREMS))}"
         )
-    spec = oracle.EnumSpec(args.n, args.atoms, oracle.THEOREM_KINDS[theorem])
-    if args.samples:
+    spec = oracle.EnumSpec(args.n, args.atoms, oracle.THEOREMS[theorem].kind)
+    if args.samples is not None:
         verdict = oracle.sample_check(theorem, spec, args.samples, seed=args.seed)
     else:
         verdict = oracle.brute_check(theorem, spec, budget=args.budget)
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, required=True, help="vector length / matrix size")
     v.add_argument("--atoms", type=int, required=True, help="atom count k")
     v.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET, help="object budget for exhaustive runs")
-    v.add_argument("--samples", type=int, default=0, help="use randomized sampling with this many draws")
+    v.add_argument("--samples", type=int, help="use randomized sampling with this many draws (at least 1)")
     v.add_argument("--seed", type=int, default=0, help="seed for sampled runs")
     v.set_defaults(func=_cmd_verify)
 

@@ -5,6 +5,11 @@ triple-loop products and exhaustive searches, never touching the packed
 kernels or the constructive algorithms whose correctness they back up. A
 verdict of ``passed=False`` from any registered check is a release blocker.
 
+Each theorem is written once, as a predicate that maps one object to a
+counterexample or None. Exhaustive and sampled runs feed the same predicate,
+from the theorem's enumerator or from its seeded one-object sampler, through
+one shared loop; a run that checked no object never passes.
+
 Enumeration sizes follow closed forms where they exist (``2**(k*n)``
 vectors, ``n**k`` stochastic vectors, ``n**(k*n)`` stochastic matrices,
 ``factorial(n)**k`` unitaries); a budget guard refuses blow-ups instead of
@@ -17,8 +22,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import permutations, product
-from typing import Callable, Iterator, Sequence
+from itertools import chain, permutations, product
+from operator import or_
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import rand
 from .algebra import Algebra, BoolmatError, PreconditionError
@@ -28,12 +34,11 @@ from .bvec import BVec
 __all__ = [
     "EnumSpec",
     "Verdict",
+    "Theorem",
     "BudgetExceededError",
     "DEFAULT_BUDGET",
     "KINDS",
     "THEOREMS",
-    "THEOREM_KINDS",
-    "SAMPLING_THEOREMS",
     "space_size",
     "enumerate_objects",
     "brute_check",
@@ -115,12 +120,6 @@ def _require_budget(required: int, budget: int) -> None:
         raise BudgetExceededError(required, budget)
 
 
-def _guard(spec: EnumSpec, budget: int) -> None:
-    size = space_size(spec)
-    if size is not None:
-        _require_budget(size, budget)
-
-
 # --- raw enumerators (mask tuples; library objects are built only at yield) ---
 
 
@@ -142,8 +141,8 @@ def _iter_stochastic_matrix_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
         yield tuple(chosen[j][i] for i in range(n) for j in range(n))
 
 
-def _iter_unitary_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    perms = list(permutations(range(n)))
+def _iter_permutation_masks(n: int, k: int, perms: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """Matrices whose every atom moves columns to rows by one of ``perms``."""
     for assign in product(perms, repeat=k):
         masks = [0] * (n * n)
         for bit, perm in enumerate(assign):
@@ -152,14 +151,8 @@ def _iter_unitary_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
         yield tuple(masks)
 
 
-def _iter_symmetric_stochastic_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    involutions = [p for p in permutations(range(n)) if all(p[p[i]] == i for i in range(n))]
-    for assign in product(involutions, repeat=k):
-        masks = [0] * (n * n)
-        for bit, perm in enumerate(assign):
-            for j, i in enumerate(perm):
-                masks[i * n + j] |= 1 << bit
-        yield tuple(masks)
+def _iter_unitary_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    return _iter_permutation_masks(n, k, list(permutations(range(n))))
 
 
 def _unit_vector_masks(n: int, k: int) -> list[tuple[int, ...]]:
@@ -200,7 +193,9 @@ def _iter_orthonormal_sets(
 
 def enumerate_objects(spec: EnumSpec, budget: int = DEFAULT_BUDGET):
     """Exhaustive, duplicate-free stream of domain objects for ``spec``."""
-    _guard(spec, budget)
+    size = space_size(spec)
+    if size is not None:
+        _require_budget(size, budget)
     alg = _numbered_algebra(spec.k)
     n = spec.n
     if spec.kind == "all_vectors":
@@ -227,6 +222,13 @@ def _or_all(masks) -> int:
     acc = 0
     for m in masks:
         acc |= m
+    return acc
+
+
+def _and_all(masks) -> int:
+    acc = -1
+    for m in masks:
+        acc &= m
     return acc
 
 
@@ -280,19 +282,29 @@ def _trace(n: int, a: Sequence[int]) -> int:
     return _or_all(a[i * n + i] for i in range(n))
 
 
-def _scaled_sum(vectors: Sequence[Sequence[int]], coeffs: Sequence[int], n: int) -> tuple[int, ...]:
-    out = [0] * n
-    for c, v in zip(coeffs, vectors):
-        for i in range(n):
-            out[i] |= c & v[i]
-    return tuple(out)
-
-
 def _is_generating(vectors: Sequence[Sequence[int]], n: int, k: int) -> bool:
-    image = set()
-    for coeffs in product(range(1 << k), repeat=len(vectors)):
-        image.add(_scaled_sum(vectors, coeffs, n))
-    return len(image) == 1 << (k * n)
+    """Whether every length-``n`` vector is a combination of ``vectors``.
+
+    Decided by residuation. Combinations are closed under join and scaling,
+    so it suffices that each ``full * e_i`` is one, and a target is a
+    combination exactly when its greatest coefficients
+    ``c_j = AND_s (~v_j[s] | e_i[s]) = AND_{s != i} ~v_j[s]`` rebuild it.
+    Off slot ``i`` they give 0 by construction, so only slot ``i`` is
+    compared.
+    """
+    full = (1 << k) - 1
+    return all(
+        _or_all(v[i] & _and_all(~v[s] for s in range(n) if s != i) for v in vectors) == full
+        for i in range(n)
+    )
+
+
+def _pack(v: Sequence[int], k: int) -> int:
+    """The masks of ``v`` side by side in one int, ``k`` bits per slot."""
+    acc = 0
+    for m in reversed(v):
+        acc = acc << k | m
+    return acc
 
 
 def _is_orthonormal_family(vectors: Sequence[Sequence[int]], full: int) -> bool:
@@ -305,315 +317,10 @@ def _is_orthonormal_family(vectors: Sequence[Sequence[int]], full: int) -> bool:
     return True
 
 
-def _fmt_vec(v: Sequence[int], alg: Algebra) -> str:
-    return str(BVec(tuple(v), alg))
-
-
-def _fmt_mat(n: int, a: Sequence[int], alg: Algebra) -> str:
-    rows = "; ".join(
-        " ".join(str(alg.from_mask(a[i * n + j])) for j in range(n)) for i in range(n)
-    )
-    return f"[{rows}]"
-
-
-def _ok(theorem: str, spec: EnumSpec, checked: int) -> Verdict:
-    return Verdict(theorem=theorem, n=spec.n, k=spec.k, passed=True, checked=checked)
-
-
-def _fail(theorem: str, spec: EnumSpec, checked: int, counterexample: str) -> Verdict:
-    return Verdict(
-        theorem=theorem, n=spec.n, k=spec.k, passed=False,
-        checked=checked, counterexample=counterexample,
-    )
-
-
-# --- theorem checks ---
-
-
-def _check_norm(spec: EnumSpec, budget: int) -> Verdict:
-    """Norm laws and the inner-product axioms, over all vector pairs and scalars."""
-    n, k = spec.n, spec.k
-    vec_count = 1 << (k * n)
-    _require_budget(vec_count * vec_count * (1 << k), budget)
-    alg = _numbered_algebra(k)
-    vectors = list(_iter_vector_masks(n, k))
-    checked = 0
-    for a in vectors:
-        na = _or_all(a)
-        if (_inner(a, a) == 0) != (a == (0,) * n):
-            return _fail("NORM", spec, checked, f"definiteness fails at {_fmt_vec(a, alg)}")
-        for b in vectors:
-            nb = _or_all(b)
-            ab = _inner(a, b)
-            if _inner(b, a) != ab:
-                return _fail("NORM", spec, checked, f"symmetry fails at {_fmt_vec(a, alg)}, {_fmt_vec(b, alg)}")
-            if _or_all(x | y for x, y in zip(a, b)) != na | nb:
-                return _fail("NORM", spec, checked, f"norm of sum fails at {_fmt_vec(a, alg)}, {_fmt_vec(b, alg)}")
-            if ab & ~(na & nb):
-                return _fail("NORM", spec, checked, f"norm bound fails at {_fmt_vec(a, alg)}, {_fmt_vec(b, alg)}")
-            if _is_orthovector(a) and _is_orthovector(b) and na == nb:
-                if (ab == (na & nb)) != (a == b):
-                    return _fail(
-                        "NORM", spec, checked,
-                        f"orthovector equality law fails at {_fmt_vec(a, alg)}, {_fmt_vec(b, alg)}",
-                    )
-            for c in range(1 << k):
-                checked += 1
-                ca = tuple(c & x for x in a)
-                cb = tuple(c & y for y in b)
-                if _or_all(ca) != c & na:
-                    return _fail("NORM", spec, checked, f"scaled norm fails at c={c}, a={_fmt_vec(a, alg)}")
-                if _inner(ca, b) != c & ab or _inner(ca, b) != _inner(a, cb):
-                    return _fail("NORM", spec, checked, f"scalar slide fails at c={c}, a={_fmt_vec(a, alg)}")
-                summed = tuple(x | y for x, y in zip(ca, b))
-                if _inner(summed, b) != (c & ab) | nb:
-                    return _fail("NORM", spec, checked, f"bilinearity fails at c={c}, a={_fmt_vec(a, alg)}")
-    return _ok("NORM", spec, checked)
-
-
-def _check_duality(spec: EnumSpec, budget: int) -> Verdict:
-    """Orthonormal family is a basis iff its transposed family is orthonormal."""
-    n, k = spec.n, spec.k
-    alg = _numbered_algebra(k)
-    full = alg._full
-    checked = 0
-    for fam in _iter_orthonormal_sets(n, k, budget):
-        checked += 1
-        transposed = [tuple(v[i] for v in fam) for i in range(n)]
-        dual_ortho = _is_orthonormal_family(transposed, full)
-        generating = _is_generating(fam, n, k)
-        if generating != dual_ortho:
-            return _fail(
-                "DUALITY", spec, checked,
-                f"{[_fmt_vec(v, alg) for v in fam]}: generating={generating}, dual orthonormal={dual_ortho}",
-            )
-    return _ok("DUALITY", spec, checked)
-
-
-def _check_descent(spec: EnumSpec, budget: int) -> Verdict:
-    """Orthogonality of stochastic pairs matches existence of the short vector."""
-    n, k = spec.n, spec.k
-    if n < 2:
-        raise PreconditionError("descent lives in dimension >= 2")
-    stoch = list(_iter_stochastic_masks(n, k))
-    short = list(_iter_stochastic_masks(n - 1, k))
-    _require_budget(len(stoch) ** 2 * len(short), budget)
-    alg = _numbered_algebra(k)
-    full = alg._full
-    checked = 0
-    for a in stoch:
-        for b in stoch:
-            checked += 1
-            orth = _inner(a, b) == 0
-            exists = any(
-                all(b[i] == c[i] & (a[i] ^ full) for i in range(n - 1)) for c in short
-            )
-            if orth != exists:
-                return _fail(
-                    "DESCENT", spec, checked,
-                    f"a={_fmt_vec(a, alg)} b={_fmt_vec(b, alg)}: orthogonal={orth}, witness={exists}",
-                )
-            if orth:
-                c = tuple((b[n - 1] & a[i]) | b[i] for i in range(n - 1))
-                if not _is_stochastic_vec(c, full):
-                    return _fail("DESCENT", spec, checked, f"constructed c not stochastic at a={_fmt_vec(a, alg)}")
-                if any(b[i] != c[i] & (a[i] ^ full) for i in range(n - 1)):
-                    return _fail("DESCENT", spec, checked, f"constructed c misses b at a={_fmt_vec(a, alg)}")
-    return _ok("DESCENT", spec, checked)
-
-
-def _check_basis_upbound(spec: EnumSpec, budget: int) -> Verdict:
-    """No stochastic orthonormal family exceeds the dimension."""
-    n, k = spec.n, spec.k
-    alg = _numbered_algebra(k)
-    checked = 0
-    for fam in _iter_orthonormal_sets(n, k, budget, stochastic_only=True):
-        checked += 1
-        if len(fam) > n:
-            return _fail(
-                "BASIS_UPBOUND", spec, checked,
-                f"{len(fam)} orthonormal stochastic vectors in dimension {n}: {[_fmt_vec(v, alg) for v in fam]}",
-            )
-    return _ok("BASIS_UPBOUND", spec, checked)
-
-
-def _check_dimension(spec: EnumSpec, budget: int) -> Verdict:
-    """Every orthonormal generating family has exactly n members."""
-    n, k = spec.n, spec.k
-    alg = _numbered_algebra(k)
-    checked = 0
-    found_basis = False
-    for fam in _iter_orthonormal_sets(n, k, budget):
-        checked += 1
-        if _is_generating(fam, n, k):
-            found_basis = True
-            if len(fam) != n:
-                return _fail(
-                    "DIMENSION", spec, checked,
-                    f"basis of cardinality {len(fam)} != {n}: {[_fmt_vec(v, alg) for v in fam]}",
-                )
-    if not found_basis:
-        return _fail("DIMENSION", spec, checked, "no orthonormal basis found at all (enumeration bug)")
-    return _ok("DIMENSION", spec, checked)
-
-
-def _check_dimcor2(spec: EnumSpec, budget: int) -> Verdict:
-    """An orthonormal family is generating exactly when it has n members."""
-    n, k = spec.n, spec.k
-    alg = _numbered_algebra(k)
-    checked = 0
-    for fam in _iter_orthonormal_sets(n, k, budget):
-        checked += 1
-        if (len(fam) == n) != _is_generating(fam, n, k):
-            return _fail(
-                "DIMCOR2", spec, checked,
-                f"cardinality {len(fam)} vs generating mismatch: {[_fmt_vec(v, alg) for v in fam]}",
-            )
-    return _ok("DIMCOR2", spec, checked)
-
-
-def _check_incomplete(spec: EnumSpec, budget: int) -> Verdict:
-    """Every short stochastic orthonormal family completes to a basis."""
-    n, k = spec.n, spec.k
-    alg = _numbered_algebra(k)
-    stoch = list(_iter_stochastic_masks(n, k))
-    checked = 0
-
-    def completes(fam: list[tuple[int, ...]]) -> bool:
-        if len(fam) == n:
-            return _is_generating(fam, n, k)
-        return any(
-            completes(fam + [v])
-            for v in stoch
-            if all(_inner(v, w) == 0 for w in fam)
-        )
-
-    for fam in _iter_orthonormal_sets(n, k, budget, stochastic_only=True):
-        if len(fam) >= n:
-            continue
-        checked += 1
-        if not completes(list(fam)):
-            return _fail(
-                "INCOMPLETE", spec, checked,
-                f"no completion for {[_fmt_vec(v, alg) for v in fam]}",
-            )
-    return _ok("INCOMPLETE", spec, checked)
-
-
-def _check_inverse(spec: EnumSpec, budget: int) -> Verdict:
-    """Bijectivity, unitarity, column-basis and row-basis stay equivalent."""
-    n, k = spec.n, spec.k
-    mat_count = 1 << (k * n * n)
-    vec_count = 1 << (k * n)
-    _require_budget(mat_count * vec_count, budget)
-    alg = _numbered_algebra(k)
-    full = alg._full
-    vectors = list(_iter_vector_masks(n, k))
-    ident = _identity_masks(n, full)
-    checked = 0
-    for flat in product(range(1 << k), repeat=n * n):
-        checked += 1
-        at = _transpose(n, flat)
-        bijective = len({_matvec(n, flat, v) for v in vectors}) == vec_count
-        unitary = _matmul(n, flat, at) == ident and _matmul(n, at, flat) == ident
-        cols = [tuple(flat[i * n + j] for i in range(n)) for j in range(n)]
-        rows = [tuple(flat[i * n + j] for j in range(n)) for i in range(n)]
-        cols_basis = _is_orthonormal_family(cols, full) and _is_generating(cols, n, k)
-        rows_basis = _is_orthonormal_family(rows, full) and _is_generating(rows, n, k)
-        if not bijective == unitary == cols_basis == rows_basis:
-            return _fail(
-                "INVERSE", spec, checked,
-                f"{_fmt_mat(n, flat, alg)}: bijective={bijective} unitary={unitary} "
-                f"cols={cols_basis} rows={rows_basis}",
-            )
-    return _ok("INVERSE", spec, checked)
-
-
-def _check_stoinv(spec: EnumSpec, budget: int) -> Verdict:
-    """Invariant stochastic vector exists exactly when the trace is one."""
-    n, k = spec.n, spec.k
-    _guard(EnumSpec(n, k, "stochastic_matrices"), budget)
-    alg = _numbered_algebra(k)
-    full = alg._full
-    stoch_vecs = list(_iter_stochastic_masks(n, k))
-    checked = 0
-    for a in _iter_stochastic_matrix_masks(n, k):
-        checked += 1
-        has_invariant = any(_matvec(n, a, b) == b for b in stoch_vecs)
-        if has_invariant != (_trace(n, a) == full):
-            return _fail("STOINV", spec, checked, _fmt_mat(n, a, alg))
-    return _ok("STOINV", spec, checked)
-
-
-def _check_oddinv(spec: EnumSpec, budget: int) -> Verdict:
-    """Symmetric stochastic matrices in odd dimension always have trace one."""
-    n, k = spec.n, spec.k
-    if n % 2 == 0:
-        raise PreconditionError("this statement concerns odd dimensions")
-    involution_count = sum(
-        1 for p in permutations(range(n)) if all(p[p[i]] == i for i in range(n))
-    )
-    _require_budget(involution_count**k, budget)
-    alg = _numbered_algebra(k)
-    full = alg._full
-    checked = 0
-    for a in _iter_symmetric_stochastic_masks(n, k):
-        checked += 1
-        if _trace(n, a) != full:
-            return _fail("ODDINV", spec, checked, _fmt_mat(n, a, alg))
-    return _ok("ODDINV", spec, checked)
-
-
 def _block_form(n: int, d: Sequence[int], full: int) -> bool:
     if d[0] != full:
         return False
     return all(d[j] == 0 for j in range(1, n)) and all(d[i * n] == 0 for i in range(1, n))
-
-
-def _check_unitreduce(spec: EnumSpec, budget: int) -> Verdict:
-    """Unitary families reduce simultaneously exactly when joint trace is one.
-
-    Reducibility is decided by searching every unitary conjugator; pairs are
-    covered as well as singletons when the budget allows the cubic sweep.
-    """
-    n, k = spec.n, spec.k
-    unit_count = math.factorial(n) ** k
-    _require_budget(unit_count * unit_count, budget)
-    alg = _numbered_algebra(k)
-    full = alg._full
-    unitaries = list(_iter_unitary_masks(n, k))
-    checked = 0
-
-    def reducible(mats: list[tuple[int, ...]]) -> bool:
-        for b in unitaries:
-            bt = _transpose(n, b)
-            if all(_block_form(n, _matmul(n, bt, _matmul(n, m, b)), full) for m in mats):
-                return True
-        return False
-
-    def joint_tr(mats: list[tuple[int, ...]]) -> int:
-        acc = 0
-        for i in range(n):
-            d = full
-            for m in mats:
-                d &= m[i * n + i]
-            acc |= d
-        return acc
-
-    for a in unitaries:
-        checked += 1
-        if reducible([a]) != (joint_tr([a]) == full):
-            return _fail("UNITREDUCE", spec, checked, _fmt_mat(n, a, alg))
-    if unit_count**3 <= budget:
-        for a in unitaries:
-            for b in unitaries:
-                checked += 1
-                if reducible([a, b]) != (joint_tr([a, b]) == full):
-                    return _fail(
-                        "UNITREDUCE", spec, checked,
-                        f"pair {_fmt_mat(n, a, alg)}, {_fmt_mat(n, b, alg)}",
-                    )
-    return _ok("UNITREDUCE", spec, checked)
 
 
 def _atoms_of(n: int, a: Sequence[int], full: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -628,73 +335,11 @@ def _atoms_of(n: int, a: Sequence[int], full: int) -> list[tuple[int, tuple[int,
     return out
 
 
-def _atoms_properties(n: int, a: Sequence[int], full: int) -> str | None:
-    atoms = _atoms_of(n, a, full)
-    joined = 0
-    for idx, (m, _) in enumerate(atoms):
-        if any(m & m2 for m2, _ in atoms[:idx]):
-            return "overlapping atoms"
-        joined |= m
-    if joined != full:
-        return "atoms do not cover one"
-    for i in range(n):
-        for j in range(n):
-            rebuilt = _or_all(m for m, _ in atoms if m & ~a[i * n + j] == 0)
-            if rebuilt != a[i * n + j]:
-                return f"entry ({i},{j}) is not the join of its atoms"
-    for m, selection in atoms:
-        for j in range(n):
-            target = selection[j]
-            scaled = [m if t == j else 0 for t in range(n)]
-            expect = tuple(m if t == target else 0 for t in range(n))
-            if _matvec(n, a, scaled) != expect:
-                return f"atom action fails at column {j}"
-    return None
-
-
-def _check_atoms(spec: EnumSpec, budget: int) -> Verdict:
-    """Atoms partition one, rebuild every entry, and drive the slot action."""
-    n, k = spec.n, spec.k
-    _guard(EnumSpec(n, k, "stochastic_matrices"), budget)
-    alg = _numbered_algebra(k)
-    full = alg._full
-    checked = 0
-    for a in _iter_stochastic_matrix_masks(n, k):
-        checked += 1
-        problem = _atoms_properties(n, a, full)
-        if problem:
-            return _fail("ATOMS", spec, checked, f"{problem} in {_fmt_mat(n, a, alg)}")
-    return _ok("ATOMS", spec, checked)
-
-
 def _naive_power(n: int, a: Sequence[int], e: int, full: int) -> tuple[int, ...]:
     cur = _identity_masks(n, full)
     for _ in range(e):
         cur = _matmul(n, cur, a)
     return cur
-
-
-def _check_power(spec: EnumSpec, budget: int) -> Verdict:
-    """The stochastic power identity, and its unitary sharpening."""
-    n, k = spec.n, spec.k
-    _guard(EnumSpec(n, k, "stochastic_matrices"), budget)
-    alg = _numbered_algebra(k)
-    full = alg._full
-    lcm = math.lcm(*range(1, n + 1))
-    checked = 0
-    for a in _iter_stochastic_matrix_masks(n, k):
-        checked += 1
-        low = _naive_power(n, a, n - 1, full)
-        high = low
-        for _ in range(lcm):
-            high = _matmul(n, high, a)
-        if high != low:
-            return _fail("POWER", spec, checked, _fmt_mat(n, a, alg))
-    for a in _iter_unitary_masks(n, k):
-        checked += 1
-        if _naive_power(n, a, lcm, full) != _identity_masks(n, full):
-            return _fail("POWER", spec, checked, f"unitary {_fmt_mat(n, a, alg)}")
-    return _ok("POWER", spec, checked)
 
 
 def _brute_period_exponent(n: int, a: Sequence[int]) -> tuple[int, int]:
@@ -715,199 +360,529 @@ def _brute_period_exponent(n: int, a: Sequence[int]) -> tuple[int, int]:
     raise AssertionError("no repeat within the guaranteed horizon")
 
 
-def _check_period_divides(spec: EnumSpec, budget: int) -> Verdict:
+def _reachable_sites_by_iteration(n: int, a: Sequence[int], full: int, from_site: int) -> set[int]:
+    """Sites (1-based) that ever light up when ``a`` is applied again and
+    again to ``full`` at ``from_site``, collected until the state cycles.
+
+    The iteration reference for :func:`boolmat.chains.reachable`.
+    """
+    cur = tuple(full if i == from_site - 1 else 0 for i in range(n))
+    seen: set[tuple[int, ...]] = set()
+    hit: set[int] = set()
+    while True:
+        cur = _matvec(n, a, cur)
+        if cur in seen:
+            return hit
+        seen.add(cur)
+        hit.update(i + 1 for i, m in enumerate(cur) if m)
+
+
+def _fmt_vec(v: Sequence[int], alg: Algebra) -> str:
+    return str(BVec(tuple(v), alg))
+
+
+def _fmt_family(fam: Sequence[Sequence[int]], alg: Algebra) -> str:
+    return str([_fmt_vec(v, alg) for v in fam])
+
+
+def _fmt_mat(n: int, a: Sequence[int], alg: Algebra) -> str:
+    rows = "; ".join(
+        " ".join(str(alg.from_mask(a[i * n + j])) for j in range(n)) for i in range(n)
+    )
+    return f"[{rows}]"
+
+
+# --- exhaustive object sources (n, k, budget): guard first, then stream ---
+
+
+def _norm_triples(n: int, k: int, budget: int) -> Iterable[Any]:
+    _require_budget(1 << (2 * k * n + k), budget)
+    vectors = list(_iter_vector_masks(n, k))
+    return product(vectors, vectors, range(1 << k))
+
+
+def _stochastic_pairs(n: int, k: int, budget: int) -> Iterable[Any]:
+    _require_budget(n ** (2 * k) * (n - 1) ** k, budget)
+    return product(list(_iter_stochastic_masks(n, k)), repeat=2)
+
+
+def _stochastic_orthonormal_sets(n: int, k: int, budget: int) -> Iterable[Any]:
+    return _iter_orthonormal_sets(n, k, budget, stochastic_only=True)
+
+
+def _short_stochastic_orthonormal_sets(n: int, k: int, budget: int) -> Iterable[Any]:
+    return (fam for fam in _stochastic_orthonormal_sets(n, k, budget) if len(fam) < n)
+
+
+def _all_matrices(n: int, k: int, budget: int) -> Iterable[Any]:
+    _require_budget(1 << (k * n * n + k * n), budget)
+    return product(range(1 << k), repeat=n * n)
+
+
+def _stochastic_matrices(n: int, k: int, budget: int) -> Iterable[Any]:
+    _require_budget(n ** (k * n), budget)
+    return _iter_stochastic_matrix_masks(n, k)
+
+
+def _symmetric_stochastic_matrices(n: int, k: int, budget: int) -> Iterable[Any]:
+    involutions = [p for p in permutations(range(n)) if all(p[p[i]] == i for i in range(n))]
+    _require_budget(len(involutions) ** k, budget)
+    return _iter_permutation_masks(n, k, involutions)
+
+
+def _unitary_families(n: int, k: int, budget: int) -> Iterable[Any]:
+    """Every unitary alone, then every ordered pair when the cubic sweep fits."""
+    count = math.factorial(n) ** k
+    _require_budget(count * count, budget)
+    unitaries = list(_iter_unitary_masks(n, k))
+    singles = ((a,) for a in unitaries)
+    if count**3 > budget:
+        return singles
+    return chain(singles, product(unitaries, repeat=2))
+
+
+def _stochastic_then_unitary(n: int, k: int, budget: int) -> Iterable[Any]:
+    """POWER objects ``(is_unitary, masks)``: stochastic matrices, then unitaries."""
+    stochastic = _stochastic_matrices(n, k, budget)
+    return chain(((False, a) for a in stochastic), ((True, u) for u in _iter_unitary_masks(n, k)))
+
+
+# --- one-object samplers (rng, alg, n), each drawing what its source yields ---
+
+
+def _sample_norm(rng: random.Random, alg: Algebra, n: int) -> Any:
+    k = alg.atom_count
+    a = tuple(rng.getrandbits(k) for _ in range(n))
+    b = tuple(rng.getrandbits(k) for _ in range(n))
+    return a, b, rng.getrandbits(k)
+
+
+def _sample_stochastic_pair(rng: random.Random, alg: Algebra, n: int) -> Any:
+    """Two independent stochastic vectors, orthogonal or not: each atom takes
+    one slot in each."""
+    a = [0] * n
+    b = [0] * n
+    for bit in range(alg.atom_count):
+        a[rng.randrange(n)] |= 1 << bit
+        b[rng.randrange(n)] |= 1 << bit
+    return tuple(a), tuple(b)
+
+
+def _sample_short_family(rng: random.Random, alg: Algebra, n: int) -> Any:
+    m = rng.randrange(1, n)
+    return tuple(v.masks for v in rand.random_stochastic_orthonormal_set(rng, alg, n, m))
+
+
+def _sample_stochastic_matrix(rng: random.Random, alg: Algebra, n: int) -> Any:
+    return rand.random_stochastic_matrix(rng, alg, n).masks
+
+
+def _sample_symmetric_stochastic(rng: random.Random, alg: Algebra, n: int) -> Any:
+    return rand.random_symmetric_stochastic(rng, alg, n).masks
+
+
+def _sample_power(rng: random.Random, alg: Algebra, n: int) -> Any:
+    """A stochastic matrix or a unitary, chosen by a fair coin."""
+    if rng.randrange(2):
+        return True, rand.random_unitary(rng, alg, n).masks
+    return False, rand.random_stochastic_matrix(rng, alg, n).masks
+
+
+# --- predicates (n, k) -> (object -> counterexample | None) ---
+
+
+def _norm_laws(n: int, k: int) -> Callable[[Any], str | None]:
+    """Norm laws and the inner-product axioms at one (a, b, c) triple."""
+    alg = _numbered_algebra(k)
+    zero = (0,) * n
+
+    def check(obj: Any) -> str | None:
+        a, b, c = obj
+        na, nb, ab = _or_all(a), _or_all(b), _inner(a, b)
+        ca = tuple(map(c.__and__, a))
+        cb = tuple(map(c.__and__, b))
+        equal_orthovectors = _is_orthovector(a) and _is_orthovector(b) and na == nb
+        for law, holds in (
+            ("definiteness", (_inner(a, a) == 0) == (a == zero)),
+            ("symmetry", _inner(b, a) == ab),
+            ("norm of sum", _or_all(map(or_, a, b)) == na | nb),
+            ("norm bound", not (ab & ~(na & nb))),
+            ("orthovector equality law", not equal_orthovectors or (ab == na & nb) == (a == b)),
+            ("scaled norm", _or_all(ca) == c & na),
+            ("scalar slide", _inner(ca, b) == c & ab == _inner(a, cb)),
+            ("bilinearity", _inner(tuple(map(or_, ca, b)), b) == (c & ab) | nb),
+        ):
+            if not holds:
+                return f"{law} fails at c={c}, a={_fmt_vec(a, alg)}, b={_fmt_vec(b, alg)}"
+        return None
+
+    return check
+
+
+def _descent(n: int, k: int) -> Callable[[Any], str | None]:
+    """A stochastic pair is orthogonal exactly when a short stochastic c has
+    ``b[i] = c[i] & ~a[i]`` below the last slot; for orthogonal pairs the
+    explicit construction must be such a c.
+
+    Vectors below the last slot are packed into one int each, so a candidate
+    c is tested on all slots at once.
+    """
+    alg = _numbered_algebra(k)
+    full = alg._full
+    short = [_pack(c, k) for c in _iter_stochastic_masks(n - 1, k)]
+    full_head = _pack((full,) * (n - 1), k)
+
+    def check(obj: Any) -> str | None:
+        a, b = obj
+        orthogonal = _inner(a, b) == 0
+        if orthogonal:
+            c = tuple((b[n - 1] & a[i]) | b[i] for i in range(n - 1))
+            if not _is_stochastic_vec(c, full):
+                return f"a={_fmt_vec(a, alg)} b={_fmt_vec(b, alg)}: constructed c not stochastic"
+            candidates = [_pack(c, k)]
+        # c[i] & ~a[i] never meets a[i], so only pairs that meet in the last
+        # slot alone can have a witness; the search covers exactly those.
+        elif _inner(a, b[: n - 1]) == 0:
+            candidates = short
+        else:
+            return None
+        head = _pack(b[: n - 1], k)
+        outside_a = _pack(a[: n - 1], k) ^ full_head
+        if any(c & outside_a == head for c in candidates) == orthogonal:
+            return None
+        return f"a={_fmt_vec(a, alg)} b={_fmt_vec(b, alg)}: orthogonal={orthogonal}, witness={not orthogonal}"
+
+    return check
+
+
+def _duality(n: int, k: int) -> Callable[[Any], str | None]:
+    """Orthonormal family is a basis iff its transposed family is orthonormal."""
+    alg = _numbered_algebra(k)
+
+    def check(fam: Any) -> str | None:
+        transposed = [tuple(v[i] for v in fam) for i in range(n)]
+        dual_ortho = _is_orthonormal_family(transposed, alg._full)
+        generating = _is_generating(fam, n, k)
+        if generating != dual_ortho:
+            return f"{_fmt_family(fam, alg)}: generating={generating}, dual orthonormal={dual_ortho}"
+        return None
+
+    return check
+
+
+def _basis_upbound(n: int, k: int) -> Callable[[Any], str | None]:
+    """No stochastic orthonormal family exceeds the dimension."""
+    alg = _numbered_algebra(k)
+
+    def check(fam: Any) -> str | None:
+        if len(fam) > n:
+            return f"{len(fam)} orthonormal stochastic vectors in dimension {n}: {_fmt_family(fam, alg)}"
+        return None
+
+    return check
+
+
+def _dimension(n: int, k: int) -> Callable[[Any], str | None]:
+    """Every orthonormal generating family has exactly n members."""
+    alg = _numbered_algebra(k)
+
+    def check(fam: Any) -> str | None:
+        if len(fam) != n and _is_generating(fam, n, k):
+            return f"basis of cardinality {len(fam)} != {n}: {_fmt_family(fam, alg)}"
+        return None
+
+    return check
+
+
+def _generating(n: int, k: int) -> Callable[[Any], bool]:
+    return lambda fam: _is_generating(fam, n, k)
+
+
+def _dimcor2(n: int, k: int) -> Callable[[Any], str | None]:
+    """An orthonormal family is generating exactly when it has n members."""
+    alg = _numbered_algebra(k)
+
+    def check(fam: Any) -> str | None:
+        if (len(fam) == n) != _is_generating(fam, n, k):
+            return f"cardinality {len(fam)} vs generating mismatch: {_fmt_family(fam, alg)}"
+        return None
+
+    return check
+
+
+def _incomplete(n: int, k: int) -> Callable[[Any], str | None]:
+    """Every short stochastic orthonormal family completes to a basis."""
+    alg = _numbered_algebra(k)
+    stoch = list(_iter_stochastic_masks(n, k))
+
+    def completes(fam: tuple[tuple[int, ...], ...]) -> bool:
+        if len(fam) == n:
+            return _is_generating(fam, n, k)
+        return any(
+            completes(fam + (v,)) for v in stoch if all(_inner(v, w) == 0 for w in fam)
+        )
+
+    def check(fam: Any) -> str | None:
+        return None if completes(tuple(fam)) else f"no completion for {_fmt_family(fam, alg)}"
+
+    return check
+
+
+def _inverse(n: int, k: int) -> Callable[[Any], str | None]:
+    """Bijectivity, unitarity, column-basis and row-basis stay equivalent."""
+    alg = _numbered_algebra(k)
+    full = alg._full
+    vectors = list(_iter_vector_masks(n, k))
+    ident = _identity_masks(n, full)
+
+    def check(flat: Any) -> str | None:
+        at = _transpose(n, flat)
+        bijective = len({_matvec(n, flat, v) for v in vectors}) == len(vectors)
+        unitary = _matmul(n, flat, at) == ident and _matmul(n, at, flat) == ident
+        cols = [tuple(flat[i * n + j] for i in range(n)) for j in range(n)]
+        rows = [tuple(flat[i * n + j] for j in range(n)) for i in range(n)]
+        cols_basis = _is_orthonormal_family(cols, full) and _is_generating(cols, n, k)
+        rows_basis = _is_orthonormal_family(rows, full) and _is_generating(rows, n, k)
+        if not bijective == unitary == cols_basis == rows_basis:
+            return (
+                f"{_fmt_mat(n, flat, alg)}: bijective={bijective} unitary={unitary} "
+                f"cols={cols_basis} rows={rows_basis}"
+            )
+        return None
+
+    return check
+
+
+def _stoinv(n: int, k: int) -> Callable[[Any], str | None]:
+    """Invariant stochastic vector exists exactly when the trace is one."""
+    alg = _numbered_algebra(k)
+    stoch_vecs = list(_iter_stochastic_masks(n, k))
+
+    def check(a: Any) -> str | None:
+        has_invariant = any(_matvec(n, a, b) == b for b in stoch_vecs)
+        if has_invariant != (_trace(n, a) == alg._full):
+            return _fmt_mat(n, a, alg)
+        return None
+
+    return check
+
+
+def _oddinv(n: int, k: int) -> Callable[[Any], str | None]:
+    """Symmetric stochastic matrices in odd dimension always have trace one."""
+    alg = _numbered_algebra(k)
+    return lambda a: None if _trace(n, a) == alg._full else _fmt_mat(n, a, alg)
+
+
+def _unitreduce(n: int, k: int) -> Callable[[Any], str | None]:
+    """Unitary families reduce simultaneously exactly when joint trace is one.
+
+    Reducibility is decided by searching every unitary conjugator.
+    """
+    alg = _numbered_algebra(k)
+    full = alg._full
+    conjugators = [(b, _transpose(n, b)) for b in _iter_unitary_masks(n, k)]
+
+    def check(mats: Any) -> str | None:
+        reducible = any(
+            all(_block_form(n, _matmul(n, bt, _matmul(n, m, b)), full) for m in mats)
+            for b, bt in conjugators
+        )
+        joint_trace = _or_all(_and_all(m[i * n + i] for m in mats) & full for i in range(n))
+        if reducible != (joint_trace == full):
+            return ", ".join(_fmt_mat(n, m, alg) for m in mats)
+        return None
+
+    return check
+
+
+def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
+    """Atoms partition one, rebuild every entry, and drive the slot action."""
+    alg = _numbered_algebra(k)
+    full = alg._full
+
+    def problem(a: Sequence[int]) -> str | None:
+        atoms = _atoms_of(n, a, full)
+        joined = 0
+        for idx, (m, _) in enumerate(atoms):
+            if any(m & m2 for m2, _ in atoms[:idx]):
+                return "overlapping atoms"
+            joined |= m
+        if joined != full:
+            return "atoms do not cover one"
+        for i in range(n):
+            for j in range(n):
+                rebuilt = _or_all(m for m, _ in atoms if m & ~a[i * n + j] == 0)
+                if rebuilt != a[i * n + j]:
+                    return f"entry ({i},{j}) is not the join of its atoms"
+        for m, selection in atoms:
+            for j in range(n):
+                scaled = [m if t == j else 0 for t in range(n)]
+                expect = tuple(m if t == selection[j] else 0 for t in range(n))
+                if _matvec(n, a, scaled) != expect:
+                    return f"atom action fails at column {j}"
+        return None
+
+    def check(a: Any) -> str | None:
+        found = problem(a)
+        return None if found is None else f"{found} in {_fmt_mat(n, a, alg)}"
+
+    return check
+
+
+def _power(n: int, k: int) -> Callable[[Any], str | None]:
+    """The stochastic power identity, and its unitary sharpening."""
+    alg = _numbered_algebra(k)
+    full = alg._full
+    lcm = math.lcm(*range(1, n + 1))
+    ident = _identity_masks(n, full)
+
+    def check(obj: Any) -> str | None:
+        unitary, a = obj
+        if unitary:
+            if _naive_power(n, a, lcm, full) != ident:
+                return f"unitary {_fmt_mat(n, a, alg)}"
+            return None
+        low = _naive_power(n, a, n - 1, full)
+        high = low
+        for _ in range(lcm):
+            high = _matmul(n, high, a)
+        return None if high == low else _fmt_mat(n, a, alg)
+
+    return check
+
+
+def _period_divides(n: int, k: int) -> Callable[[Any], str | None]:
     """Stochastic exponent and period bounds, from definition-level search."""
-    n, k = spec.n, spec.k
-    _guard(EnumSpec(n, k, "stochastic_matrices"), budget)
     alg = _numbered_algebra(k)
     lcm = math.lcm(*range(1, n + 1))
-    checked = 0
-    for a in _iter_stochastic_matrix_masks(n, k):
-        checked += 1
+
+    def check(a: Any) -> str | None:
         e, p = _brute_period_exponent(n, a)
         if lcm % p != 0 or e > max(n - 1, 1):
-            return _fail("PERIOD_DIVIDES", spec, checked, f"e={e}, p={p} for {_fmt_mat(n, a, alg)}")
-    return _ok("PERIOD_DIVIDES", spec, checked)
+            return f"e={e}, p={p} for {_fmt_mat(n, a, alg)}"
+        return None
+
+    return check
 
 
-THEOREMS: dict[str, Callable[[EnumSpec, int], Verdict]] = {
-    "NORM": _check_norm,
-    "DUALITY": _check_duality,
-    "DESCENT": _check_descent,
-    "BASIS_UPBOUND": _check_basis_upbound,
-    "DIMENSION": _check_dimension,
-    "DIMCOR2": _check_dimcor2,
-    "INCOMPLETE": _check_incomplete,
-    "INVERSE": _check_inverse,
-    "STOINV": _check_stoinv,
-    "ODDINV": _check_oddinv,
-    "UNITREDUCE": _check_unitreduce,
-    "ATOMS": _check_atoms,
-    "POWER": _check_power,
-    "PERIOD_DIVIDES": _check_period_divides,
+# --- preconditions on the dimension ---
+
+
+def _any_dimension(n: int) -> None:
+    return None
+
+
+def _dimension_at_least_two(n: int) -> None:
+    if n < 2:
+        raise PreconditionError("this statement lives in dimension >= 2")
+
+
+def _odd_dimension(n: int) -> None:
+    if n % 2 == 0:
+        raise PreconditionError("this statement concerns odd dimensions")
+
+
+@dataclass(frozen=True, slots=True)
+class Theorem:
+    """One registered statement and where the objects it is checked on come from.
+
+    ``source(n, k, budget)`` refuses sizes past the budget, then streams every
+    object of the exhaustive check; ``sampler(rng, alg, n)`` draws one object
+    of the same shape, or is None for exhaustive-only theorems.
+    ``predicate(n, k)`` builds the tables a run shares and returns the check
+    mapping one object to a counterexample or None. ``require(n)`` raises
+    :class:`PreconditionError` outside the statement's dimensions.
+    ``witness(n, k)``, when set, marks the objects a pass must have met at
+    least once; otherwise any object will do.
+    """
+
+    kind: str
+    source: Callable[[int, int, int], Iterable[Any]]
+    predicate: Callable[[int, int], Callable[[Any], str | None]]
+    sampler: Callable[[random.Random, Algebra, int], Any] | None = None
+    require: Callable[[int], None] = _any_dimension
+    witness: Callable[[int, int], Callable[[Any], bool]] | None = None
+
+
+THEOREMS: dict[str, Theorem] = {
+    "NORM": Theorem("all_vectors", _norm_triples, _norm_laws, _sample_norm),
+    "DUALITY": Theorem("orthonormal_sets", _iter_orthonormal_sets, _duality),
+    "DESCENT": Theorem(
+        "stochastic_vectors", _stochastic_pairs, _descent, _sample_stochastic_pair,
+        require=_dimension_at_least_two,
+    ),
+    "BASIS_UPBOUND": Theorem("orthonormal_sets", _stochastic_orthonormal_sets, _basis_upbound),
+    "DIMENSION": Theorem("orthonormal_sets", _iter_orthonormal_sets, _dimension, witness=_generating),
+    "DIMCOR2": Theorem("orthonormal_sets", _iter_orthonormal_sets, _dimcor2),
+    "INCOMPLETE": Theorem(
+        "orthonormal_sets", _short_stochastic_orthonormal_sets, _incomplete, _sample_short_family,
+        require=_dimension_at_least_two,
+    ),
+    "INVERSE": Theorem("all_vectors", _all_matrices, _inverse),
+    "STOINV": Theorem("stochastic_matrices", _stochastic_matrices, _stoinv, _sample_stochastic_matrix),
+    "ODDINV": Theorem(
+        "stochastic_matrices", _symmetric_stochastic_matrices, _oddinv, _sample_symmetric_stochastic,
+        require=_odd_dimension,
+    ),
+    "UNITREDUCE": Theorem("unitary_matrices", _unitary_families, _unitreduce),
+    "ATOMS": Theorem("stochastic_matrices", _stochastic_matrices, _atoms, _sample_stochastic_matrix),
+    "POWER": Theorem("stochastic_matrices", _stochastic_then_unitary, _power, _sample_power),
+    "PERIOD_DIVIDES": Theorem(
+        "stochastic_matrices", _stochastic_matrices, _period_divides, _sample_stochastic_matrix
+    ),
 }
 
-# Enumeration kind that dominates each check, for building an EnumSpec.
-THEOREM_KINDS: dict[str, str] = {
-    "NORM": "all_vectors",
-    "DUALITY": "orthonormal_sets",
-    "DESCENT": "stochastic_vectors",
-    "BASIS_UPBOUND": "orthonormal_sets",
-    "DIMENSION": "orthonormal_sets",
-    "DIMCOR2": "orthonormal_sets",
-    "INCOMPLETE": "orthonormal_sets",
-    "INVERSE": "all_vectors",
-    "STOINV": "stochastic_matrices",
-    "ODDINV": "stochastic_matrices",
-    "UNITREDUCE": "unitary_matrices",
-    "ATOMS": "stochastic_matrices",
-    "POWER": "stochastic_matrices",
-    "PERIOD_DIVIDES": "stochastic_matrices",
-}
 
-
-def brute_check(theorem: str, spec: EnumSpec, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Exhaustively verify one registered theorem at the given scale."""
+def _lookup(theorem: str, n: int) -> Theorem:
     try:
-        check = THEOREMS[theorem]
+        entry = THEOREMS[theorem]
     except KeyError:
         raise PreconditionError(
             f"unknown theorem {theorem!r}; registered: {', '.join(sorted(THEOREMS))}"
         ) from None
-    return check(spec, budget)
+    entry.require(n)
+    return entry
 
 
-# --- randomized sweeps for scales the exhaustive checks cannot reach ---
-
-
-def _sample_norm(rng: random.Random, alg: Algebra, n: int) -> str | None:
-    full = alg._full
-    a = tuple(rng.randrange(full + 1) for _ in range(n))
-    b = tuple(rng.randrange(full + 1) for _ in range(n))
-    c = rng.randrange(full + 1)
-    if _or_all(c & x for x in a) != c & _or_all(a):
-        return f"scaled norm at c={c}, a={a}"
-    if _or_all(x | y for x, y in zip(a, b)) != _or_all(a) | _or_all(b):
-        return f"norm of sum at {a}, {b}"
-    if _inner(a, b) & ~(_or_all(a) & _or_all(b)):
-        return f"norm bound at {a}, {b}"
-    if _inner(a, b) != _inner(b, a):
-        return f"symmetry at {a}, {b}"
-    return None
-
-
-def _sample_descent(rng: random.Random, alg: Algebra, n: int) -> str | None:
-    full = alg._full
-    a, b = rand.random_orthogonal_stochastic_pair(rng, alg, n)
-    c = tuple((b.masks[n - 1] & a.masks[i]) | b.masks[i] for i in range(n - 1))
-    if not _is_stochastic_vec(c, full):
-        return f"constructed c not stochastic for a={a}, b={b}"
-    if any(b.masks[i] != c[i] & (a.masks[i] ^ full) for i in range(n - 1)):
-        return f"constructed c misses b for a={a}, b={b}"
-    return None
-
-
-def _sample_stoinv(rng: random.Random, alg: Algebra, n: int) -> str | None:
-    full = alg._full
-    a = rand.random_stochastic_matrix(rng, alg, n)
-    has = any(
-        _matvec(n, a.masks, b) == b for b in _iter_stochastic_masks(n, alg.atom_count)
+def _run(theorem: str, entry: Theorem, spec: EnumSpec, objects: Iterable[Any], mode: str) -> Verdict:
+    """Apply the theorem's predicate to every object; stop at the first counterexample."""
+    check = entry.predicate(spec.n, spec.k)
+    witness = entry.witness(spec.n, spec.k) if entry.witness else None
+    checked = 0
+    witnessed = False
+    counterexample = None
+    for obj in objects:
+        checked += 1
+        counterexample = check(obj)
+        if counterexample is not None:
+            break
+        witnessed = witnessed or witness is None or witness(obj)
+    else:
+        if checked == 0:
+            counterexample = "no objects checked"
+        elif not witnessed:
+            counterexample = f"no witness among {checked} objects (enumeration bug)"
+    return Verdict(
+        theorem=theorem, n=spec.n, k=spec.k, passed=counterexample is None,
+        checked=checked, counterexample=counterexample, mode=mode,
     )
-    if has != (_trace(n, a.masks) == full):
-        return _fmt_mat(n, a.masks, alg)
-    return None
 
 
-def _sample_oddinv(rng: random.Random, alg: Algebra, n: int) -> str | None:
-    if n % 2 == 0:
-        raise PreconditionError("this statement concerns odd dimensions")
-    a = rand.random_symmetric_stochastic(rng, alg, n)
-    if _trace(n, a.masks) != alg._full:
-        return _fmt_mat(n, a.masks, alg)
-    return None
-
-
-def _sample_atoms(rng: random.Random, alg: Algebra, n: int) -> str | None:
-    a = rand.random_stochastic_matrix(rng, alg, n)
-    problem = _atoms_properties(n, a.masks, alg._full)
-    if problem:
-        return f"{problem} in {_fmt_mat(n, a.masks, alg)}"
-    return None
-
-
-def _sample_power(rng: random.Random, alg: Algebra, n: int) -> str | None:
-    full = alg._full
-    lcm = math.lcm(*range(1, n + 1))
-    a = rand.random_stochastic_matrix(rng, alg, n)
-    low = _naive_power(n, a.masks, n - 1, full)
-    high = low
-    for _ in range(lcm):
-        high = _matmul(n, high, a.masks)
-    if high != low:
-        return _fmt_mat(n, a.masks, alg)
-    u = rand.random_unitary(rng, alg, n)
-    if _naive_power(n, u.masks, lcm, full) != _identity_masks(n, full):
-        return f"unitary {_fmt_mat(n, u.masks, alg)}"
-    return None
-
-
-def _sample_period_divides(rng: random.Random, alg: Algebra, n: int) -> str | None:
-    lcm = math.lcm(*range(1, n + 1))
-    a = rand.random_stochastic_matrix(rng, alg, n)
-    e, p = _brute_period_exponent(n, a.masks)
-    if lcm % p != 0 or e > max(n - 1, 1):
-        return f"e={e}, p={p} for {_fmt_mat(n, a.masks, alg)}"
-    return None
-
-
-def _sample_incomplete(rng: random.Random, alg: Algebra, n: int) -> str | None:
-    m = rng.randrange(1, n)
-    fam = [v.masks for v in rand.random_stochastic_orthonormal_set(rng, alg, n, m)]
-    stoch = list(_iter_stochastic_masks(n, alg.atom_count))
-
-    def completes(current: list[tuple[int, ...]]) -> bool:
-        if len(current) == n:
-            return True
-        return any(
-            completes(current + [v])
-            for v in stoch
-            if all(_inner(v, w) == 0 for w in current)
-        )
-
-    if not completes(list(fam)):
-        return f"no completion for a family of {m} in dimension {n}"
-    return None
-
-
-SAMPLING_THEOREMS: dict[str, Callable[[random.Random, Algebra, int], str | None]] = {
-    "NORM": _sample_norm,
-    "DESCENT": _sample_descent,
-    "STOINV": _sample_stoinv,
-    "ODDINV": _sample_oddinv,
-    "ATOMS": _sample_atoms,
-    "POWER": _sample_power,
-    "PERIOD_DIVIDES": _sample_period_divides,
-    "INCOMPLETE": _sample_incomplete,
-}
+def brute_check(theorem: str, spec: EnumSpec, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Exhaustively verify one registered theorem at the given scale."""
+    entry = _lookup(theorem, spec.n)
+    return _run(theorem, entry, spec, entry.source(spec.n, spec.k, budget), "exhaustive")
 
 
 def sample_check(theorem: str, spec: EnumSpec, samples: int, seed: int = 0) -> Verdict:
-    """Randomized verification for scales beyond exhaustive reach."""
-    if theorem not in THEOREMS:
-        raise PreconditionError(
-            f"unknown theorem {theorem!r}; registered: {', '.join(sorted(THEOREMS))}"
-        )
-    try:
-        sampler = SAMPLING_THEOREMS[theorem]
-    except KeyError:
-        raise PreconditionError(f"{theorem} supports exhaustive checking only") from None
+    """Randomized verification for scales beyond exhaustive reach: the same
+    predicate as :func:`brute_check`, on ``samples`` seeded draws."""
+    entry = _lookup(theorem, spec.n)
+    if entry.sampler is None:
+        raise PreconditionError(f"{theorem} supports exhaustive checking only")
+    if samples < 1:
+        raise PreconditionError(f"need at least one sample, got {samples}")
     rng = random.Random(seed)
     alg = _numbered_algebra(spec.k)
-    for i in range(samples):
-        counterexample = sampler(rng, alg, spec.n)
-        if counterexample is not None:
-            return Verdict(
-                theorem=theorem, n=spec.n, k=spec.k, passed=False,
-                checked=i + 1, counterexample=counterexample, mode="sampled",
-            )
-    return Verdict(theorem=theorem, n=spec.n, k=spec.k, passed=True, checked=samples, mode="sampled")
+    draws = (entry.sampler(rng, alg, spec.n) for _ in range(samples))
+    return _run(theorem, entry, spec, draws, "sampled")

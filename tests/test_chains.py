@@ -21,8 +21,7 @@ from boolmat import (
     verify_power_theorem,
 )
 from boolmat import rand as br
-from boolmat.chains import _reachable_sites_by_iteration
-from boolmat.oracle import _brute_period_exponent
+from boolmat.oracle import _brute_period_exponent, _reachable_sites_by_iteration
 
 from conftest import mat, vec
 
@@ -265,7 +264,7 @@ def test_reachability_cross_check_random():
         a = br.random_stochastic_matrix(rng, alg, n)
         profile = power_profile(a)
         for j in range(1, n + 1):
-            via_iteration = _reachable_sites_by_iteration(a, j)
+            via_iteration = _reachable_sites_by_iteration(n, a.masks, alg._full, j)
             via_powers = {
                 i for i in range(1, n + 1) if reachable(a, j, i, profile=profile)
             }

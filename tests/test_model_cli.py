@@ -263,6 +263,27 @@ def test_verify_unknown_theorem(capsys):
     assert "unknown theorem" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_non_positive_samples(samples, capsys):
+    rc, out, err = run_cli(
+        ["verify", "--theorem", "NORM", "--n", "2", "--atoms", "2", "--samples", samples], capsys
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("extra", [[], ["--samples", "3"]])
+def test_verify_outside_preconditions_is_a_usage_error(extra, capsys):
+    rc, out, err = run_cli(
+        ["verify", "--porcelain", "--theorem", "INCOMPLETE", "--n", "1", "--atoms", "2", *extra],
+        capsys,
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.bm"
     path.write_text("atoms: 1 2\nvector v 2\n{1} {1,}\n")

@@ -1,6 +1,12 @@
+import dataclasses
+import random
+from itertools import combinations_with_replacement, product
+
 import pytest
 
-from boolmat import BMatrix, BVec, PreconditionError
+from boolmat import BMatrix, BVec, PreconditionError, make_algebra
+from boolmat import oracle
+from boolmat import rand as br
 from boolmat.oracle import (
     DEFAULT_BUDGET,
     THEOREMS,
@@ -134,24 +140,119 @@ def test_oddinv_rejects_even_dimension():
         brute_check("ODDINV", EnumSpec(2, 2, "stochastic_matrices"))
 
 
-@pytest.mark.parametrize(
-    "theorem,n,k",
-    [
-        ("NORM", 4, 6),
-        ("DESCENT", 5, 5),
-        ("STOINV", 4, 4),
-        ("ODDINV", 5, 4),
-        ("ATOMS", 4, 4),
-        ("POWER", 4, 4),
-        ("PERIOD_DIVIDES", 4, 4),
-        ("INCOMPLETE", 4, 3),
-    ],
-)
+SAMPLED = [
+    ("NORM", 4, 6),
+    ("DESCENT", 5, 5),
+    ("DESCENT", 2, 3),
+    ("STOINV", 4, 4),
+    ("ODDINV", 5, 4),
+    ("ATOMS", 4, 4),
+    ("POWER", 4, 4),
+    ("PERIOD_DIVIDES", 4, 4),
+    ("INCOMPLETE", 4, 3),
+    ("INCOMPLETE", 2, 2),
+]
+
+
+@pytest.mark.parametrize("theorem,n,k", SAMPLED)
 def test_sampled_theorem_check_passes(theorem, n, k):
     verdict = sample_check(theorem, EnumSpec(n, k, "stochastic_matrices"), samples=50, seed=5)
     assert verdict.passed, str(verdict)
     assert verdict.checked == 50
     assert verdict.mode == "sampled"
+
+
+@pytest.mark.parametrize("theorem", sorted({t for t, _, _ in SAMPLED}))
+def test_sampler_draws_from_the_exhaustive_object_space(theorem):
+    """Both modes feed one predicate, so a sampled object must be one the
+    exhaustive source also yields (families compared as sets)."""
+    n, k = (3, 2) if theorem == "ODDINV" else (2, 2)
+    entry = THEOREMS[theorem]
+
+    def key(obj):
+        if entry.kind == "orthonormal_sets":
+            return frozenset(obj)
+        return obj
+
+    space = {key(obj) for obj in entry.source(n, k, DEFAULT_BUDGET)}
+    rng = random.Random(11)
+    alg = make_algebra([str(i + 1) for i in range(k)])
+    drawn = {key(entry.sampler(rng, alg, n)) for _ in range(200)}
+    assert drawn <= space
+    if theorem == "POWER":
+        assert {unitary for unitary, _ in drawn} == {False, True}
+
+
+def test_sampled_incomplete_runs_the_generating_check(monkeypatch):
+    monkeypatch.setattr(oracle, "_is_generating", lambda vectors, n, k: False)
+    verdict = sample_check("INCOMPLETE", EnumSpec(4, 2, "orthonormal_sets"), 20)
+    assert not verdict.passed
+    assert verdict.checked == 1
+
+
+def test_dimension_fails_when_no_basis_is_enumerated(monkeypatch):
+    monkeypatch.setattr(oracle, "_is_generating", lambda vectors, n, k: False)
+    verdict = brute_check("DIMENSION", EnumSpec(2, 2, "orthonormal_sets"))
+    assert not verdict.passed
+    assert verdict.checked > 0
+
+
+def test_run_over_no_objects_is_not_a_pass(monkeypatch):
+    empty = dataclasses.replace(THEOREMS["STOINV"], source=lambda n, k, budget: iter(()))
+    monkeypatch.setitem(THEOREMS, "STOINV", empty)
+    verdict = brute_check("STOINV", EnumSpec(2, 2, "stochastic_matrices"))
+    assert not verdict.passed
+    assert verdict.checked == 0
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_non_positive_sample_counts_rejected(samples):
+    with pytest.raises(PreconditionError):
+        sample_check("NORM", EnumSpec(2, 2, "all_vectors"), samples)
+
+
+@pytest.mark.parametrize("theorem,n", [("INCOMPLETE", 1), ("DESCENT", 1), ("ODDINV", 4)])
+def test_preconditions_apply_to_both_modes(theorem, n):
+    spec = EnumSpec(n, 2, THEOREMS[theorem].kind)
+    with pytest.raises(PreconditionError):
+        brute_check(theorem, spec)
+    with pytest.raises(PreconditionError):
+        sample_check(theorem, spec, samples=3)
+
+
+def _spans_everything(vectors, n, k):
+    """Reference: enumerate every combination and count the distinct results."""
+    image = set()
+    for coeffs in product(range(1 << k), repeat=len(vectors)):
+        image.add(tuple(
+            oracle._or_all(c & v[i] for c, v in zip(coeffs, vectors)) for i in range(n)
+        ))
+    return len(image) == 1 << (k * n)
+
+
+def test_residuation_generating_test_matches_span_enumeration():
+    for n, k in product((1, 2), (1, 2)):
+        vectors = list(product(range(1 << k), repeat=n))
+        for m in range(4):
+            for fam in combinations_with_replacement(vectors, m):
+                assert oracle._is_generating(fam, n, k) == _spans_everything(fam, n, k), fam
+    # Columns of a random unitary generate; a flipped bit or an extra vector
+    # moves the family to either side of the boundary.
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(300):
+        k = rng.randrange(1, 3)
+        u = br.random_unitary(rng, make_algebra([str(i + 1) for i in range(k)]), 3)
+        fam = [list(u.masks[j::3]) for j in range(3)]
+        if rng.randrange(2):
+            fam[rng.randrange(3)][rng.randrange(3)] ^= 1 << rng.randrange(k)
+        if rng.randrange(2):
+            fam.append([rng.randrange(1 << k) for _ in range(3)])
+        fam = [tuple(v) for v in fam]
+        expected = _spans_everything(fam, 3, k)
+        outcomes.add(expected)
+        assert oracle._is_generating(fam, 3, k) == expected, fam
+    assert outcomes == {True, False}
 
 
 def test_sampling_unavailable_for_search_shaped_checks():
