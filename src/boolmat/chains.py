@@ -5,7 +5,11 @@ stochastic matrices the exponent is at most ``n - 1`` and the period
 divides ``lcm(1..n)``, which gives the clean identity
 ``A**(lcm(1..n) + n - 1) == A**(n - 1)``. Matrix atoms (nonzero meets of
 one entry per column) partition one and turn the action on scaled basis
-vectors into a plain function on slots, which is what drives all of this.
+vectors into a plain function on slots. Since the atoms are disjoint and
+nonzero, ``A**s == A**t`` exactly when every atom function f has
+``f**s == f**t``, so exponent, period, powers and reachability of a
+stochastic matrix are read off the atom functions without a single matrix
+product. Other square matrices are multiplied until a power repeats.
 
 Site labels follow the transition-matrix convention: entry (i, j) labels
 the one-step move from site j to site i, and sites are numbered 1..n.
@@ -14,7 +18,10 @@ the one-step move from site j to site i, and sites are numbered 1..n.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
+
 from .algebra import Elem, PreconditionError
 from .bmatrix import BMatrix, is_stochastic_matrix, mul, power
 
@@ -36,6 +43,39 @@ def lcm_upto(n: int) -> int:
     if n < 1:
         raise PreconditionError("lcm_upto needs n >= 1")
     return math.lcm(*range(1, n + 1))
+
+
+def _iterate(f: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """The s-th iterate of the slot function ``f``, by repeated squaring."""
+    result = tuple(range(len(f)))
+    while s:
+        if s & 1:
+            result = tuple(f[x] for x in result)
+        s >>= 1
+        if s:
+            f = tuple(f[x] for x in f)
+    return result
+
+
+def _tail_and_period(f: tuple[int, ...]) -> tuple[int, int]:
+    """Longest tail and lcm of the cycle lengths of the slot function ``f``.
+
+    The images ``f**s(slots)`` shrink strictly until they reach the union of
+    the cycles, which takes exactly the longest tail; on that union ``f`` is
+    a permutation whose cycles are walked once each.
+    """
+    tail, image = 0, set(range(len(f)))
+    while (nxt := {f[x] for x in image}) != image:
+        tail, image = tail + 1, nxt
+    period = 1
+    while image:
+        start = image.pop()
+        length, x = 1, f[start]
+        while x != start:
+            image.discard(x)
+            length, x = length + 1, f[x]
+        period = math.lcm(period, length)
+    return tail, period
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,6 +102,38 @@ class MatrixAtoms:
     def selector(self, atom_index: int, col: int) -> int:
         """Row receiving the given atom from column ``col`` (0-based)."""
         return self.selectors[atom_index][col]
+
+    def power(self, s: int) -> BMatrix:
+        """``A**s`` for any s >= 0, built from the atom functions alone.
+
+        Entry (i, j) is the join of the atoms whose function, iterated s
+        times, sends slot j to slot i.
+        """
+        if s < 0:
+            raise PreconditionError("negative powers are not defined")
+        n = self.matrix.rows
+        masks = [0] * (n * n)
+        for w, f in zip(self.atom_masks, self.selectors):
+            for j, i in enumerate(_iterate(f, s)):
+                masks[i * n + j] |= w
+        return BMatrix(n, n, tuple(masks), self.matrix.algebra)
+
+    def reached(self, col: int) -> set[int]:
+        """Rows (0-based) that column ``col`` reaches in one or more steps.
+
+        These are the slots on the orbits of ``col`` under the atom
+        functions: ``A**s`` has a nonzero entry (i, col) exactly when some
+        atom's function sends col to i in s steps.
+        """
+        hit: set[int] = set()
+        for f in self.selectors:
+            orbit: set[int] = set()
+            x = f[col]
+            while x not in orbit:
+                orbit.add(x)
+                x = f[x]
+            hit |= orbit
+        return hit
 
 
 def matrix_atoms(a: BMatrix) -> MatrixAtoms:
@@ -103,16 +175,38 @@ def matrix_atoms(a: BMatrix) -> MatrixAtoms:
 
 
 @dataclass(frozen=True, slots=True)
+class _AtomPowers(Sequence):
+    """``A, A**2, ..., A**length`` of a stochastic matrix, each built on demand
+    from its atoms, so holding the sequence costs no more than the atoms."""
+
+    atoms: MatrixAtoms
+    length: int
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, i: int) -> BMatrix:
+        i = operator.index(i)
+        if i < 0:
+            i += self.length
+        if not 0 <= i < self.length:
+            raise IndexError("power index out of range")
+        return self.atoms.power(i + 1)
+
+
+@dataclass(frozen=True, slots=True)
 class PowerProfile:
     """Eventual periodicity of the power sequence A, A^2, A^3, ...
 
     ``powers[s - 1]`` is ``A**s`` for s = 1 .. exponent + period - 1, the
-    full list of distinct powers; every later power repeats one of these.
+    full sequence of distinct powers; every later power repeats one of
+    these. For a stochastic matrix the sequence is lazy: its length is
+    known at once and each power is built from the atoms when read.
     """
 
     exponent: int
     period: int
-    powers: tuple[BMatrix, ...]
+    powers: Sequence[BMatrix]
 
     def power_at(self, s: int) -> BMatrix:
         """``A**s`` for any s >= 1, resolved through the cycle."""
@@ -124,16 +218,40 @@ class PowerProfile:
         return self.powers[wrapped - 1]
 
 
-def power_profile(a: BMatrix) -> PowerProfile:
-    """Find the first repeat in A, A^2, ... and read off exponent and period.
+def _atom_profile(atoms: MatrixAtoms) -> PowerProfile:
+    """Exponent and period of a stochastic matrix from its atom functions.
 
-    The first collision ``A**s == A**t`` (t < s) yields period ``s - t``
-    and exponent ``t``; these match the definition ordering (smallest
-    period first, then smallest exponent) because any repeat distance on
-    the cycle is a multiple of the cycle length.
+    ``f**s == f**t`` for all atom functions f exactly when both s and t
+    are at least the longest tail and the lcm of all cycle lengths divides
+    ``t - s``; powers start at ``A**1``, so the exponent is at least one.
+    """
+    n = atoms.matrix.rows
+    if n == 0:
+        raise PreconditionError("power profile of an empty matrix")
+    tail, p = 0, 1
+    for f in atoms.selectors:
+        t, q = _tail_and_period(f)
+        tail, p = max(tail, t), math.lcm(p, q)
+    e = max(tail, 1)
+    assert e <= (n - 1) ** 2 + 1, f"exponent bound violated: e={e} for n={n}"
+    assert e <= max(n - 1, 1), f"stochastic exponent bound violated: e={e} for n={n}"
+    assert lcm_upto(n) % p == 0, f"stochastic period bound violated: p={p} for n={n}"
+    return PowerProfile(exponent=e, period=p, powers=_AtomPowers(atoms, e + p - 1))
+
+
+def power_profile(a: BMatrix) -> PowerProfile:
+    """Exponent, period and the distinct powers of a square matrix.
+
+    A stochastic matrix is read off its atom functions. Any other matrix is
+    multiplied until the first collision ``A**s == A**t`` (t < s), which
+    yields period ``s - t`` and exponent ``t``; these match the definition
+    ordering (smallest period first, then smallest exponent) because any
+    repeat distance on the cycle is a multiple of the cycle length.
     """
     if not a.is_square():
         raise PreconditionError("power profile of a non-square matrix")
+    if is_stochastic_matrix(a):
+        return _atom_profile(matrix_atoms(a))
     n = a.rows
     seen: dict[tuple[int, ...], int] = {}
     powers: list[BMatrix] = []
@@ -147,9 +265,6 @@ def power_profile(a: BMatrix) -> PowerProfile:
     t = seen[cur.masks]
     e, p = t, s - t
     assert e <= (n - 1) ** 2 + 1, f"exponent bound violated: e={e} for n={n}"
-    if is_stochastic_matrix(a):
-        assert e <= max(n - 1, 1), f"stochastic exponent bound violated: e={e} for n={n}"
-        assert lcm_upto(n) % p == 0, f"stochastic period bound violated: p={p} for n={n}"
     return PowerProfile(exponent=e, period=p, powers=tuple(powers))
 
 
@@ -169,20 +284,16 @@ def _check_site(n: int, site: int) -> None:
         raise PreconditionError(f"site {site} out of range 1..{n}")
 
 
-def reachable(a: BMatrix, from_site: int, to_site: int, profile: PowerProfile | None = None) -> bool:
+def reachable(a: BMatrix, from_site: int, to_site: int) -> bool:
     """Can the chain move from ``from_site`` to ``to_site`` in >= 1 steps?
 
-    True when some power has a nonzero entry at (to, from). Only the
-    distinct powers need inspection; all later ones repeat them.
+    True when some atom's orbit of ``from_site`` passes ``to_site``.
     """
     if not is_stochastic_matrix(a):
         raise PreconditionError("reachability is defined for stochastic matrices")
     _check_site(a.rows, from_site)
     _check_site(a.rows, to_site)
-    if profile is None:
-        profile = power_profile(a)
-    i, j = to_site - 1, from_site - 1
-    return any(m.masks[i * a.cols + j] for m in profile.powers)
+    return to_site - 1 in matrix_atoms(a).reached(from_site - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,46 +317,48 @@ class ReachReport:
     equivalence_witness: str | None
 
 
+def _transitivity_witness(relation: set[tuple[int, int]]) -> tuple[int, int, int] | None:
+    """The first (x, y, z) with x->y and y->z but not x->z, or None.
+
+    "First" is the order of a double loop over the sorted pairs: (x, y)
+    ascending, then z ascending among the successors of y.
+    """
+    succ: dict[int, list[int]] = {}
+    for x, y in sorted(relation):
+        succ.setdefault(x, []).append(y)
+    for x, ys in succ.items():
+        for y in ys:
+            for z in succ.get(y, ()):
+                if (x, z) not in relation:
+                    return x, y, z
+    return None
+
+
 def relation_report(a: BMatrix) -> ReachReport:
-    """Full accessibility survey over the distinct powers of the matrix."""
-    profile = power_profile(a)
+    """Full accessibility survey: from the atom orbits of a stochastic
+    matrix, from its distinct powers otherwise."""
     n = a.rows
-    arrows = set()
-    for m in profile.powers:
-        for i in range(n):
-            for j in range(n):
-                if m.masks[i * n + j]:
-                    arrows.add((j + 1, i + 1))
+    if a.is_square() and is_stochastic_matrix(a):
+        atoms = matrix_atoms(a)
+        profile = _atom_profile(atoms)
+        succ = [atoms.reached(j) for j in range(n)]
+    else:
+        profile = power_profile(a)
+        succ = [{i for m in profile.powers for i in range(n) if m.masks[i * n + j]} for j in range(n)]
+    arrows = {(j + 1, i + 1) for j in range(n) for i in succ[j]}
     mutual = {(i, j) for (i, j) in arrows if i < j and (j, i) in arrows}
+    witness = _transitivity_witness(arrows)
 
-    transitive = True
-    witness = None
-    for (x, y) in sorted(arrows):
-        for (y2, z) in sorted(arrows):
-            if y2 == y and (x, z) not in arrows:
-                transitive = False
-                witness = (x, y, z)
-                break
-        if witness:
-            break
-
-    equivalence = True
     eq_witness = None
-    for i in range(1, n + 1):
-        if (i, i) not in arrows:
-            equivalence = False
-            eq_witness = f"not reflexive: {i} does not return to itself"
-            break
-    if equivalence:
+    lonely = next((i for i in range(1, n + 1) if (i, i) not in arrows), None)
+    if lonely is not None:
+        eq_witness = f"not reflexive: {lonely} does not return to itself"
+    else:
         sym = {(i, j) for (i, j) in arrows if (j, i) in arrows}
-        for (x, y) in sorted(sym):
-            for (y2, z) in sorted(sym):
-                if y2 == y and (x, z) not in sym:
-                    equivalence = False
-                    eq_witness = f"not transitive: {x}<->{y} and {y}<->{z} but not {x}<->{z}"
-                    break
-            if eq_witness:
-                break
+        sym_witness = _transitivity_witness(sym)
+        if sym_witness is not None:
+            x, y, z = sym_witness
+            eq_witness = f"not transitive: {x}<->{y} and {y}<->{z} but not {x}<->{z}"
 
     return ReachReport(
         site_count=n,
@@ -253,8 +366,8 @@ def relation_report(a: BMatrix) -> ReachReport:
         period=profile.period,
         arrows=frozenset(arrows),
         mutual=frozenset(mutual),
-        transitive=transitive,
+        transitive=witness is None,
         transitivity_witness=witness,
-        equivalence=equivalence,
+        equivalence=eq_witness is None,
         equivalence_witness=eq_witness,
     )

@@ -8,6 +8,7 @@ usage, parse, precondition and budget errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from importlib import resources
 from typing import Iterable, Sequence
@@ -272,7 +273,10 @@ def _cmd_verify(args) -> int:
     return 0 if verdict.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    :func:`main` call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="boolmat",
         description="Boolean-algebra linear algebra: stochastic and unitary matrices, "
@@ -317,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ModelSyntaxError as exc:

@@ -10,6 +10,7 @@ from boolmat import (
     apply,
     delta,
     identity,
+    is_stochastic_matrix,
     lcm_upto,
     make_algebra,
     matrix_atoms,
@@ -20,7 +21,9 @@ from boolmat import (
     scalar_mul,
     verify_power_theorem,
 )
+from boolmat import _kernel, chains
 from boolmat import rand as br
+from boolmat.chains import _transitivity_witness
 from boolmat.oracle import _brute_period_exponent, _reachable_sites_by_iteration
 
 from conftest import mat, vec
@@ -262,10 +265,166 @@ def test_reachability_cross_check_random():
         k = rng.randrange(1, 5)
         alg = make_algebra([str(i) for i in range(1, k + 1)])
         a = br.random_stochastic_matrix(rng, alg, n)
-        profile = power_profile(a)
         for j in range(1, n + 1):
             via_iteration = _reachable_sites_by_iteration(n, a.masks, alg._full, j)
-            via_powers = {
-                i for i in range(1, n + 1) if reachable(a, j, i, profile=profile)
-            }
-            assert via_iteration == via_powers
+            via_atoms = {i for i in range(1, n + 1) if reachable(a, j, i)}
+            assert via_iteration == via_atoms
+
+
+# --- the atom route against the product and iteration references ---
+
+
+def _from_functions(alg, functions):
+    """Stochastic matrix whose i-th atom moves column j to row functions[i][j]."""
+    n = len(functions[0])
+    masks = [0] * (n * n)
+    for bit, f in enumerate(functions):
+        for j, i in enumerate(f):
+            masks[i * n + j] |= 1 << bit
+    return BMatrix(n, n, tuple(masks), alg)
+
+
+def _cycles(rng, n, lengths):
+    """A permutation of range(n) with the given cycle lengths, summing to n."""
+    sites = list(range(n))
+    rng.shuffle(sites)
+    perm = [0] * n
+    start = 0
+    for length in lengths:
+        cyc = sites[start : start + length]
+        for i, s in enumerate(cyc):
+            perm[s] = cyc[(i + 1) % length]
+        start += length
+    return perm
+
+
+def _assert_matches_references(a):
+    n = a.rows
+    profile = power_profile(a)
+    e, p = profile.exponent, profile.period
+    assert (e, p) == _brute_period_exponent(n, a.masks)
+    assert len(profile.powers) == e + p - 1
+    for s in range(1, e + p + 3):
+        assert profile.power_at(s) == power(a, s)
+    far = 10**6 + 7
+    assert profile.power_at(far) == power(a, far)
+    report = relation_report(a)
+    assert (report.exponent, report.period) == (e, p)
+    for j in range(1, n + 1):
+        expected = _reachable_sites_by_iteration(n, a.masks, a.algebra._full, j)
+        assert {i for (x, i) in report.arrows if x == j} == expected
+        assert {i for i in range(1, n + 1) if reachable(a, j, i)} == expected
+
+
+def test_atom_route_random_stochastic_differential():
+    rng = random.Random(149)
+    algebras = [make_algebra([str(i) for i in range(1, k + 1)]) for k in range(1, 7)]
+    for _ in range(500):
+        n = rng.randrange(1, 8)
+        a = br.random_stochastic_matrix(rng, rng.choice(algebras), n)
+        _assert_matches_references(a)
+
+
+@pytest.mark.parametrize(
+    "types,period",
+    [
+        (((2, 3),), 6),
+        (((3, 4),), 12),
+        (((2, 5),), 10),
+        (((7,),), 7),
+        (((1, 2, 4),), 4),
+        (((3, 4), (2, 5)), 60),
+        (((7,), (3, 4)), 84),
+        (((7,), (5, 2), (3, 4)), 420),
+        (((1, 1, 1, 1, 1, 1),), 1),
+    ],
+)
+def test_atom_route_permutation_chains_with_known_period(types, period):
+    rng = random.Random(151)
+    n = sum(types[0])
+    alg = make_algebra([str(i) for i in range(1, len(types) + 1)])
+    for _ in range(3):
+        a = _from_functions(alg, [_cycles(rng, n, t) for t in types])
+        profile = power_profile(a)
+        assert (profile.exponent, profile.period) == (1, period)
+        _assert_matches_references(a)
+
+
+def test_non_stochastic_keeps_the_product_loop():
+    rng = random.Random(157)
+    alg = make_algebra(["1", "2", "3"])
+    for _ in range(80):
+        n = rng.randrange(1, 5)
+        a = BMatrix(n, n, tuple(rng.randrange(8) for _ in range(n * n)), alg)
+        if is_stochastic_matrix(a):
+            continue
+        profile = power_profile(a)
+        assert isinstance(profile.powers, tuple)
+        assert (profile.exponent, profile.period) == _brute_period_exponent(n, a.masks)
+        assert list(profile.powers) == [power(a, s) for s in range(1, len(profile.powers) + 1)]
+        report = relation_report(a)
+        lit = {(j + 1, i + 1) for m in profile.powers for i in range(n) for j in range(n) if m.masks[i * n + j]}
+        assert report.arrows == lit
+
+
+def test_empty_matrix_has_no_power_profile(p2):
+    empty = BMatrix(0, 0, (), p2)
+    with pytest.raises(PreconditionError):
+        power_profile(empty)
+    with pytest.raises(PreconditionError):
+        relation_report(empty)
+
+
+def test_lazy_powers_index_like_a_tuple(final_example):
+    powers = power_profile(final_example).powers
+    assert list(powers) == [final_example, power(final_example, 2)]
+    assert powers[-1] == powers[1]
+    with pytest.raises(IndexError):
+        powers[2]
+    with pytest.raises(IndexError):
+        powers[-3]
+
+
+def test_transitivity_witness_is_the_first_in_sorted_order():
+    rng = random.Random(163)
+    for _ in range(300):
+        n = rng.randrange(1, 6)
+        relation = {(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if rng.random() < 0.4}
+        expected = None
+        for (x, y) in sorted(relation):
+            for (y2, z) in sorted(relation):
+                if y2 == y and (x, z) not in relation:
+                    expected = (x, y, z)
+                    break
+            if expected:
+                break
+        assert _transitivity_witness(relation) == expected
+
+
+def test_stochastic_dynamics_make_no_matrix_product(monkeypatch, final_example):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a matrix product was computed")
+
+    monkeypatch.setattr(chains, "mul", forbidden)
+    monkeypatch.setattr(_kernel, "matmul", forbidden)
+
+    rng = random.Random(167)
+    alg = make_algebra([str(i) for i in range(1, 6)])
+    # 16 sites; the cycle types give period lcm(16, 9, 7, 11, 5, 13, 3) = 720720
+    types = [(16,), (9, 7), (11, 5), (13, 3), (1,) * 16]
+    long_chain = _from_functions(alg, [_cycles(rng, 16, t) for t in types])
+    samples = [final_example, long_chain] + [br.random_stochastic_matrix(rng, alg, 6) for _ in range(5)]
+    for a in samples:
+        profile = power_profile(a)
+        report = relation_report(a)
+        assert report.period == profile.period
+        assert reachable(a, 1, 1) == ((1, 1) in report.arrows)
+
+    profile = power_profile(long_chain)
+    assert profile.exponent == 1
+    assert profile.period == 720720
+    assert len(profile.powers) == 720720
+    assert profile.power_at(720721) == long_chain
+    report = relation_report(long_chain)
+    assert report.arrows == frozenset((i, j) for i in range(1, 17) for j in range(1, 17))
+    assert report.transitive and report.equivalence

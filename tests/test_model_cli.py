@@ -1,8 +1,11 @@
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import boolmat
 from boolmat import is_unitary, mul
 from boolmat.cli import fixture_path, main
 from boolmat.model import ModelSyntaxError, format_model, parse_model
@@ -312,3 +315,34 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "A.unitary=1" in proc.stdout
+
+
+
+def test_successive_in_process_calls_match_fresh_runs(capsys):
+    # main() shares one parser across calls; no value may carry over from
+    # one call to the next, so each must print what a fresh process prints.
+    calls = [
+        ["verify", "--porcelain", "--theorem", "POWER", "--n", "2", "--atoms", "2", "--samples", "3"],
+        ["verify", "--porcelain", "--theorem", "POWER", "--n", "2", "--atoms", "2"],
+        ["verify", "--theorem", "POWER", "--n", "2"],
+        ["reach", S6],
+    ]
+    src = os.path.dirname(os.path.dirname(boolmat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = "import sys; from boolmat.cli import main; sys.exit(main(sys.argv[1:]))"
+    results = []
+    for argv in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+        )
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        results.append((rc, out))
+    assert "mode=sampled" in results[0][1].splitlines()
+    assert "mode=exhaustive" in results[1][1].splitlines()
+    assert results[2] == (2, "")
+    assert results[3][0] == 0
