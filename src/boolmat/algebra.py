@@ -195,9 +195,10 @@ class Elem:
         )
 
     def __str__(self) -> str:
-        if self.is_one:
+        mask, alg = self.mask, self.algebra
+        if mask == alg._full:
             return "*"
-        return "{" + ",".join(self.atom_names()) + "}"
+        return "{" + ",".join([n for i, n in enumerate(alg.atom_names) if mask >> i & 1]) + "}"
 
     def __repr__(self) -> str:
         return f"Elem({str(self)} over {self.algebra.atom_names})"

@@ -200,12 +200,15 @@ def is_stochastic_matrix(a: BMatrix) -> bool:
 
 
 def is_unitary(a: BMatrix) -> bool:
-    """Does ``A A* = A* A = I`` hold?"""
-    at = adjoint(a)
-    return (
-        mul(a, at) == identity(a.algebra, a.rows)
-        and mul(at, a) == identity(a.algebra, a.cols)
-    )
+    """Does ``A A* = A* A = I`` hold?
+
+    ``A A* = I`` says every row of A joins to one and every column's
+    entries are pairwise disjoint; ``A* A = I`` says the same with rows and
+    columns swapped. Together they say that A and A* are both stochastic,
+    so no product is needed. A non-square matrix is never unitary: each
+    atom slice would be a permutation matrix.
+    """
+    return a.is_square() and is_stochastic_matrix(a) and is_stochastic_matrix(adjoint(a))
 
 
 def invert(a: BMatrix) -> BMatrix:
@@ -237,25 +240,22 @@ def joint_trace(matrices: Sequence[BMatrix]) -> Elem:
         if (m.rows, m.cols) != (first.rows, first.cols):
             raise ShapeError("joint trace needs equal sizes")
     acc = 0
-    n = first.rows
-    for i in range(n):
-        d = first.algebra._full
-        for m in matrices:
-            d &= m.masks[i * n + i]
+    for d in _diagonal_meet(matrices):
         acc |= d
     return Elem(acc, first.algebra)
 
 
-def _diagonal_meet(matrices: Sequence[BMatrix]) -> BVec:
+def _diagonal_meet(matrices: Sequence[BMatrix]) -> list[int]:
+    """Masks of the entrywise meet of the family's diagonals."""
     n = matrices[0].rows
-    alg = matrices[0].algebra
-    masks = []
+    full = matrices[0].algebra._full
+    out = []
     for i in range(n):
-        d = alg._full
+        d = full
         for m in matrices:
             d &= m.masks[i * n + i]
-        masks.append(d)
-    return BVec(tuple(masks), alg)
+        out.append(d)
+    return out
 
 
 def find_invariant_stochastic(matrices: Sequence[BMatrix]) -> BVec | None:
@@ -276,7 +276,7 @@ def find_invariant_stochastic(matrices: Sequence[BMatrix]) -> BVec | None:
             raise ShapeError("family members must have equal sizes")
     if not joint_trace(matrices).is_one:
         return None
-    b = disjointify(_diagonal_meet(matrices))
+    b = disjointify(BVec(tuple(_diagonal_meet(matrices)), matrices[0].algebra))
     assert all(apply(m, b) == b for m in matrices), "constructed vector is not invariant"
     return b
 

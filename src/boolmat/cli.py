@@ -25,7 +25,7 @@ from .bmatrix import (
     trace,
 )
 from .bvec import extend_to_basis
-from .model import ModelFile, ModelSyntaxError, parse_model
+from .model import ModelFile, ModelSyntaxError, element_rows, matrix_lines, parse_model
 
 __all__ = ["main", "fixture_path"]
 
@@ -53,23 +53,12 @@ def _pick_matrices(model: ModelFile, names: Sequence[str]) -> list[tuple[str, BM
     return found
 
 
-def _matrix_lines(mat: BMatrix) -> list[str]:
-    cells = [[str(mat[i, j]) for j in range(mat.cols)] for i in range(mat.rows)]
-    if not cells:
-        return ["(empty)"]
-    widths = [max(len(cells[i][j]) for i in range(mat.rows)) for j in range(mat.cols)]
-    return [
-        " ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in cells
-    ]
-
-
 def _emit_matrix(prefix: str, mat: BMatrix, porcelain: bool, indent: str = "  ") -> None:
     if porcelain:
-        for i in range(mat.rows):
-            row = " ".join(str(mat[i, j]) for j in range(mat.cols))
-            print(f"{prefix}.row{i + 1}={row}")
+        for i, row in enumerate(element_rows(mat), start=1):
+            print(f"{prefix}.row{i}=" + " ".join(row))
     else:
-        for line in _matrix_lines(mat):
+        for line in matrix_lines(mat) or ["(empty)"]:
             print(indent + line)
 
 

@@ -1,6 +1,7 @@
 """Text format for algebra models: named matrices and vectors in one file.
 
-Grammar, one item per line, ``#`` starting a comment::
+Grammar, one item per line; a token that starts with ``#`` begins a
+comment that runs to the end of the line::
 
     atoms: 1 2 3 4 5
     matrix A 2x3
@@ -19,11 +20,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .algebra import Algebra, BoolmatError, PreconditionError
+from .algebra import Algebra, BoolmatError, Elem, PreconditionError
 from .bmatrix import BMatrix
 from .bvec import BVec
 
-__all__ = ["ModelFile", "ModelSyntaxError", "parse_model", "format_model"]
+__all__ = [
+    "ModelFile",
+    "ModelSyntaxError",
+    "parse_model",
+    "format_model",
+    "element_rows",
+    "matrix_lines",
+]
 
 
 class ModelSyntaxError(BoolmatError):
@@ -63,97 +71,130 @@ class ModelFile:
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _SHAPE_RE = re.compile(r"(\d+)x(\d+)$")
+_TOKEN_RE = re.compile(r"\S+")
+
+# One meaningful line: 1-based number, raw text, tokens before any comment.
+_Line = tuple[int, str, list[str]]
 
 
-def _strip_comment(line: str) -> str:
-    cut = re.search(r"(^|\s)#", line)
-    return line[: cut.start()] if cut else line
+def _tokens(raw: str) -> list[str]:
+    """Whitespace-separated tokens of a line; a token starting with ``#``
+    ends its content."""
+    tokens = raw.split()
+    if "#" in raw:
+        for i, tok in enumerate(tokens):
+            if tok[0] == "#":
+                return tokens[:i]
+    return tokens
 
 
-def _tokenize(line: str) -> list[tuple[int, str]]:
-    """(1-based column, token) pairs for one line."""
-    out = []
-    for match in re.finditer(r"\S+", line):
-        out.append((match.start() + 1, match.group()))
-    return out
+def _error(line: _Line, index: int, message: str) -> ModelSyntaxError:
+    """Error at the ``index``-th token of ``line``; only here is a column needed."""
+    lineno, raw, _ = line
+    column = list(_TOKEN_RE.finditer(raw))[index].start() + 1
+    return ModelSyntaxError(lineno, column, message)
 
 
 def parse_model(text: str) -> ModelFile:
     """Parse model text; raises :class:`ModelSyntaxError` with position."""
     lines = text.splitlines()
-    meaningful: list[tuple[int, list[tuple[int, str]]]] = []
+    meaningful: list[_Line] = []
     for lineno, raw in enumerate(lines, start=1):
-        tokens = _tokenize(_strip_comment(raw))
+        tokens = _tokens(raw)
         if tokens:
-            meaningful.append((lineno, tokens))
+            meaningful.append((lineno, raw, tokens))
     if not meaningful:
         raise ModelSyntaxError(1, 1, "empty model: expected an 'atoms:' line")
 
-    lineno, tokens = meaningful[0]
-    if tokens[0][1] != "atoms:":
-        raise ModelSyntaxError(lineno, tokens[0][0], f"expected 'atoms:', got {tokens[0][1]!r}")
-    names = [t for _, t in tokens[1:]]
-    if not names:
-        raise ModelSyntaxError(lineno, tokens[0][0], "at least one atom name is required")
+    line = meaningful[0]
+    tokens = line[2]
+    if tokens[0] != "atoms:":
+        raise _error(line, 0, f"expected 'atoms:', got {tokens[0]!r}")
+    if len(tokens) == 1:
+        raise _error(line, 0, "at least one atom name is required")
     try:
-        algebra = Algebra(names)
+        algebra = Algebra(tokens[1:])
     except PreconditionError as exc:
-        raise ModelSyntaxError(lineno, tokens[1][0], str(exc)) from None
+        raise _error(line, 1, str(exc)) from None
 
     model = ModelFile(algebra=algebra)
+    known: dict[str, int] = {}  # literal -> mask, valid for this algebra only
     pos = 1
 
     def parse_elements(expected: int, what: str) -> list[int]:
         nonlocal pos
         if pos >= len(meaningful):
             raise ModelSyntaxError(len(lines), 1, f"unexpected end of file inside {what}")
-        elno, eltokens = meaningful[pos]
+        line = meaningful[pos]
         pos += 1
-        if len(eltokens) != expected:
-            raise ModelSyntaxError(
-                elno, eltokens[0][0],
-                f"{what}: expected {expected} elements, got {len(eltokens)}",
-            )
-        masks = []
-        for col, tok in eltokens:
-            try:
-                masks.append(algebra.parse(tok).mask)
-            except PreconditionError as exc:
-                raise ModelSyntaxError(elno, col, str(exc)) from None
-        return masks
+        tokens = line[2]
+        if len(tokens) != expected:
+            raise _error(line, 0, f"{what}: expected {expected} elements, got {len(tokens)}")
+        try:
+            return list(map(known.__getitem__, tokens))
+        except KeyError:
+            pass
+        for index, tok in enumerate(tokens):
+            if tok not in known:
+                try:
+                    known[tok] = algebra.parse(tok).mask
+                except PreconditionError as exc:
+                    raise _error(line, index, str(exc)) from None
+        return list(map(known.__getitem__, tokens))
 
     while pos < len(meaningful):
-        lineno, tokens = meaningful[pos]
+        line = meaningful[pos]
         pos += 1
-        kind = tokens[0][1]
+        tokens = line[2]
+        kind = tokens[0]
         if kind not in ("matrix", "vector"):
-            raise ModelSyntaxError(lineno, tokens[0][0], f"expected 'matrix' or 'vector', got {kind!r}")
+            raise _error(line, 0, f"expected 'matrix' or 'vector', got {kind!r}")
         if len(tokens) != 3:
-            raise ModelSyntaxError(lineno, tokens[0][0], f"{kind} header needs a name and a shape")
-        name = tokens[1][1]
+            raise _error(line, 0, f"{kind} header needs a name and a shape")
+        name, shape = tokens[1], tokens[2]
         if not _NAME_RE.match(name):
-            raise ModelSyntaxError(lineno, tokens[1][0], f"bad name {name!r}")
+            raise _error(line, 1, f"bad name {name!r}")
         if name in model.matrices or name in model.vectors:
-            raise ModelSyntaxError(lineno, tokens[1][0], f"duplicate name {name!r}")
-        shape_col, shape = tokens[2]
+            raise _error(line, 1, f"duplicate name {name!r}")
         if kind == "matrix":
             m = _SHAPE_RE.match(shape)
             if not m:
-                raise ModelSyntaxError(lineno, shape_col, f"bad shape {shape!r}, expected like 3x4")
+                raise _error(line, 2, f"bad shape {shape!r}, expected like 3x4")
             rows, cols = int(m.group(1)), int(m.group(2))
             if rows < 1 or cols < 1:
-                raise ModelSyntaxError(lineno, shape_col, "matrix dimensions must be positive")
+                raise _error(line, 2, "matrix dimensions must be positive")
             masks: list[int] = []
             for _ in range(rows):
                 masks.extend(parse_elements(cols, f"matrix {name}"))
             model.matrices[name] = BMatrix(rows, cols, tuple(masks), algebra)
         else:
             if not shape.isdigit() or int(shape) < 1:
-                raise ModelSyntaxError(lineno, shape_col, f"bad vector length {shape!r}")
+                raise _error(line, 2, f"bad vector length {shape!r}")
             length = int(shape)
             model.vectors[name] = BVec(tuple(parse_elements(length, f"vector {name}")), algebra)
         model.order.append((kind, name))
     return model
+
+
+def element_rows(mat: BMatrix) -> list[list[str]]:
+    """Entry literals of ``mat``, row by row; each distinct mask is printed once."""
+    texts: dict[int, str] = {}
+    alg = mat.algebra
+    cells = []
+    for mask in mat.masks:
+        text = texts.get(mask)
+        if text is None:
+            text = texts[mask] = str(Elem(mask, alg))
+        cells.append(text)
+    cols = mat.cols
+    return [cells[i * cols : (i + 1) * cols] for i in range(mat.rows)]
+
+
+def matrix_lines(mat: BMatrix) -> list[str]:
+    """One line per row, columns left-aligned to their widest literal."""
+    cells = element_rows(mat)
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return [" ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in cells]
 
 
 def format_model(model: ModelFile) -> str:
@@ -164,12 +205,7 @@ def format_model(model: ModelFile) -> str:
         if kind == "matrix":
             mat = model.matrices[name]
             out.append(f"matrix {name} {mat.rows}x{mat.cols}")
-            cells = [
-                [str(mat[i, j]) for j in range(mat.cols)] for i in range(mat.rows)
-            ]
-            widths = [max(len(cells[i][j]) for i in range(mat.rows)) for j in range(mat.cols)]
-            for row in cells:
-                out.append(" ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+            out.extend(matrix_lines(mat))
         else:
             vec = model.vectors[name]
             out.append(f"vector {name} {len(vec)}")

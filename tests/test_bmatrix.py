@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 
@@ -212,6 +214,50 @@ def test_unitary_iff_rows_and_columns_bases():
         assert unit == (is_basis(a.column_list()) and is_basis(a.row_list()))
         if unit:
             assert mul(a, invert(a)) == identity(alg, 3)
+
+
+def _unitary_by_products(a):
+    """``A A* == I`` and ``A* A == I``, by naive join-of-meets products."""
+    n, m, full = a.rows, a.cols, a.algebra._full
+    rows = [a.masks[i * m : (i + 1) * m] for i in range(n)]
+    cols = [a.masks[j::m] for j in range(m)]
+
+    def gram_is_identity(vectors):
+        # entry (i, j) of the Gram matrix is the join of meets of vectors i and j
+        return all(
+            reduce(or_, (x & y for x, y in zip(u, v)), 0) == (full if i == j else 0)
+            for i, u in enumerate(vectors)
+            for j, v in enumerate(vectors)
+        )
+
+    return gram_is_identity(rows) and gram_is_identity(cols)
+
+
+def test_is_unitary_matches_product_definition():
+    rng = random.Random(2024)
+    counts = {True: 0, False: 0}
+    for trial in range(4000):
+        k = rng.randrange(1, 5)
+        alg = make_algebra([str(i) for i in range(1, k + 1)])
+        kind = trial % 3
+        if kind == 0:
+            n, m = rng.randrange(0, 5), rng.randrange(0, 5)
+            a = BMatrix(n, m, tuple(rng.randrange(alg._full + 1) for _ in range(n * m)), alg)
+        else:
+            n = rng.randrange(0, 5)
+            masks = [0] * (n * n)
+            for w in range(k):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for j, i in enumerate(perm):
+                    masks[i * n + j] |= 1 << w
+            if kind == 2 and n:
+                masks[rng.randrange(n * n)] ^= 1 << rng.randrange(k)
+            a = BMatrix(n, n, tuple(masks), alg)
+        expected = _unitary_by_products(a)
+        assert is_unitary(a) == expected, (a.rows, a.cols, a.masks, k)
+        counts[expected] += 1
+    assert counts[True] >= 1000 and counts[False] >= 1000
 
 
 def test_products_of_stochastic_are_stochastic():

@@ -4,11 +4,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boolmat
 from boolmat import is_unitary, mul
+from boolmat.algebra import Elem
 from boolmat.cli import fixture_path, main
-from boolmat.model import ModelSyntaxError, format_model, parse_model
+from boolmat.model import ModelFile, ModelSyntaxError, format_model, parse_model
 
 from conftest import vec
 
@@ -93,6 +96,108 @@ def test_comments_and_blank_lines_ignored():
     assert model.vector("v").is_stochastic()
 
 
+# (text, line, column, message): one case per raise site of parse_model,
+# then comment and whitespace edges.
+SYNTAX_ERRORS = [
+    ("\n  # only a comment\n", 1, 1, "empty model: expected an 'atoms:' line"),
+    ("\n  x y\n", 2, 3, "expected 'atoms:', got 'x'"),
+    ("  atoms:  # no names\n", 1, 3, "at least one atom name is required"),
+    ("atoms: 1 1\n", 1, 8, "duplicate atom names: ('1', '1')"),
+    ("atoms:  a,b\n", 1, 9, "atom names must be non-empty and free of ' ,{}()*'"),
+    ("atoms: 1\nmatrix A 2x2\n* {}\n\n", 4, 1, "unexpected end of file inside matrix A"),
+    ("atoms: 1\nvector v 1\n", 2, 1, "unexpected end of file inside vector v"),
+    ("atoms: 1\nmatrix A 1x2\n  {1}\n", 3, 3, "matrix A: expected 2 elements, got 1"),
+    ("atoms: 1 2\nvector v 2\n{1} {3}\n", 3, 5, "unknown atom name '3' (atoms: ('1', '2'))"),
+    ("atoms: 1 2\nvector v 2\n{1} {1,}\n", 3, 5, "bad element literal '{1,}' (empty atom name)"),
+    ("atoms: 1\n banana B 1x1\n*\n", 2, 2, "expected 'matrix' or 'vector', got 'banana'"),
+    ("atoms: 1\n vector v\n", 2, 2, "vector header needs a name and a shape"),
+    ("atoms: 1\nmatrix 9A 1x1\n", 2, 8, "bad name '9A'"),
+    ("atoms: 1\nmatrix A 1x1\n*\nvector  A 1\n*\n", 4, 9, "duplicate name 'A'"),
+    ("atoms: 1\nmatrix A 1\n", 2, 10, "bad shape '1', expected like 3x4"),
+    ("atoms: 1\nmatrix A 0x1\n", 2, 10, "matrix dimensions must be positive"),
+    ("atoms: 1\nvector v -1\n", 2, 10, "bad vector length '-1'"),
+    # '#' inside a token does not start a comment: the token is a bad literal
+    ("atoms: 1 2\nvector v 2\n{2} {1}#x\n", 3, 5,
+     "bad element literal '{1}#x' (expected '{...}' or '*')"),
+    # a tab, U+00A0 and U+2003 separate tokens and count one column each
+    ("atoms:\t1\t2\nvector v 2\n\t{1}\t{3}\n", 3, 6, "unknown atom name '3' (atoms: ('1', '2'))"),
+    ("atoms: 1 2\nvector v 2\n{1}\u00a0\u2003{3}\n", 3, 6, "unknown atom name '3' (atoms: ('1', '2'))"),
+    # a form feed ends a line
+    ("atoms: 1 2\fvector v 2\f{1} {2}\f{3}", 4, 1, "expected 'matrix' or 'vector', got '{3}'"),
+    # the same bad literal on two lines is reported where it first occurs
+    ("atoms: 1\nmatrix A 2x2\n* {9}\n{9} *\n", 3, 3, "unknown atom name '9' (atoms: ('1',))"),
+    ("atoms: 1\nvector v 2\n{} *\nmatrix A 2x2\n{9} {}\n{} {9}\n", 5, 1,
+     "unknown atom name '9' (atoms: ('1',))"),
+]
+
+
+@pytest.mark.parametrize("text,line,column,message", SYNTAX_ERRORS)
+def test_parse_error_position_and_message(text, line, column, message):
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, col {column}: {message}"
+
+
+def test_comment_and_whitespace_edges_parse():
+    text = (
+        "#atoms: 9\n"
+        "atoms:\t1\u00a02\u2003# names\n"
+        "vector v 2 #\n"
+        "{1}\t{2}\u00a0#{3}\n"
+        "matrix A 2x2\f* {}\f{}\u2003*\n"
+    )
+    model = parse_model(text)
+    assert model.algebra.atom_names == ("1", "2")
+    assert model.vector("v").masks == (1, 2)
+    assert model.matrix("A").masks == (3, 0, 0, 3)
+
+
+def test_element_text_of_out_of_range_masks():
+    # Masks outside [0, 2**k) are not rejected yet; pin what they print.
+    p2 = boolmat.Algebra(["1", "2"])
+    assert str(Elem(-1, p2)) == "{1,2}"
+    assert str(Elem(7, p2)) == "{1,2}"
+    assert str(Elem(4, p2)) == "{}"
+    assert [str(Elem(m, p2)) for m in range(4)] == ["{}", "{1}", "{2}", "*"]
+
+
+_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+
+
+@st.composite
+def models(draw):
+    atoms = draw(st.lists(st.from_regex(r"[0-9a-z]{1,3}", fullmatch=True), min_size=1, max_size=70, unique=True))
+    alg = boolmat.Algebra(atoms)
+    mask = st.integers(0, alg._full)
+    model = ModelFile(algebra=alg)
+    for name in draw(st.lists(_NAMES, max_size=4, unique=True)):
+        if draw(st.booleans()):
+            rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+            masks = draw(st.lists(mask, min_size=rows * cols, max_size=rows * cols))
+            model.matrices[name] = boolmat.BMatrix(rows, cols, tuple(masks), alg)
+            model.order.append(("matrix", name))
+        else:
+            masks = draw(st.lists(mask, min_size=1, max_size=4))
+            model.vectors[name] = boolmat.BVec(tuple(masks), alg)
+            model.order.append(("vector", name))
+    return model
+
+
+@settings(max_examples=150, deadline=None)
+@given(models())
+def test_format_parse_roundtrip_random(model):
+    again = parse_model(format_model(model))
+    assert again.algebra.atom_names == model.algebra.atom_names
+    assert again.order == model.order
+    assert {n: (m.rows, m.cols, m.masks) for n, m in again.matrices.items()} == {
+        n: (m.rows, m.cols, m.masks) for n, m in model.matrices.items()
+    }
+    assert {n: v.masks for n, v in again.vectors.items()} == {
+        n: v.masks for n, v in model.vectors.items()
+    }
+
+
 # --- CLI commands, captured via capsys ---
 
 
@@ -157,6 +262,26 @@ def test_reduce_human_mentions_no_further_reduction(capsys):
     rc, out, _ = run_cli(["reduce", P5, "A"], capsys)
     assert rc == 0
     assert "no further reduction possible (core trace = {4,5})" in out
+
+
+def test_reduce_to_empty_core(tmp_path, capsys):
+    path = tmp_path / "one.bm"
+    path.write_text("atoms: 1 2\nmatrix A 1x1\n*\n")
+    rc, out, _ = run_cli(["reduce", str(path)], capsys)
+    assert rc == 0
+    assert out.splitlines() == [
+        "joint trace = *",
+        "conjugator (symmetric reflection):",
+        "  *",
+        "core of A (0x0), trace {}:",
+        "  (empty)",
+        "A: no further reduction possible (core trace = {})",
+    ]
+    rc, out, _ = run_cli(["reduce", "--porcelain", str(path)], capsys)
+    assert rc == 0
+    assert out.splitlines() == [
+        "trace=*", "reducible=1", "fixed=1", "conjugator.row1=*", "A.core.trace={}", "A.further=0",
+    ]
 
 
 def test_reduce_not_reducible_exits_one(tmp_path, capsys):
