@@ -1,25 +1,18 @@
-"""Build script: compiles the optional packed-word kernel when Cython is present.
+"""Build script: compiles the packed-word C kernel when a C compiler works.
 
-The package is fully functional without the extension; `boolmat._kernel`
-falls back to the pure-Python implementation at import time.
+The package is fully functional without the extension: ``optional=True``
+lets a failed compile finish the build without it, and `boolmat._kernel`
+then falls back to the pure-Python implementation at import time.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "boolmat._kernel._packed",
-                sources=["src/boolmat/_kernel/_packed.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level=3,
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "boolmat._kernel._packed",
+            sources=["src/boolmat/_kernel/_packed.c"],
+            optional=True,
+        )
+    ]
+)

@@ -103,9 +103,16 @@ class Algebra:
 
     def from_mask(self, mask: int) -> Elem:
         """Element from a packed bit mask (bit i = atom i)."""
-        if mask < 0 or mask > self._full:
-            raise PreconditionError(f"mask {mask:#x} outside algebra with {self.atom_count} atoms")
+        self._check_masks((mask,))
         return Elem(mask, self)
+
+    def _check_masks(self, masks: Sequence[int]) -> None:
+        """Reject any mask outside ``[0, 2**k)``; an empty sequence passes."""
+        if masks:
+            low, high = min(masks), max(masks)
+            if low < 0 or high > self._full:
+                bad = low if low < 0 else high
+                raise PreconditionError(f"mask {bad:#x} outside algebra with {self.atom_count} atoms")
 
     def elems(self) -> Iterator[Elem]:
         """All ``2**k`` elements, in increasing mask order."""

@@ -68,6 +68,7 @@ class BMatrix:
             raise ShapeError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(self.masks)}"
             )
+        self.algebra._check_masks(self.masks)
 
     @staticmethod
     def of(rows: Sequence[Sequence[Elem]]) -> BMatrix:

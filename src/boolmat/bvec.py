@@ -70,6 +70,7 @@ class BVec:
     def __post_init__(self) -> None:
         if not self.masks:
             raise ShapeError("vectors of length 0 are not supported")
+        self.algebra._check_masks(self.masks)
 
     def __len__(self) -> int:
         return len(self.masks)

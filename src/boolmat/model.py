@@ -204,6 +204,10 @@ def format_model(model: ModelFile) -> str:
         out.append("")
         if kind == "matrix":
             mat = model.matrices[name]
+            if not mat.rows or not mat.cols:
+                raise PreconditionError(
+                    f"matrix {name} is {mat.rows}x{mat.cols}; the model format has no empty matrices"
+                )
             out.append(f"matrix {name} {mat.rows}x{mat.cols}")
             out.extend(matrix_lines(mat))
         else:

@@ -95,6 +95,16 @@ def test_dimension_mismatch(p3):
         apply(identity(p3, 2), vec(p3, "({1},{2},{3})"))
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_out_of_range_masks_rejected(p2, bad):
+    # 4 = 2**k for k = 2 atoms: the first mask past the top element
+    with pytest.raises(PreconditionError, match="outside algebra with 2 atoms"):
+        BMatrix(2, 2, (bad, 0, 0, 3), p2)
+    with pytest.raises(PreconditionError, match="outside algebra with 2 atoms"):
+        BVec((3, bad), p2)
+    assert BMatrix(2, 2, (3, 0, 0, 3), p2) == identity(p2, 2)
+
+
 # --- adjoint, order ---
 
 

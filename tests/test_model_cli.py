@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import boolmat
 from boolmat import is_unitary, mul
-from boolmat.algebra import Elem
+from boolmat.algebra import Elem, PreconditionError
 from boolmat.cli import fixture_path, main
 from boolmat.model import ModelFile, ModelSyntaxError, format_model, parse_model
 
@@ -154,7 +154,8 @@ def test_comment_and_whitespace_edges_parse():
 
 
 def test_element_text_of_out_of_range_masks():
-    # Masks outside [0, 2**k) are not rejected yet; pin what they print.
+    # Elem is unchecked (Algebra.from_mask, BMatrix and BVec check); pin what
+    # an out-of-range mask prints.
     p2 = boolmat.Algebra(["1", "2"])
     assert str(Elem(-1, p2)) == "{1,2}"
     assert str(Elem(7, p2)) == "{1,2}"
@@ -182,6 +183,17 @@ def models(draw):
             model.vectors[name] = boolmat.BVec(tuple(masks), alg)
             model.order.append(("vector", name))
     return model
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (2, 0), (0, 3)])
+def test_format_model_rejects_empty_matrix(rows, cols):
+    # The text format has no way to write a matrix without rows or columns.
+    alg = boolmat.Algebra(["1", "2"])
+    model = ModelFile(algebra=alg)
+    model.matrices["A"] = boolmat.BMatrix(rows, cols, (), alg)
+    model.order.append(("matrix", "A"))
+    with pytest.raises(PreconditionError, match="no empty matrices"):
+        format_model(model)
 
 
 @settings(max_examples=150, deadline=None)
