@@ -70,6 +70,20 @@ class BMatrix:
             )
         self.algebra._check_masks(self.masks)
 
+    @classmethod
+    def _from_kernel(cls, rows: int, cols: int, masks: tuple[int, ...], algebra: Algebra) -> BMatrix:
+        """A kernel product of checked operands, built without ``__post_init__``.
+
+        Shape and range hold by construction: every entry is a join of meets
+        of masks in ``[0, 2**k)``, so it stays there.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "algebra", algebra)
+        return self
+
     @staticmethod
     def of(rows: Sequence[Sequence[Elem]]) -> BMatrix:
         """Build from a rectangular grid of elements."""
@@ -147,7 +161,7 @@ def mul(a: BMatrix, b: BMatrix) -> BMatrix:
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     out = _kernel.matmul(a.rows, a.cols, b.cols, a.masks, b.masks, a.algebra.atom_count)
-    return BMatrix(a.rows, b.cols, tuple(out), a.algebra)
+    return BMatrix._from_kernel(a.rows, b.cols, tuple(out), a.algebra)
 
 
 def apply(a: BMatrix, v: BVec) -> BVec:
@@ -159,7 +173,7 @@ def apply(a: BMatrix, v: BVec) -> BVec:
     if a.rows == 0:
         raise ShapeError("result would be a length-0 vector")
     out = _kernel.matvec(a.rows, a.cols, a.masks, v.masks, a.algebra.atom_count)
-    return BVec(tuple(out), a.algebra)
+    return BVec._from_kernel(tuple(out), a.algebra)
 
 
 def adjoint(a: BMatrix) -> BMatrix:
@@ -421,17 +435,26 @@ def reduce_by_orthogonal_set(a: BMatrix, invariants: Sequence[BVec]) -> Reductio
 
 
 def power(a: BMatrix, e: int) -> BMatrix:
-    """``A**e`` by repeated squaring; ``A**0`` is the identity."""
+    """``A**e`` by repeated squaring; ``A**0`` is the identity.
+
+    The ladder starts at the lowest set bit of ``e``, so ``e >= 1`` costs
+    ``popcount(e) - 1 + floor(log2 e)`` products and ``e = 0`` none.
+    """
     if not a.is_square():
         raise ShapeError("powers of a non-square matrix")
     if e < 0:
         raise PreconditionError("negative powers are not defined")
-    result = identity(a.algebra, a.rows)
+    if e == 0:
+        return identity(a.algebra, a.rows)
     base = a
+    while not e & 1:
+        base = mul(base, base)
+        e >>= 1
+    result = base
+    e >>= 1
     while e:
+        base = mul(base, base)
         if e & 1:
             result = mul(result, base)
         e >>= 1
-        if e:
-            base = mul(base, base)
     return result

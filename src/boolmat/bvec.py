@@ -72,6 +72,18 @@ class BVec:
             raise ShapeError("vectors of length 0 are not supported")
         self.algebra._check_masks(self.masks)
 
+    @classmethod
+    def _from_kernel(cls, masks: tuple[int, ...], algebra: Algebra) -> BVec:
+        """A kernel product of checked operands, built without ``__post_init__``.
+
+        Length and range hold by construction: every entry is a join of meets
+        of masks in ``[0, 2**k)``, and a product has at least one row.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "algebra", algebra)
+        return self
+
     def __len__(self) -> int:
         return len(self.masks)
 

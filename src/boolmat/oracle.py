@@ -676,17 +676,28 @@ def _oddinv(n: int, k: int) -> Callable[[Any], str | None]:
 def _unitreduce(n: int, k: int) -> Callable[[Any], str | None]:
     """Unitary families reduce simultaneously exactly when joint trace is one.
 
-    Reducibility is decided by searching every unitary conjugator.
+    Reducibility is decided by searching every unitary conjugator. The
+    search runs once per distinct unitary of a run: its result is the set of
+    conjugators that put the unitary in block form, as bits over conjugator
+    indices, and a family reduces exactly when its members' sets meet.
     """
     alg = _numbered_algebra(k)
     full = alg._full
     conjugators = [(b, _transpose(n, b)) for b in _iter_unitary_masks(n, k)]
+    reducers: dict[tuple[int, ...], int] = {}
+
+    def reducing(m: tuple[int, ...]) -> int:
+        bits = reducers.get(m)
+        if bits is None:
+            bits = 0
+            for c, (b, bt) in enumerate(conjugators):
+                if _block_form(n, _matmul(n, bt, _matmul(n, m, b)), full):
+                    bits |= 1 << c
+            reducers[m] = bits
+        return bits
 
     def check(mats: Any) -> str | None:
-        reducible = any(
-            all(_block_form(n, _matmul(n, bt, _matmul(n, m, b)), full) for m in mats)
-            for b, bt in conjugators
-        )
+        reducible = _and_all(map(reducing, mats)) != 0
         joint_trace = _or_all(_and_all(m[i * n + i] for m in mats) & full for i in range(n))
         if reducible != (joint_trace == full):
             return ", ".join(_fmt_mat(n, m, alg) for m in mats)

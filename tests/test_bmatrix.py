@@ -32,7 +32,9 @@ from boolmat import (
     trace,
     zero_vec,
 )
+from boolmat import _kernel
 from boolmat import rand as br
+from boolmat.algebra import Elem
 from boolmat.bvec import inner
 
 from conftest import mat, vec
@@ -103,6 +105,57 @@ def test_out_of_range_masks_rejected(p2, bad):
     with pytest.raises(PreconditionError, match="outside algebra with 2 atoms"):
         BVec((3, bad), p2)
     assert BMatrix(2, 2, (3, 0, 0, 3), p2) == identity(p2, 2)
+
+
+@pytest.mark.parametrize("k", [2, 65])
+@pytest.mark.parametrize("high", [False, True])
+def test_every_public_constructor_rejects_out_of_range_masks(k, high):
+    alg = make_algebra([f"a{i}" for i in range(k)])
+    bad = alg._full + 1 if high else -1
+    ok = alg._full
+    # Elem and the kernel-result helper are unchecked, so they can carry the
+    # bad mask up to the public constructor under test.
+    bad_column = BVec._from_kernel((bad, ok), alg)
+    good_column = BVec((ok, ok), alg)
+    builds = [
+        lambda: BMatrix(1, 2, (ok, bad), alg),
+        lambda: BVec((ok, bad), alg),
+        lambda: BMatrix.of([[Elem(ok, alg), Elem(bad, alg)]]),
+        lambda: BVec.of([Elem(bad, alg)]),
+        lambda: BMatrix.from_columns([good_column, bad_column]),
+        lambda: alg.from_mask(bad),
+    ]
+    for build in builds:
+        with pytest.raises(PreconditionError, match=f"outside algebra with {k} atoms"):
+            build()
+
+
+def _naive_product(n, m, p, a, b):
+    return tuple(
+        reduce(or_, (a[i * m + t] & b[t * p + j] for t in range(m)), 0) for i in range(n) for j in range(p)
+    )
+
+
+@pytest.mark.parametrize("k", [1, 3, 64, 65])
+def test_kernel_results_equal_publicly_built_values(k):
+    rng = random.Random(k)
+    alg = make_algebra([f"a{i}" for i in range(k)])
+
+    def masks(count):
+        return tuple(rng.choice((0, alg._full, rng.getrandbits(k))) for _ in range(count))
+
+    for n, m, p in [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1), (3, 4, 2), (8, 8, 8)]:
+        a, b = BMatrix(n, m, masks(n * m), alg), BMatrix(m, p, masks(m * p), alg)
+        got = mul(a, b)
+        want = BMatrix(n, p, _naive_product(n, m, p, a.masks, b.masks), alg)
+        assert got == want and hash(got) == hash(want)
+        assert type(got.masks) is tuple
+        if n and m:
+            v = BVec(masks(m), alg)
+            got_v = apply(a, v)
+            want_v = BVec(_naive_product(n, m, 1, a.masks, v.masks), alg)
+            assert got_v == want_v and hash(got_v) == hash(want_v)
+            assert type(got_v.masks) is tuple
 
 
 # --- adjoint, order ---
@@ -596,6 +649,28 @@ def test_power_zero_is_identity(p3):
     rng = random.Random(47)
     a = br.random_stochastic_matrix(rng, p3, 3)
     assert power(a, 0) == identity(p3, 3)
+
+
+def test_power_product_count_and_bits(monkeypatch, p5):
+    # popcount(e) - 1 + floor(log2 e) products for e >= 1, none for e = 0,
+    # and the same bits as multiplying by A e times.
+    a = random_any_matrix(random.Random(61), p5, 4)
+    real = _kernel.matmul
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_kernel, "matmul", counting)
+    repeated = identity(p5, 4)
+    for e in range(41):
+        calls.clear()
+        got = power(a, e)
+        assert len(calls) == (0 if e == 0 else bin(e).count("1") - 1 + e.bit_length() - 1), e
+        assert got == repeated, e
+        repeated = mul(repeated, a)
+    assert power(a, 0) == identity(p5, 4)
 
 
 def test_two_by_two_stochastic_cubes_to_itself():

@@ -104,19 +104,27 @@ def test_empty_shapes(packed, n, m, p):
     assert packed.matvec(n, m, a, [full] * m) == pure.matvec(n, m, a, [full] * m)
 
 
+# Malformed dimensions and operand lengths: both backends raise ValueError.
+_DIMENSION_ERRORS = [
+    lambda k: k.matmul(1, 1, 1, [0, 0], [0]),
+    lambda k: k.matmul(2, 2, 2, [0] * 4, [0] * 3),
+    lambda k: k.matvec(2, 1, [1], [1]),
+    lambda k: k.matmul(-1, 0, 0, [], []),
+    lambda k: k.matmul(0, 0, -1, [], []),
+    lambda k: k.matvec(1, -1, [], []),
+    lambda k: k.matmul(1 << 62, 1 << 62, 0, [], []),
+    lambda k: k.matmul(1, 1, 1, [0, 5], [1]),
+    lambda k: k.matvec(2, 1, [1, 1, 1], [1, 9]),
+]
+
+
 @pytest.mark.parametrize(
     "call,error",
     [
         (lambda k: k.matmul(1, 1, 1, [-1], [0]), OverflowError),
         (lambda k: k.matmul(1, 1, 1, [0], [1 << 64]), OverflowError),
         (lambda k: k.matvec(1, 1, [1], [-1]), OverflowError),
-        (lambda k: k.matmul(1, 1, 1, [0, 0], [0]), ValueError),
-        (lambda k: k.matmul(2, 2, 2, [0] * 4, [0] * 3), ValueError),
-        (lambda k: k.matvec(2, 1, [1], [1]), ValueError),
-        (lambda k: k.matmul(-1, 0, 0, [], []), ValueError),
-        (lambda k: k.matmul(0, 0, -1, [], []), ValueError),
-        (lambda k: k.matvec(1, -1, [], []), ValueError),
-        (lambda k: k.matmul(1 << 62, 1 << 62, 0, [], []), ValueError),
+        *((call, ValueError) for call in _DIMENSION_ERRORS),
         (lambda k: k.matmul(1, 1, 1, ["1"], [0]), TypeError),
         (lambda k: k.matmul(1, 1, 1, 5, [0]), TypeError),
     ],
@@ -124,6 +132,12 @@ def test_empty_shapes(packed, n, m, p):
 def test_bad_input_raises(packed, call, error):
     with pytest.raises(error):
         call(packed)
+
+
+@pytest.mark.parametrize("call", _DIMENSION_ERRORS)
+def test_pure_rejects_malformed_dimensions(call):
+    with pytest.raises(ValueError):
+        call(pure)
 
 
 def _wrong_backend(*args):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from itertools import combinations_with_replacement, product
 
@@ -266,3 +267,84 @@ def test_registered_theorem_ids_are_complete():
         "INCOMPLETE", "INVERSE", "STOINV", "ODDINV", "UNITREDUCE", "ATOMS",
         "POWER", "PERIOD_DIVIDES",
     }
+
+
+# --- UNITREDUCE: the per-unitary conjugator sets against the direct search ---
+
+UNITREDUCE_SCALES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]
+
+
+def _direct_unitreduce(n, k):
+    """UNITREDUCE with reducibility as the plain any(all(...)) search: every
+    conjugator tried on every member of every family, nothing remembered."""
+    alg = oracle._numbered_algebra(k)
+    full = alg._full
+    conjugators = [(b, oracle._transpose(n, b)) for b in oracle._iter_unitary_masks(n, k)]
+
+    def check(mats):
+        reducible = any(
+            all(oracle._block_form(n, oracle._matmul(n, bt, oracle._matmul(n, m, b)), full) for m in mats)
+            for b, bt in conjugators
+        )
+        joint_trace = oracle._or_all(oracle._and_all(m[i * n + i] for m in mats) & full for i in range(n))
+        if reducible != (joint_trace == full):
+            return ", ".join(oracle._fmt_mat(n, m, alg) for m in mats)
+        return None
+
+    return check
+
+
+def _scrambled_block_form(n, d, full):
+    """A fixed stand-in for the block-form test that holds for about a third
+    of all products, so reducibility stops following the joint trace."""
+    return sum((i + 1) * x for i, x in enumerate(d)) % 3 == 0
+
+
+def _families(n, k):
+    return list(oracle._unitary_families(n, k, DEFAULT_BUDGET))
+
+
+@pytest.mark.parametrize("n,k", UNITREDUCE_SCALES)
+def test_unitreduce_matches_direct_search_on_every_family(n, k):
+    families = _families(n, k)
+    count = math.factorial(n) ** k
+    assert len(families) == count + count * count
+    check, direct = oracle._unitreduce(n, k), _direct_unitreduce(n, k)
+    assert [check(f) for f in families] == [direct(f) for f in families] == [None] * len(families)
+
+
+def test_unitreduce_matches_direct_search_when_reducibility_is_scrambled(monkeypatch):
+    monkeypatch.setattr(oracle, "_block_form", _scrambled_block_form)
+    outcomes = set()
+    for n, k in UNITREDUCE_SCALES:
+        families = _families(n, k)
+        check, direct = oracle._unitreduce(n, k), _direct_unitreduce(n, k)
+        got = [check(f) for f in families]
+        assert got == [direct(f) for f in families]
+        outcomes.update(c is None for c in got)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 1)])
+def test_unitreduce_fails_like_direct_search_when_nothing_reduces(monkeypatch, n, k):
+    monkeypatch.setattr(oracle, "_block_form", lambda n, d, full: False)
+    direct = _direct_unitreduce(n, k)
+    first = next((i, c) for i, f in enumerate(_families(n, k), start=1) if (c := direct(f)) is not None)
+    verdict = brute_check("UNITREDUCE", EnumSpec(n, k, "unitary_matrices"))
+    assert not verdict.passed
+    assert (verdict.checked, verdict.counterexample) == first
+
+
+def test_unitreduce_remembers_nothing_across_runs(monkeypatch):
+    spec = EnumSpec(2, 3, "unitary_matrices")
+    assert brute_check("UNITREDUCE", spec).passed
+    monkeypatch.setattr(oracle, "_block_form", lambda n, d, full: False)
+    assert not brute_check("UNITREDUCE", spec).passed
+    monkeypatch.undo()
+    assert brute_check("UNITREDUCE", spec).passed
+
+
+def test_unitreduce_exhaustive_at_n2_k6():
+    verdict = brute_check("UNITREDUCE", EnumSpec(2, 6, "unitary_matrices"))
+    assert verdict.passed, str(verdict)
+    assert verdict.checked == 64 + 64 * 64
