@@ -313,6 +313,42 @@ def coordinates(b: BVec, basis: Sequence[BVec]) -> list[Elem]:
     return [inner(b, e) for e in basis]
 
 
+def _atom_slots(columns: Sequence[Sequence[int]], k: int) -> dict[tuple[int, ...], int]:
+    """Each atom's slot in every stochastic column, grouped: the map from each
+    slot tuple that occurs to the join of its atoms. The joins are disjoint,
+    cover one, and OR-ed into their slots rebuild the columns."""
+    slots = [[0] * len(columns) for _ in range(k)]
+    for j, col in enumerate(columns):
+        for i, m in enumerate(col):
+            while m:
+                low = m & -m
+                slots[low.bit_length() - 1][j] = i
+                m ^= low
+    groups: dict[tuple[int, ...], int] = {}
+    for bit, s in enumerate(slots):
+        key = tuple(s)
+        groups[key] = groups.get(key, 0) | 1 << bit
+    return groups
+
+
+def _complete_slots(slots: Sequence[int], dim: int) -> list[int]:
+    """A permutation of ``range(dim)`` that starts with the distinct ``slots``.
+
+    Rotate-and-descend for one atom: with s0 first, slot s goes to
+    ``(s0 - s) % dim - 1`` one dimension down, until no slot is left; then
+    ``range`` of what remains maps back up through ``u -> (s0 - u - 1) % dim``.
+    """
+    heads = []
+    while slots:
+        heads.append((slots[0], dim))
+        slots = [(slots[0] - s) % dim - 1 for s in slots[1:]]
+        dim -= 1
+    out = list(range(dim))
+    for s0, d in reversed(heads):
+        out = [s0, *[(s0 - u - 1) % d for u in out]]
+    return out
+
+
 def extend_to_basis(
     vectors: Sequence[BVec],
     *,
@@ -325,50 +361,34 @@ def extend_to_basis(
     empty input, ``n`` and ``algebra`` pick the space and the canonical
     basis is returned.
 
-    The construction rotates the first vector into a cyclic basis
-    ``e_1..e_n``, expresses the remaining input vectors by their
-    coefficients on ``e_2..e_n`` (a stochastic orthonormal set one
-    dimension down), recurses, and maps the completed basis back through
-    ``w -> sum_i w_i e_{i+1}``.
+    Each atom takes one slot per vector, distinct across an orthonormal set.
+    Every group of atoms with the same slots is completed to a permutation
+    of the n slots by :func:`_complete_slots`, and output vector t holds the
+    group at the permutation's t-th slot. This is the basis got by rotating
+    the first vector into a cyclic basis, projecting the rest onto the other
+    rotations, extending one dimension down and mapping back.
     """
     vs = list(vectors)
-    if not vs:
-        if n is None or algebra is None:
-            raise PreconditionError("empty set: pass n= and algebra= to fix the space")
-        return canonical_basis(algebra, n)
-    dim, alg = _uniform(vs)
-    if n is not None and n != dim:
-        raise ShapeError(f"vectors have length {dim}, not n={n}")
-    for v in vs:
-        _require_stochastic(v, "extend_to_basis: every vector")
-    if not is_orthonormal_set(vs):
-        raise PreconditionError("extend_to_basis needs an orthonormal set")
+    if vs:
+        dim, alg = _uniform(vs)
+        if n is not None and n != dim:
+            raise ShapeError(f"vectors have length {dim}, not n={n}")
+        for v in vs:
+            _require_stochastic(v, "extend_to_basis: every vector")
+    elif n is None or algebra is None:
+        raise PreconditionError("empty set: pass n= and algebra= to fix the space")
+    else:
+        dim, alg = n, algebra
     m = len(vs)
-    if m > dim:
-        raise PreconditionError(f"{m} orthonormal stochastic vectors cannot fit in dimension {dim}")
-    if m == dim:
-        return vs
-
-    rot = cyclic_basis(vs[0])
-    tail = rot[1:]
-    projected = [
-        BVec(tuple(inner(v, e).mask for e in tail), alg)
-        for v in vs[1:]
-    ]
-    completed = extend_to_basis(projected, n=dim - 1, algebra=alg)
-
-    def back(w: BVec) -> BVec:
-        masks = [0] * dim
-        for wi, e in zip(w.masks, tail):
-            for t in range(dim):
-                masks[t] |= wi & e.masks[t]
-        return BVec(tuple(masks), alg)
-
-    mapped = [back(w) for w in completed]
-    # Mapping the projections back must reproduce the originals; anything
-    # else is a library bug, not a user error.
-    assert mapped[: m - 1] == list(vs[1:]), "extension lost its prefix"
-    return [vs[0], *mapped]
+    groups = _atom_slots([v.masks for v in vs], alg.atom_count)
+    # Also refuses m > dim: every atom would take some slot twice.
+    if any(len(set(s)) < m for s in groups):
+        raise PreconditionError("extend_to_basis needs an orthonormal set")
+    rest = [[0] * dim for _ in range(m, dim)]
+    for s, w in groups.items():
+        for masks, slot in zip(rest, _complete_slots(s, dim)[m:]):
+            masks[slot] |= w
+    return vs + [BVec(tuple(masks), alg) for masks in rest]
 
 
 def parse_vector(algebra: Algebra, text: str) -> BVec:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .algebra import Elem, PreconditionError
 from .bmatrix import BMatrix, is_stochastic_matrix, mul, power
+from .bvec import _atom_slots
 
 __all__ = [
     "PowerProfile",
@@ -85,7 +86,8 @@ class MatrixAtoms:
     ``selectors[a][j]`` is the row that column j's entry assigns to atom a:
     the unique row i with ``atoms[a] <= A[i, j]``. Scaled basis vectors move
     by this map: ``A (w . delta_j) = w . delta_selectors[a][j]`` for
-    ``w = atoms[a]``.
+    ``w = atoms[a]``. The atoms are disjoint, join to one, and come in
+    ascending order of their selectors, which are pairwise distinct.
     """
 
     matrix: BMatrix
@@ -137,41 +139,18 @@ class MatrixAtoms:
 
 
 def matrix_atoms(a: BMatrix) -> MatrixAtoms:
-    """Enumerate the nonzero column-selection meets of a stochastic matrix.
+    """The nonzero column-selection meets of a stochastic matrix.
 
-    Depth-first over columns, pruning once a partial meet hits zero; pruned
-    branches contribute nothing, so the result is exhaustive. Within one
-    column the chosen entries are disjoint, so each atom determines its
-    selection uniquely and no deduplication is needed.
+    Each atom of the algebra sits in exactly one row of each column, so it
+    has one column-to-row map; a matrix atom is the join of the atoms that
+    share a map, which is the meet of the entries that map selects. The atoms
+    come sorted by their maps, column 0's row first.
     """
     if not is_stochastic_matrix(a):
         raise PreconditionError("matrix atoms are defined for stochastic matrices")
     n = a.rows
-    full = a.algebra._full
-    atom_masks: list[int] = []
-    selectors: list[tuple[int, ...]] = []
-    rows: list[int] = []
-
-    def descend(col: int, partial: int) -> None:
-        if col == n:
-            atom_masks.append(partial)
-            selectors.append(tuple(rows))
-            return
-        base = col
-        for i in range(n):
-            m = partial & a.masks[i * n + base]
-            if m:
-                rows.append(i)
-                descend(col + 1, m)
-                rows.pop()
-
-    descend(0, full)
-    joined = 0
-    for i, m in enumerate(atom_masks):
-        assert not any(m & other for other in atom_masks[:i]), "atoms must be disjoint"
-        joined |= m
-    assert joined == full, "atoms must partition one"
-    return MatrixAtoms(a, tuple(atom_masks), tuple(selectors))
+    groups = sorted(_atom_slots([a.masks[j::n] for j in range(n)], a.algebra.atom_count).items())
+    return MatrixAtoms(a, tuple(w for _, w in groups), tuple(f for f, _ in groups))
 
 
 @dataclass(frozen=True, slots=True)

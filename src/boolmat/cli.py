@@ -114,22 +114,21 @@ def _cmd_reduce(args) -> int:
         return 1
     conj = reductions[0].conjugator
     full_trace = conj.algebra.one
+    core_traces = [trace(red.core) for red in reductions]
     if args.porcelain:
         print(f"trace={joint}")
         print("reducible=1")
         print(f"fixed={reductions[0].fixed_count}")
         _emit_matrix("conjugator", conj, True)
-        for (name, _), red in zip(picked, reductions):
+        for (name, _), red, core_trace in zip(picked, reductions, core_traces):
             _emit_matrix(f"{name}.core", red.core, True)
-            core_trace = red.core.algebra.zero if red.core.rows == 0 else trace(red.core)
             print(f"{name}.core.trace={core_trace}")
             print(f"{name}.further={int(core_trace == full_trace)}")
     else:
         print(f"joint trace = {joint}")
         print("conjugator (symmetric reflection):")
         _emit_matrix("conjugator", conj, False)
-        for (name, _), red in zip(picked, reductions):
-            core_trace = red.core.algebra.zero if red.core.rows == 0 else trace(red.core)
+        for (name, _), red, core_trace in zip(picked, reductions, core_traces):
             print(f"core of {name} ({red.core.rows}x{red.core.cols}), trace {core_trace}:")
             _emit_matrix(f"{name}.core", red.core, False)
             if core_trace == full_trace:

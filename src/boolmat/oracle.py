@@ -431,14 +431,12 @@ def _symmetric_stochastic_matrices(n: int, k: int, budget: int) -> Iterable[Any]
 
 
 def _unitary_families(n: int, k: int, budget: int) -> Iterable[Any]:
-    """Every unitary alone, then every ordered pair when the cubic sweep fits."""
+    """Every unitary alone, then every ordered pair: ``count**2`` families,
+    and as many conjugations to decide each unitary's reducing conjugators."""
     count = math.factorial(n) ** k
     _require_budget(count * count, budget)
     unitaries = list(_iter_unitary_masks(n, k))
-    singles = ((a,) for a in unitaries)
-    if count**3 > budget:
-        return singles
-    return chain(singles, product(unitaries, repeat=2))
+    return chain(((a,) for a in unitaries), product(unitaries, repeat=2))
 
 
 def _stochastic_then_unitary(n: int, k: int, budget: int) -> Iterable[Any]:

@@ -1,6 +1,8 @@
 """Write the golden records: what every model command prints on the
-fixtures (``cli_outputs.json``) and what ``verify`` prints
-(``verify_outputs.json``).
+fixtures (``cli_outputs.json``), what ``verify`` prints
+(``verify_outputs.json``), and what the two atom-slot constructions,
+``extend_to_basis`` and ``matrix_atoms``, return on seeded stochastic input
+(``construct_outputs.json``).
 
 Run from the root of a checkout whose output is the reference::
 
@@ -8,8 +10,9 @@ Run from the root of a checkout whose output is the reference::
 
 Each record holds one in-process ``boolmat.cli.main`` call with its exit
 code, stdout and stderr. Model records name command, fixture and mode;
-verify records hold the argv itself. ``tests/test_golden.py`` replays the
-records, so a change that alters one output byte fails there.
+verify records hold the argv itself. Construction records hold input and
+output as masks. ``tests/test_golden.py`` replays the records, so a change
+that alters one output byte fails there.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ import contextlib
 import io
 import json
 import os
+import random
 
+from boolmat import BMatrix, BVec, extend_to_basis, make_algebra, matrix_atoms
 from boolmat.cli import fixture_path, main
 from boolmat.oracle import THEOREMS
+from boolmat.rand import random_stochastic_matrix, random_stochastic_orthonormal_set
 
 COMMANDS = ("check", "invariant", "reduce", "powers", "period", "atoms", "reach", "basis-extend")
 FIXTURES = ("paper_s5.bm", "s6_final.bm")
@@ -30,6 +36,7 @@ NAMED = (("reduce", "paper_s5.bm", ("A",)), ("invariant", "paper_s5.bm", ("A",))
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "cli_outputs.json")
 VERIFY_GOLDEN = os.path.join(HERE, "verify_outputs.json")
+CONSTRUCT_GOLDEN = os.path.join(HERE, "construct_outputs.json")
 
 # Every theorem runs exhaustively at (n, k) = (3, 2): odd, at least two and
 # each run under a second. INVERSE is refused there (16,777,216 matrices
@@ -49,6 +56,15 @@ REFUSED = (
     ("ODDINV", 2, 2, ()),
     ("NORM", 2, 2, ("--samples", "0")),
 )
+
+
+# Construction inputs: one to sixty-five atoms (past the 64-bit word),
+# orthonormal sets at n = 1..12 with m = 0, 1, about n/2, n - 1 and n, and two
+# stochastic matrices at every n = 1..10 plus the 0x0 matrix.
+CONSTRUCT_SEED = 29
+CONSTRUCT_ATOMS = (1, 3, 8, 65)
+BASIS_DIMS = range(1, 13)
+ATOM_DIMS = range(0, 11)
 
 
 def argv_of(command: str, fixture: str, names: list[str], porcelain: bool) -> list[str]:
@@ -106,6 +122,42 @@ def verify_records() -> list[dict]:
     return found
 
 
+def construct_algebra(k: int):
+    return make_algebra([str(i) for i in range(1, k + 1)])
+
+
+def basis_output(n: int, k: int, vectors: list[list[int]]) -> list[list[int]]:
+    """``extend_to_basis`` on the given masks, as masks."""
+    alg = construct_algebra(k)
+    vs = [BVec(tuple(v), alg) for v in vectors]
+    return [list(v.masks) for v in extend_to_basis(vs, n=n, algebra=alg)]
+
+
+def atoms_output(n: int, k: int, matrix: list[int]) -> dict:
+    """``matrix_atoms`` on the given masks: atom masks and selectors."""
+    atoms = matrix_atoms(BMatrix(n, n, tuple(matrix), construct_algebra(k)))
+    return {"atom_masks": list(atoms.atom_masks), "selectors": [list(f) for f in atoms.selectors]}
+
+
+def construct_records() -> list[dict]:
+    rng = random.Random(CONSTRUCT_SEED)
+    found = []
+    for k in CONSTRUCT_ATOMS:
+        alg = construct_algebra(k)
+        for n in BASIS_DIMS:
+            for m in sorted({0, 1, (n + 1) // 2, n - 1, n}):
+                vectors = [list(v.masks) for v in random_stochastic_orthonormal_set(rng, alg, n, m)] if m else []
+                found.append({
+                    "construct": "extend_to_basis", "n": n, "k": k,
+                    "vectors": vectors, "basis": basis_output(n, k, vectors),
+                })
+        for n in ATOM_DIMS:
+            for _ in range(1 if n == 0 else 2):
+                matrix = list(random_stochastic_matrix(rng, alg, n).masks) if n else []
+                found.append({"construct": "matrix_atoms", "n": n, "k": k, "matrix": matrix, **atoms_output(n, k, matrix)})
+    return found
+
+
 def write(path: str, recs: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(recs, fh, indent=1)
@@ -113,6 +165,14 @@ def write(path: str, recs: list[dict]) -> None:
     print(f"wrote {path}")
 
 
+def write_lines(path: str, recs: list[dict]) -> None:
+    """One compact record per line, so the file stays small and diffs by record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[\n" + ",\n".join(json.dumps(r, separators=(",", ":")) for r in recs) + "\n]\n")
+    print(f"wrote {path}")
+
+
 if __name__ == "__main__":
     write(GOLDEN, records())
     write(VERIFY_GOLDEN, verify_records())
+    write_lines(CONSTRUCT_GOLDEN, construct_records())

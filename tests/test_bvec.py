@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -30,6 +30,7 @@ from boolmat import (
     zero_vec,
 )
 from boolmat import rand as br
+from boolmat.bvec import _atom_slots, _complete_slots
 
 from conftest import vec
 
@@ -415,6 +416,60 @@ def test_extend_randomized_properties():
         assert len(basis) == n
         assert is_orthonormal_set(basis)
         assert all(v.is_stochastic() for v in basis)
+
+
+def _slots_of_atom(vectors, bit):
+    """The one slot that holds ``bit`` in each vector."""
+    out = []
+    for v in vectors:
+        holding = [i for i, m in enumerate(v.masks) if m >> bit & 1]
+        assert len(holding) == 1
+        out.extend(holding)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 8, 65])
+def test_extend_permutes_every_atom_behind_its_input_slots(k):
+    rng = random.Random(1000 + k)
+    alg = make_algebra([str(i) for i in range(1, k + 1)])
+    for _ in range(120):
+        n = rng.randrange(1, 13)
+        m = rng.randrange(0, n + 1)
+        s = br.random_stochastic_orthonormal_set(rng, alg, n, m) if m else []
+        basis = extend_to_basis(s, n=n, algebra=alg)
+        assert len(basis) == n and basis[:m] == s
+        for bit in range(k):
+            slots = _slots_of_atom(basis, bit)
+            assert sorted(slots) == list(range(n))
+            assert slots[:m] == _slots_of_atom(s, bit)
+
+
+def test_complete_slots_extends_every_partial_injection():
+    for dim in range(7):
+        for m in range(dim + 1):
+            for slots in permutations(range(dim), m):
+                done = _complete_slots(slots, dim)
+                assert sorted(done) == list(range(dim)) and tuple(done[:m]) == slots
+
+
+@pytest.mark.parametrize("k", [1, 8, 65])
+def test_atom_slots_rebuild_their_columns(k):
+    rng = random.Random(2000 + k)
+    alg = make_algebra([str(i) for i in range(1, k + 1)])
+    for _ in range(60):
+        n = rng.randrange(1, 13)
+        columns = [br.random_stochastic_vector(rng, alg, n).masks for _ in range(rng.randrange(0, 6))]
+        groups = _atom_slots(columns, k)
+        rebuilt = [[0] * n for _ in columns]
+        joined = 0
+        for slots, w in groups.items():
+            assert w and not w & joined
+            joined |= w
+            assert len(slots) == len(columns)
+            for col, i in zip(rebuilt, slots):
+                col[i] |= w
+        assert joined == alg._full
+        assert [tuple(c) for c in rebuilt] == columns
 
 
 # --- text syntax ---

@@ -24,7 +24,12 @@ from boolmat import (
 from boolmat import _kernel, chains
 from boolmat import rand as br
 from boolmat.chains import _transitivity_witness
-from boolmat.oracle import _brute_period_exponent, _reachable_sites_by_iteration
+from boolmat.oracle import (
+    _atoms_of,
+    _brute_period_exponent,
+    _iter_stochastic_matrix_masks,
+    _reachable_sites_by_iteration,
+)
 
 from conftest import mat, vec
 
@@ -92,6 +97,33 @@ def test_atoms_partition_and_rebuild_random():
                 for w in below:
                     acc |= w
                 assert acc == entry
+
+
+def _atoms_as_selections(a):
+    atoms = matrix_atoms(a)
+    return list(zip(atoms.atom_masks, atoms.selectors))
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 2)])
+def test_atoms_match_brute_force_on_every_stochastic_matrix(n, k):
+    alg = make_algebra([str(i) for i in range(1, k + 1)])
+    count = 0
+    for masks in _iter_stochastic_matrix_masks(n, k):
+        assert _atoms_as_selections(BMatrix(n, n, masks, alg)) == _atoms_of(n, masks, alg._full)
+        count += 1
+    assert count == n ** (n * k)
+
+
+@pytest.mark.parametrize("k", [1, 8, 65])
+def test_atoms_match_brute_force_on_seeded_matrices(k):
+    rng = random.Random(3000 + k)
+    alg = make_algebra([str(i) for i in range(1, k + 1)])
+    empty = BMatrix(0, 0, (), alg)
+    assert _atoms_as_selections(empty) == _atoms_of(0, (), alg._full) == [(alg._full, ())]
+    for _ in range(40):
+        n = rng.randrange(1, 6)
+        a = br.random_stochastic_matrix(rng, alg, n)
+        assert _atoms_as_selections(a) == _atoms_of(n, a.masks, alg._full)
 
 
 def test_atom_action_drives_dynamics():

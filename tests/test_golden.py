@@ -4,8 +4,10 @@
 commands on both bundled fixtures in porcelain and human mode.
 ``verify_outputs.json`` holds ``verify`` runs in both modes: every theorem at
 one exhaustive scale, UNITREDUCE at three, every theorem with a sampler at
-one seeded sampled scale, and refused runs. An intended output change
-regenerates them with ``tests/golden/make_golden.py``.
+one seeded sampled scale, and refused runs. ``construct_outputs.json`` holds
+``extend_to_basis`` and ``matrix_atoms`` on seeded stochastic input, as
+masks. An intended output change regenerates them with
+``tests/golden/make_golden.py``.
 """
 
 import json
@@ -13,12 +15,24 @@ import json
 import pytest
 
 from boolmat.oracle import THEOREMS
-from golden.make_golden import GOLDEN, VERIFY_GOLDEN, argv_of, run
+from golden.make_golden import (
+    CONSTRUCT_GOLDEN,
+    GOLDEN,
+    VERIFY_GOLDEN,
+    argv_of,
+    atoms_output,
+    basis_output,
+    run,
+)
 
 with open(GOLDEN, encoding="utf-8") as fh:
     RECORDS = json.load(fh)
 with open(VERIFY_GOLDEN, encoding="utf-8") as fh:
     VERIFY_RECORDS = json.load(fh)
+with open(CONSTRUCT_GOLDEN, encoding="utf-8") as fh:
+    CONSTRUCT_RECORDS = json.load(fh)
+BASIS_RECORDS = [r for r in CONSTRUCT_RECORDS if r["construct"] == "extend_to_basis"]
+ATOM_RECORDS = [r for r in CONSTRUCT_RECORDS if r["construct"] == "matrix_atoms"]
 
 
 def test_records_cover_every_command_fixture_and_mode():
@@ -54,3 +68,26 @@ def test_cli_output_matches_golden(record):
 @pytest.mark.parametrize("record", VERIFY_RECORDS, ids=[" ".join(r["argv"][1:]) for r in VERIFY_RECORDS])
 def test_verify_output_matches_golden(record):
     assert run(record["argv"]) == (record["exit"], record["stdout"], record["stderr"])
+
+
+@pytest.mark.parametrize(
+    "record", BASIS_RECORDS, ids=[f"n{r['n']}-k{r['k']}-m{len(r['vectors'])}" for r in BASIS_RECORDS]
+)
+def test_extend_to_basis_matches_golden(record):
+    assert basis_output(record["n"], record["k"], record["vectors"]) == record["basis"]
+
+
+@pytest.mark.parametrize(
+    "record", ATOM_RECORDS, ids=[f"n{r['n']}-k{r['k']}-{i}" for i, r in enumerate(ATOM_RECORDS)]
+)
+def test_matrix_atoms_matches_golden(record):
+    got = atoms_output(record["n"], record["k"], record["matrix"])
+    assert got == {"atom_masks": record["atom_masks"], "selectors": record["selectors"]}
+
+
+def test_construct_records_cover_every_scale():
+    basis = {(r["n"], r["k"]) for r in BASIS_RECORDS if len(r["vectors"]) == r["n"]}
+    atoms = {(r["n"], r["k"]) for r in ATOM_RECORDS}
+    ks = (1, 3, 8, 65)
+    assert basis == {(n, k) for n in range(1, 13) for k in ks}
+    assert atoms == {(n, k) for n in range(0, 11) for k in ks}

@@ -296,6 +296,25 @@ def test_reduce_to_empty_core(tmp_path, capsys):
     ]
 
 
+def test_reduce_reports_each_members_own_core_trace(tmp_path, capsys):
+    path = tmp_path / "two.bm"
+    path.write_text(
+        "atoms: 1 2\n"
+        "matrix I 3x3\n* {} {}\n{} * {}\n{} {} *\n"
+        "matrix S 3x3\n* {} {}\n{} {} *\n{} * {}\n"
+    )
+    rc, out, _ = run_cli(["reduce", "--porcelain", str(path)], capsys)
+    assert rc == 0
+    lines = out.splitlines()
+    assert ["I.core.trace=*", "I.further=1"] == lines[lines.index("I.core.trace=*"):][:2]
+    assert ["S.core.trace={}", "S.further=0"] == lines[-2:]
+    rc, out, _ = run_cli(["reduce", str(path)], capsys)
+    assert rc == 0
+    assert "core of I (2x2), trace *:" in out and "I: further reduction possible (core trace = *)" in out
+    assert "core of S (2x2), trace {}:" in out
+    assert out.splitlines()[-1] == "S: no further reduction possible (core trace = {})"
+
+
 def test_reduce_not_reducible_exits_one(tmp_path, capsys):
     path = tmp_path / "swap.bm"
     path.write_text("atoms: 1 2\nmatrix S 2x2\n{} *\n* {}\n")

@@ -348,3 +348,18 @@ def test_unitreduce_exhaustive_at_n2_k6():
     verdict = brute_check("UNITREDUCE", EnumSpec(2, 6, "unitary_matrices"))
     assert verdict.passed, str(verdict)
     assert verdict.checked == 64 + 64 * 64
+
+
+def test_unitreduce_checks_every_pair_at_n3_k3():
+    verdict = brute_check("UNITREDUCE", EnumSpec(3, 3, "unitary_matrices"))
+    assert verdict.passed, str(verdict)
+    assert verdict.checked == 216 + 216 * 216 == 46872
+
+
+def test_unitreduce_pairs_need_only_a_quadratic_budget():
+    spec = EnumSpec(2, 4, "unitary_matrices")
+    verdict = brute_check("UNITREDUCE", spec, budget=300)
+    assert verdict.passed, str(verdict)
+    assert verdict.checked == 16 + 16 * 16 == 272
+    with pytest.raises(BudgetExceededError):
+        brute_check("UNITREDUCE", spec, budget=255)
