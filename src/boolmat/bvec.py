@@ -313,17 +313,28 @@ def coordinates(b: BVec, basis: Sequence[BVec]) -> list[Elem]:
     return [inner(b, e) for e in basis]
 
 
-def _atom_slots(columns: Sequence[Sequence[int]], k: int) -> dict[tuple[int, ...], int]:
+def _atom_slots(columns: Sequence[Sequence[int]], k: int) -> dict[tuple[int, ...], int] | None:
     """Each atom's slot in every stochastic column, grouped: the map from each
     slot tuple that occurs to the join of its atoms. The joins are disjoint,
-    cover one, and OR-ed into their slots rebuild the columns."""
+    cover one, and OR-ed into their slots rebuild the columns.
+
+    The same scan decides stochasticity: None when some column's masks
+    overlap or miss an atom.
+    """
+    full = (1 << k) - 1
     slots = [[0] * len(columns) for _ in range(k)]
     for j, col in enumerate(columns):
+        seen = 0
         for i, m in enumerate(col):
+            if m & seen:
+                return None
+            seen |= m
             while m:
                 low = m & -m
                 slots[low.bit_length() - 1][j] = i
                 m ^= low
+        if seen != full:
+            return None
     groups: dict[tuple[int, ...], int] = {}
     for bit, s in enumerate(slots):
         key = tuple(s)
@@ -358,8 +369,8 @@ def extend_to_basis(
     """Extend a stochastic orthonormal set to an orthonormal basis.
 
     The input vectors stay in place as the first m output vectors. For an
-    empty input, ``n`` and ``algebra`` pick the space and the canonical
-    basis is returned.
+    empty input, ``n`` (at least 1, as for every vector) and ``algebra``
+    pick the space and the canonical basis is returned.
 
     Each atom takes one slot per vector, distinct across an orthonormal set.
     Every group of atoms with the same slots is completed to a permutation
@@ -377,6 +388,8 @@ def extend_to_basis(
             _require_stochastic(v, "extend_to_basis: every vector")
     elif n is None or algebra is None:
         raise PreconditionError("empty set: pass n= and algebra= to fix the space")
+    elif n < 1:
+        raise PreconditionError(f"extend_to_basis needs n >= 1, got n={n}")
     else:
         dim, alg = n, algebra
     m = len(vs)

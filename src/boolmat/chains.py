@@ -22,7 +22,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .algebra import Elem, PreconditionError
+from .algebra import Elem, PreconditionError, ShapeError
 from .bmatrix import BMatrix, is_stochastic_matrix, mul, power
 from .bvec import _atom_slots
 
@@ -146,11 +146,23 @@ def matrix_atoms(a: BMatrix) -> MatrixAtoms:
     share a map, which is the meet of the entries that map selects. The atoms
     come sorted by their maps, column 0's row first.
     """
-    if not is_stochastic_matrix(a):
+    atoms = _stochastic_atoms(a)
+    if atoms is None:
         raise PreconditionError("matrix atoms are defined for stochastic matrices")
+    return atoms
+
+
+def _stochastic_atoms(a: BMatrix) -> MatrixAtoms | None:
+    """The atoms of ``a``, or None when ``a`` is not stochastic; one scan of
+    the columns decides both."""
+    if not a.is_square():
+        raise ShapeError("stochastic matrices are square transition matrices")
     n = a.rows
-    groups = sorted(_atom_slots([a.masks[j::n] for j in range(n)], a.algebra.atom_count).items())
-    return MatrixAtoms(a, tuple(w for _, w in groups), tuple(f for f, _ in groups))
+    groups = _atom_slots([a.masks[j::n] for j in range(n)], a.algebra.atom_count)
+    if groups is None:
+        return None
+    ordered = sorted(groups.items())
+    return MatrixAtoms(a, tuple(w for _, w in ordered), tuple(f for f, _ in ordered))
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,10 +239,17 @@ def power_profile(a: BMatrix) -> PowerProfile:
     ordering (smallest period first, then smallest exponent) because any
     repeat distance on the cycle is a multiple of the cycle length.
     """
+    return _profile(a)[0]
+
+
+def _profile(a: BMatrix) -> tuple[PowerProfile, MatrixAtoms | None]:
+    """:func:`power_profile`, and the atoms it was read from when ``a`` is
+    stochastic."""
     if not a.is_square():
         raise PreconditionError("power profile of a non-square matrix")
-    if is_stochastic_matrix(a):
-        return _atom_profile(matrix_atoms(a))
+    atoms = _stochastic_atoms(a)
+    if atoms is not None:
+        return _atom_profile(atoms), atoms
     n = a.rows
     seen: dict[tuple[int, ...], int] = {}
     powers: list[BMatrix] = []
@@ -244,7 +263,7 @@ def power_profile(a: BMatrix) -> PowerProfile:
     t = seen[cur.masks]
     e, p = t, s - t
     assert e <= (n - 1) ** 2 + 1, f"exponent bound violated: e={e} for n={n}"
-    return PowerProfile(exponent=e, period=p, powers=tuple(powers))
+    return PowerProfile(exponent=e, period=p, powers=tuple(powers)), None
 
 
 def verify_power_theorem(a: BMatrix) -> bool:
@@ -268,11 +287,12 @@ def reachable(a: BMatrix, from_site: int, to_site: int) -> bool:
 
     True when some atom's orbit of ``from_site`` passes ``to_site``.
     """
-    if not is_stochastic_matrix(a):
+    atoms = _stochastic_atoms(a)
+    if atoms is None:
         raise PreconditionError("reachability is defined for stochastic matrices")
     _check_site(a.rows, from_site)
     _check_site(a.rows, to_site)
-    return to_site - 1 in matrix_atoms(a).reached(from_site - 1)
+    return to_site - 1 in atoms.reached(from_site - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,12 +337,10 @@ def relation_report(a: BMatrix) -> ReachReport:
     """Full accessibility survey: from the atom orbits of a stochastic
     matrix, from its distinct powers otherwise."""
     n = a.rows
-    if a.is_square() and is_stochastic_matrix(a):
-        atoms = matrix_atoms(a)
-        profile = _atom_profile(atoms)
+    profile, atoms = _profile(a)
+    if atoms is not None:
         succ = [atoms.reached(j) for j in range(n)]
     else:
-        profile = power_profile(a)
         succ = [{i for m in profile.powers for i in range(n) if m.masks[i * n + j]} for j in range(n)]
     arrows = {(j + 1, i + 1) for j in range(n) for i in succ[j]}
     mutual = {(i, j) for (i, j) in arrows if i < j and (j, i) in arrows}

@@ -13,7 +13,7 @@ import sys
 from importlib import resources
 from typing import Iterable, Sequence
 
-from . import chains, oracle
+from . import chains
 from .algebra import BoolmatError, PreconditionError
 from .bmatrix import (
     BMatrix,
@@ -237,6 +237,8 @@ def _cmd_basis_extend(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle
+
     theorem = args.theorem.upper()
     if theorem not in oracle.THEOREMS:
         raise PreconditionError(
@@ -246,7 +248,8 @@ def _cmd_verify(args) -> int:
     if args.samples is not None:
         verdict = oracle.sample_check(theorem, spec, args.samples, seed=args.seed)
     else:
-        verdict = oracle.brute_check(theorem, spec, budget=args.budget)
+        budget = oracle.DEFAULT_BUDGET if args.budget is None else args.budget
+        verdict = oracle.brute_check(theorem, spec, budget=budget)
     if args.porcelain:
         print(f"theorem={verdict.theorem}")
         print(f"n={verdict.n}")
@@ -300,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--theorem", required=True, help="registered theorem id, e.g. POWER")
     v.add_argument("--n", type=int, required=True, help="vector length / matrix size")
     v.add_argument("--atoms", type=int, required=True, help="atom count k")
-    v.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET, help="object budget for exhaustive runs")
+    v.add_argument("--budget", type=int, help="object budget for exhaustive runs")
     v.add_argument("--samples", type=int, help="use randomized sampling with this many draws (at least 1)")
     v.add_argument("--seed", type=int, default=0, help="seed for sampled runs")
     v.set_defaults(func=_cmd_verify)

@@ -335,11 +335,23 @@ def _atoms_of(n: int, a: Sequence[int], full: int) -> list[tuple[int, tuple[int,
     return out
 
 
-def _naive_power(n: int, a: Sequence[int], e: int, full: int) -> tuple[int, ...]:
-    cur = _identity_masks(n, full)
-    for _ in range(e):
-        cur = _matmul(n, cur, a)
-    return cur
+def _power_walk(n: int, x: tuple[int, ...], a: Sequence[int], steps: int) -> list[tuple[int, ...]]:
+    """``x A, x A**2, ..., x A**steps``, one right product with ``a`` per step.
+
+    Power sequences turn periodic after a few steps, so a dict from each
+    power met to its product with ``a`` serves a power that comes back
+    without multiplying it again: at most one product per distinct power.
+    """
+    after: dict[tuple[int, ...], tuple[int, ...]] = {}
+    walk = []
+    cur = x
+    for _ in range(steps):
+        nxt = after.get(cur)
+        if nxt is None:
+            nxt = after[cur] = _matmul(n, cur, a)
+        walk.append(nxt)
+        cur = nxt
+    return walk
 
 
 def _brute_period_exponent(n: int, a: Sequence[int]) -> tuple[int, int]:
@@ -350,31 +362,13 @@ def _brute_period_exponent(n: int, a: Sequence[int]) -> tuple[int, int]:
     smallest witness for that p.
     """
     horizon = (n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))
-    powers = [tuple(a)]
-    for _ in range(horizon):
-        powers.append(_matmul(n, powers[-1], a))
+    first = tuple(a)
+    powers = [first, *_power_walk(n, first, a, horizon)]
     for p in range(1, horizon + 1):
         for e in range(1, horizon - p + 2):
             if powers[e - 1 + p] == powers[e - 1]:
                 return e, p
     raise AssertionError("no repeat within the guaranteed horizon")
-
-
-def _reachable_sites_by_iteration(n: int, a: Sequence[int], full: int, from_site: int) -> set[int]:
-    """Sites (1-based) that ever light up when ``a`` is applied again and
-    again to ``full`` at ``from_site``, collected until the state cycles.
-
-    The iteration reference for :func:`boolmat.chains.reachable`.
-    """
-    cur = tuple(full if i == from_site - 1 else 0 for i in range(n))
-    seen: set[tuple[int, ...]] = set()
-    hit: set[int] = set()
-    while True:
-        cur = _matvec(n, a, cur)
-        if cur in seen:
-            return hit
-        seen.add(cur)
-        hit.update(i + 1 for i, m in enumerate(cur) if m)
 
 
 def _fmt_vec(v: Sequence[int], alg: Algebra) -> str:
@@ -748,14 +742,11 @@ def _power(n: int, k: int) -> Callable[[Any], str | None]:
     def check(obj: Any) -> str | None:
         unitary, a = obj
         if unitary:
-            if _naive_power(n, a, lcm, full) != ident:
+            if _power_walk(n, ident, a, lcm)[-1] != ident:
                 return f"unitary {_fmt_mat(n, a, alg)}"
             return None
-        low = _naive_power(n, a, n - 1, full)
-        high = low
-        for _ in range(lcm):
-            high = _matmul(n, high, a)
-        return None if high == low else _fmt_mat(n, a, alg)
+        powers = [ident, *_power_walk(n, ident, a, n - 1 + lcm)]
+        return None if powers[-1] == powers[n - 1] else _fmt_mat(n, a, alg)
 
     return check
 

@@ -381,6 +381,12 @@ def test_extend_empty_gives_canonical(p3):
         extend_to_basis([])
 
 
+@pytest.mark.parametrize("n", [-1, 0])
+def test_extend_empty_rejects_dimensions_below_one(p3, n):
+    with pytest.raises(PreconditionError, match=f"n >= 1, got n={n}"):
+        extend_to_basis([], n=n, algebra=p3)
+
+
 def test_extend_two_vector_example(p3):
     s = [vec(p3, "({1},{2},{3})"), vec(p3, "({2},{3},{1})")]
     basis = extend_to_basis(s)

@@ -7,6 +7,7 @@ from boolmat import (
     BMatrix,
     BVec,
     PreconditionError,
+    ShapeError,
     apply,
     delta,
     identity,
@@ -28,10 +29,27 @@ from boolmat.oracle import (
     _atoms_of,
     _brute_period_exponent,
     _iter_stochastic_matrix_masks,
-    _reachable_sites_by_iteration,
+    _matvec,
 )
 
 from conftest import mat, vec
+
+
+def _reachable_sites_by_iteration(n, a, full, from_site):
+    """Sites (1-based) that ever light up when ``a`` is applied again and
+    again to ``full`` at ``from_site``, collected until the state cycles.
+
+    The iteration reference for :func:`boolmat.chains.reachable`.
+    """
+    cur = tuple(full if i == from_site - 1 else 0 for i in range(n))
+    seen = set()
+    hit = set()
+    while True:
+        cur = _matvec(n, a, cur)
+        if cur in seen:
+            return hit
+        seen.add(cur)
+        hit.update(i + 1 for i, m in enumerate(cur) if m)
 
 
 @pytest.fixture
@@ -460,3 +478,42 @@ def test_stochastic_dynamics_make_no_matrix_product(monkeypatch, final_example):
     report = relation_report(long_chain)
     assert report.arrows == frozenset((i, j) for i in range(1, 17) for j in range(1, 17))
     assert report.transitive and report.equivalence
+
+
+def test_one_column_scan_decides_stochasticity_and_reads_the_atoms(monkeypatch):
+    rng = random.Random(173)
+    alg = make_algebra(["1", "2", "3"])
+    samples = []
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        a = br.random_stochastic_matrix(rng, alg, n)
+        masks = list(a.masks)
+        if rng.randrange(3):  # drop an atom from, or add one to, one entry
+            masks[rng.randrange(n * n)] ^= 1 << rng.randrange(3)
+        samples.append(BMatrix(n, n, tuple(masks), alg))
+    verdicts = [is_stochastic_matrix(a) for a in samples]
+    assert set(verdicts) == {True, False}
+
+    def forbidden(a):
+        raise AssertionError("a separate stochastic check ran")
+
+    scans = [0]
+    atom_slots = chains._atom_slots
+
+    def counted(columns, k):
+        scans[0] += 1
+        return atom_slots(columns, k)
+
+    monkeypatch.setattr(chains, "is_stochastic_matrix", forbidden)
+    monkeypatch.setattr(chains, "_atom_slots", counted)
+    for a, stochastic in zip(samples, verdicts):
+        for call in (matrix_atoms, power_profile, relation_report, lambda a: reachable(a, 1, a.rows)):
+            scans[0] = 0
+            if stochastic or call in (power_profile, relation_report):
+                call(a)
+            else:
+                with pytest.raises(PreconditionError, match="stochastic matrices"):
+                    call(a)
+            assert scans[0] == 1
+    with pytest.raises(ShapeError):
+        matrix_atoms(BMatrix(1, 2, (7, 7), alg))

@@ -502,3 +502,31 @@ def test_successive_in_process_calls_match_fresh_runs(capsys):
     assert "mode=exhaustive" in results[1][1].splitlines()
     assert results[2] == (2, "")
     assert results[3][0] == 0
+
+
+def test_importing_the_library_and_cli_leaves_the_oracle_unloaded():
+    src = os.path.dirname(os.path.dirname(boolmat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import sys, boolmat, boolmat.cli\n"
+        "print('boolmat.oracle' in sys.modules)\n"
+        "from boolmat.oracle import brute_check\n"
+        "names = ['BudgetExceededError', 'EnumSpec', 'Verdict', 'brute_check', 'enumerate_objects', 'sample_check']\n"
+        "print(boolmat.brute_check is brute_check, all(hasattr(boolmat, n) for n in names))\n"
+        "print(hasattr(boolmat, 'no_such_name'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True", "False"]
+
+
+def test_verify_budget_defaults_to_the_oracle_budget(capsys):
+    from boolmat.oracle import DEFAULT_BUDGET
+
+    argv = ["verify", "--porcelain", "--theorem", "STOINV", "--n", "2", "--atoms", "2"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--budget", str(DEFAULT_BUDGET)]) == 0
+    assert capsys.readouterr().out == default
+    assert main([*argv, "--budget", "15"]) == 2
+    assert "enumeration needs budget 16, configured 15" in capsys.readouterr().err

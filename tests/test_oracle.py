@@ -363,3 +363,170 @@ def test_unitreduce_pairs_need_only_a_quadratic_budget():
     assert verdict.checked == 16 + 16 * 16 == 272
     with pytest.raises(BudgetExceededError):
         brute_check("UNITREDUCE", spec, budget=255)
+
+
+# --- POWER and PERIOD_DIVIDES walk each distinct power once ---
+
+
+def _unmemoised_period_exponent(n, a):
+    """The exhaustive horizon walk, one fresh product per step."""
+    horizon = (n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))
+    powers = [tuple(a)]
+    for _ in range(horizon):
+        powers.append(oracle._matmul(n, powers[-1], a))
+    for p in range(1, horizon + 1):
+        for e in range(1, horizon - p + 2):
+            if powers[e - 1 + p] == powers[e - 1]:
+                return e, p
+    raise AssertionError("no repeat within the guaranteed horizon")
+
+
+def _unmemoised_power(n, k):
+    """The POWER predicate with one fresh product per step."""
+    alg = oracle._numbered_algebra(k)
+    lcm = math.lcm(*range(1, n + 1))
+    ident = oracle._identity_masks(n, alg._full)
+
+    def naive_power(a, e):
+        cur = ident
+        for _ in range(e):
+            cur = oracle._matmul(n, cur, a)
+        return cur
+
+    def check(obj):
+        unitary, a = obj
+        if unitary:
+            return None if naive_power(a, lcm) == ident else f"unitary {oracle._fmt_mat(n, a, alg)}"
+        low = naive_power(a, n - 1)
+        high = low
+        for _ in range(lcm):
+            high = oracle._matmul(n, high, a)
+        return None if high == low else oracle._fmt_mat(n, a, alg)
+
+    return check
+
+
+def _seeded_square_masks(count, seed):
+    """(n, k, masks) for n 1-4 and k 1-3: general, stochastic and unitary in turn."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n, k = rng.randrange(1, 5), rng.randrange(1, 4)
+        alg = oracle._numbered_algebra(k)
+        if i % 3 == 0:
+            masks = tuple(rng.getrandbits(k) for _ in range(n * n))
+        elif i % 3 == 1:
+            masks = br.random_stochastic_matrix(rng, alg, n).masks
+        else:
+            masks = br.random_unitary(rng, alg, n).masks
+        out.append((n, k, masks))
+    return out
+
+
+def test_power_walk_matches_unmemoised_loops():
+    seen = set()
+    checks = {}
+    for n, k, a in _seeded_square_masks(2000, 1103):
+        if (n, k) not in checks:
+            checks[n, k] = (oracle._power(n, k), _unmemoised_power(n, k))
+        walked, fresh = checks[n, k]
+        assert oracle._brute_period_exponent(n, a) == _unmemoised_period_exponent(n, a)
+        for obj in ((False, a), (True, a)):
+            verdict = walked(obj)
+            assert verdict == fresh(obj)
+            seen.add(verdict is None)
+    assert seen == {True, False}
+
+
+def _counting_matmul(monkeypatch):
+    calls = [0]
+    product = oracle._matmul
+
+    def counted(n, a, b):
+        calls[0] += 1
+        return product(n, a, b)
+
+    monkeypatch.setattr(oracle, "_matmul", counted)
+    return calls
+
+
+def test_power_walk_costs_one_product_per_distinct_power(monkeypatch):
+    objects = _seeded_square_masks(600, 2207)
+    distinct = []
+    for n, k, a in objects:
+        powers = [oracle._identity_masks(n, (1 << k) - 1)]
+        for _ in range((n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))):
+            powers.append(oracle._matmul(n, powers[-1], a))
+        # A**1 .. A**horizon are the powers the exponent search multiplies.
+        distinct.append((len(set(powers[1:])), len(set(powers))))
+    calls = _counting_matmul(monkeypatch)
+    for (n, k, a), (searched, every) in zip(objects, distinct):
+        calls[0] = 0
+        oracle._brute_period_exponent(n, a)
+        assert calls[0] == searched
+        for obj in ((False, a), (True, a)):
+            calls[0] = 0
+            oracle._power(n, k)(obj)
+            assert calls[0] <= every
+
+
+@pytest.mark.parametrize("theorem,most", [("PERIOD_DIVIDES", 1702), ("POWER", 2522)])
+def test_exhaustive_power_checks_stay_within_their_product_counts(monkeypatch, theorem, most):
+    calls = _counting_matmul(monkeypatch)
+    verdict = brute_check(theorem, EnumSpec(3, 2, "stochastic_matrices"))
+    assert verdict.passed, str(verdict)
+    assert 0 < calls[0] <= most
+
+
+def _unmemoised_period_divides(n, k):
+    alg = oracle._numbered_algebra(k)
+    lcm = math.lcm(*range(1, n + 1))
+
+    def check(a):
+        e, p = _unmemoised_period_exponent(n, a)
+        return f"e={e}, p={p} for {oracle._fmt_mat(n, a, alg)}" if lcm % p or e > max(n - 1, 1) else None
+
+    return check
+
+
+_REFERENCE_MATMUL = oracle._matmul
+
+
+def _product_dropping_last_term(n, a, b):
+    return tuple(
+        oracle._or_all(a[i * n + t] & b[t * n + j] for t in range(n - 1)) for i in range(n) for j in range(n)
+    )
+
+
+def _transposed_product(n, a, b):
+    return oracle._transpose(n, _REFERENCE_MATMUL(n, a, b))
+
+
+@pytest.mark.parametrize("wrong", [_product_dropping_last_term, _transposed_product])
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("theorem,fresh", [("POWER", _unmemoised_power), ("PERIOD_DIVIDES", _unmemoised_period_divides)])
+def test_power_theorems_fail_under_a_wrong_product(monkeypatch, wrong, n, k, theorem, fresh):
+    monkeypatch.setattr(oracle, "_matmul", wrong)
+    check = fresh(n, k)
+    objects = THEOREMS[theorem].source(n, k, DEFAULT_BUDGET)
+    first = next((i, c) for i, obj in enumerate(objects, start=1) if (c := check(obj)) is not None)
+    verdict = brute_check(theorem, EnumSpec(n, k, "stochastic_matrices"))
+    assert not verdict.passed
+    assert (verdict.checked, verdict.counterexample) == first
+
+
+def test_naive_products_stay_the_kernel_reference():
+    assert oracle._matmul(0, (), ()) == ()
+    assert oracle._matvec(0, (), ()) == ()
+    assert oracle._matmul(2, (1, 2, 0, 3), (3, 0, 1, 2)) == (1, 2, 1, 2)
+    assert oracle._matvec(2, (1, 2, 0, 3), (3, 1)) == (1, 1)
+    rng = random.Random(3301)
+    for n in range(1, 5):
+        a = tuple(rng.getrandbits(5) for _ in range(n * n))
+        b = tuple(rng.getrandbits(5) for _ in range(n * n))
+        for i in range(n):
+            for j in range(n):
+                expected = 0
+                for t in range(n):
+                    expected |= a[i * n + t] & b[t * n + j]
+                assert oracle._matmul(n, a, b)[i * n + j] == expected
