@@ -78,9 +78,7 @@ __version__ = "0.1.0"
 
 # The oracle is loaded on first use: only ``boolmat verify`` and direct
 # callers need it, so importing the library or the CLI does not build it.
-_ORACLE_NAMES = frozenset(
-    {"BudgetExceededError", "EnumSpec", "Verdict", "brute_check", "enumerate_objects", "sample_check"}
-)
+_ORACLE_NAMES = frozenset({"BudgetExceededError", "Verdict", "brute_check", "sample_check"})
 
 
 def __getattr__(name: str):

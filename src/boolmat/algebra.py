@@ -211,31 +211,6 @@ class Elem:
         return f"Elem({str(self)} over {self.algebra.atom_names})"
 
 
-def meet(a: Elem, b: Elem) -> Elem:
-    """Infimum (set intersection)."""
-    return a & b
-
-
-def join(a: Elem, b: Elem) -> Elem:
-    """Supremum (set union)."""
-    return a | b
-
-
-def complement(a: Elem) -> Elem:
-    """Complement within the algebra's atom set."""
-    return ~a
-
-
-def diff(a: Elem, b: Elem) -> Elem:
-    """Difference ``a`` minus ``b``, i.e. meet of ``a`` with ``b``'s complement."""
-    return a - b
-
-
-def leq(a: Elem, b: Elem) -> bool:
-    """Lattice order: is ``a`` below ``b``?"""
-    return a <= b
-
-
 def make_algebra(names: Sequence[str]) -> Algebra:
     """Create the power-set algebra over the given distinct atom names."""
     return Algebra(names)

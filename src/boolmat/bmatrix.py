@@ -112,9 +112,13 @@ class BMatrix:
         return Elem(self.masks[i * self.cols + j], self.algebra)
 
     def row(self, i: int) -> BVec:
+        if not 0 <= i < self.rows:
+            raise ShapeError(f"row {i} out of range for {self.rows}x{self.cols}")
         return BVec(self.masks[i * self.cols : (i + 1) * self.cols], self.algebra)
 
     def column(self, j: int) -> BVec:
+        if not 0 <= j < self.cols:
+            raise ShapeError(f"column {j} out of range for {self.rows}x{self.cols}")
         return BVec(tuple(self.masks[i * self.cols + j] for i in range(self.rows)), self.algebra)
 
     def row_list(self) -> list[BVec]:
@@ -341,6 +345,10 @@ class Reduction:
 
 def block_diag(algebra: Algebra, fixed: int, core: BMatrix) -> BMatrix:
     """``diag(I_fixed, core)`` as an explicit matrix."""
+    if fixed < 0:
+        raise PreconditionError(f"identity block size must be non-negative, got {fixed}")
+    if core.algebra is not algebra:
+        raise AlgebraMismatchError("core from a different algebra")
     if not core.is_square():
         raise ShapeError("core must be square")
     n = fixed + core.rows

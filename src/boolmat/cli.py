@@ -240,16 +240,11 @@ def _cmd_verify(args) -> int:
     from . import oracle
 
     theorem = args.theorem.upper()
-    if theorem not in oracle.THEOREMS:
-        raise PreconditionError(
-            f"unknown theorem {theorem!r}; registered: {', '.join(sorted(oracle.THEOREMS))}"
-        )
-    spec = oracle.EnumSpec(args.n, args.atoms, oracle.THEOREMS[theorem].kind)
     if args.samples is not None:
-        verdict = oracle.sample_check(theorem, spec, args.samples, seed=args.seed)
+        verdict = oracle.sample_check(theorem, args.n, args.atoms, args.samples, seed=args.seed)
     else:
         budget = oracle.DEFAULT_BUDGET if args.budget is None else args.budget
-        verdict = oracle.brute_check(theorem, spec, budget=budget)
+        verdict = oracle.brute_check(theorem, args.n, args.atoms, budget=budget)
     if args.porcelain:
         print(f"theorem={verdict.theorem}")
         print(f"n={verdict.n}")

@@ -10,11 +10,13 @@ counterexample or None. Exhaustive and sampled runs feed the same predicate,
 from the theorem's enumerator or from its seeded one-object sampler, through
 one shared loop; a run that checked no object never passes.
 
-Enumeration sizes follow closed forms where they exist (``2**(k*n)``
-vectors, ``n**k`` stochastic vectors, ``n**(k*n)`` stochastic matrices,
-``factorial(n)**k`` unitaries); a budget guard refuses blow-ups instead of
-silently truncating, because a truncated exhaustive check is not
-exhaustive.
+Each exhaustive source guards its budget before it streams anything. Where
+the object count has a closed form it is computed up front from the spaces
+the source combines (``2**(k*n)`` vectors, ``n**k`` stochastic vectors,
+``n**(k*n)`` stochastic matrices, ``factorial(n)**k`` unitaries); the
+search over orthonormal families counts node visits instead. Either way a
+run past the budget is refused rather than silently truncated, because a
+truncated exhaustive check is not exhaustive.
 """
 
 from __future__ import annotations
@@ -28,32 +30,19 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import rand
 from .algebra import Algebra, BoolmatError, PreconditionError
-from .bmatrix import BMatrix
 from .bvec import BVec
 
 __all__ = [
-    "EnumSpec",
     "Verdict",
     "Theorem",
     "BudgetExceededError",
     "DEFAULT_BUDGET",
-    "KINDS",
     "THEOREMS",
-    "space_size",
-    "enumerate_objects",
     "brute_check",
     "sample_check",
 ]
 
 DEFAULT_BUDGET = 10_000_000
-
-KINDS = (
-    "all_vectors",
-    "stochastic_vectors",
-    "stochastic_matrices",
-    "unitary_matrices",
-    "orthonormal_sets",
-)
 
 
 class BudgetExceededError(BoolmatError):
@@ -64,21 +53,6 @@ class BudgetExceededError(BoolmatError):
         self.budget = budget
         size = "unknown (search-shaped)" if required is None else str(required)
         super().__init__(f"enumeration needs budget {size}, configured {budget}")
-
-
-@dataclass(frozen=True, slots=True)
-class EnumSpec:
-    """What to enumerate: vector length ``n``, atom count ``k``, and kind."""
-
-    n: int
-    k: int
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise PreconditionError(f"unknown kind {self.kind!r}; choose from {KINDS}")
-        if self.n < 1 or self.k < 1:
-            raise PreconditionError("n and k must be at least 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,19 +72,6 @@ class Verdict:
         return f"{self.theorem} n={self.n} k={self.k} [{self.mode}]: {tail} ({self.checked} objects)"
 
 
-def space_size(spec: EnumSpec) -> int | None:
-    """Closed-form object count, or None for search-shaped enumerations."""
-    if spec.kind == "all_vectors":
-        return 1 << (spec.k * spec.n)
-    if spec.kind == "stochastic_vectors":
-        return spec.n**spec.k
-    if spec.kind == "stochastic_matrices":
-        return spec.n ** (spec.k * spec.n)
-    if spec.kind == "unitary_matrices":
-        return math.factorial(spec.n) ** spec.k
-    return None
-
-
 def _numbered_algebra(k: int) -> Algebra:
     return Algebra([str(i + 1) for i in range(k)])
 
@@ -120,7 +81,7 @@ def _require_budget(required: int, budget: int) -> None:
         raise BudgetExceededError(required, budget)
 
 
-# --- raw enumerators (mask tuples; library objects are built only at yield) ---
+# --- raw enumerators (tuples of masks, never library objects) ---
 
 
 def _iter_vector_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -189,30 +150,6 @@ def _iter_orthonormal_sets(
             chosen.pop()
 
     yield from extend(0, [])
-
-
-def enumerate_objects(spec: EnumSpec, budget: int = DEFAULT_BUDGET):
-    """Exhaustive, duplicate-free stream of domain objects for ``spec``."""
-    size = space_size(spec)
-    if size is not None:
-        _require_budget(size, budget)
-    alg = _numbered_algebra(spec.k)
-    n = spec.n
-    if spec.kind == "all_vectors":
-        for m in _iter_vector_masks(n, spec.k):
-            yield BVec(m, alg)
-    elif spec.kind == "stochastic_vectors":
-        for m in _iter_stochastic_masks(n, spec.k):
-            yield BVec(m, alg)
-    elif spec.kind == "stochastic_matrices":
-        for m in _iter_stochastic_matrix_masks(n, spec.k):
-            yield BMatrix(n, n, m, alg)
-    elif spec.kind == "unitary_matrices":
-        for m in _iter_unitary_masks(n, spec.k):
-            yield BMatrix(n, n, m, alg)
-    else:
-        for fam in _iter_orthonormal_sets(n, spec.k, budget):
-            yield [BVec(v, alg) for v in fam]
 
 
 # --- naive mask arithmetic (independent of the kernels and of bvec/bmatrix) ---
@@ -796,7 +733,6 @@ class Theorem:
     least once; otherwise any object will do.
     """
 
-    kind: str
     source: Callable[[int, int, int], Iterable[Any]]
     predicate: Callable[[int, int], Callable[[Any], str | None]]
     sampler: Callable[[random.Random, Algebra, int], Any] | None = None
@@ -805,49 +741,47 @@ class Theorem:
 
 
 THEOREMS: dict[str, Theorem] = {
-    "NORM": Theorem("all_vectors", _norm_triples, _norm_laws, _sample_norm),
-    "DUALITY": Theorem("orthonormal_sets", _iter_orthonormal_sets, _duality),
+    "NORM": Theorem(_norm_triples, _norm_laws, _sample_norm),
+    "DUALITY": Theorem(_iter_orthonormal_sets, _duality),
     "DESCENT": Theorem(
-        "stochastic_vectors", _stochastic_pairs, _descent, _sample_stochastic_pair,
-        require=_dimension_at_least_two,
+        _stochastic_pairs, _descent, _sample_stochastic_pair, require=_dimension_at_least_two
     ),
-    "BASIS_UPBOUND": Theorem("orthonormal_sets", _stochastic_orthonormal_sets, _basis_upbound),
-    "DIMENSION": Theorem("orthonormal_sets", _iter_orthonormal_sets, _dimension, witness=_generating),
-    "DIMCOR2": Theorem("orthonormal_sets", _iter_orthonormal_sets, _dimcor2),
+    "BASIS_UPBOUND": Theorem(_stochastic_orthonormal_sets, _basis_upbound),
+    "DIMENSION": Theorem(_iter_orthonormal_sets, _dimension, witness=_generating),
+    "DIMCOR2": Theorem(_iter_orthonormal_sets, _dimcor2),
     "INCOMPLETE": Theorem(
-        "orthonormal_sets", _short_stochastic_orthonormal_sets, _incomplete, _sample_short_family,
+        _short_stochastic_orthonormal_sets, _incomplete, _sample_short_family,
         require=_dimension_at_least_two,
     ),
-    "INVERSE": Theorem("all_vectors", _all_matrices, _inverse),
-    "STOINV": Theorem("stochastic_matrices", _stochastic_matrices, _stoinv, _sample_stochastic_matrix),
+    "INVERSE": Theorem(_all_matrices, _inverse),
+    "STOINV": Theorem(_stochastic_matrices, _stoinv, _sample_stochastic_matrix),
     "ODDINV": Theorem(
-        "stochastic_matrices", _symmetric_stochastic_matrices, _oddinv, _sample_symmetric_stochastic,
-        require=_odd_dimension,
+        _symmetric_stochastic_matrices, _oddinv, _sample_symmetric_stochastic, require=_odd_dimension
     ),
-    "UNITREDUCE": Theorem("unitary_matrices", _unitary_families, _unitreduce),
-    "ATOMS": Theorem("stochastic_matrices", _stochastic_matrices, _atoms, _sample_stochastic_matrix),
-    "POWER": Theorem("stochastic_matrices", _stochastic_then_unitary, _power, _sample_power),
-    "PERIOD_DIVIDES": Theorem(
-        "stochastic_matrices", _stochastic_matrices, _period_divides, _sample_stochastic_matrix
-    ),
+    "UNITREDUCE": Theorem(_unitary_families, _unitreduce),
+    "ATOMS": Theorem(_stochastic_matrices, _atoms, _sample_stochastic_matrix),
+    "POWER": Theorem(_stochastic_then_unitary, _power, _sample_power),
+    "PERIOD_DIVIDES": Theorem(_stochastic_matrices, _period_divides, _sample_stochastic_matrix),
 }
 
 
-def _lookup(theorem: str, n: int) -> Theorem:
+def _lookup(theorem: str, n: int, k: int) -> Theorem:
     try:
         entry = THEOREMS[theorem]
     except KeyError:
         raise PreconditionError(
             f"unknown theorem {theorem!r}; registered: {', '.join(sorted(THEOREMS))}"
         ) from None
+    if n < 1 or k < 1:
+        raise PreconditionError("n and k must be at least 1")
     entry.require(n)
     return entry
 
 
-def _run(theorem: str, entry: Theorem, spec: EnumSpec, objects: Iterable[Any], mode: str) -> Verdict:
+def _run(theorem: str, entry: Theorem, n: int, k: int, objects: Iterable[Any], mode: str) -> Verdict:
     """Apply the theorem's predicate to every object; stop at the first counterexample."""
-    check = entry.predicate(spec.n, spec.k)
-    witness = entry.witness(spec.n, spec.k) if entry.witness else None
+    check = entry.predicate(n, k)
+    witness = entry.witness(n, k) if entry.witness else None
     checked = 0
     witnessed = False
     counterexample = None
@@ -863,26 +797,27 @@ def _run(theorem: str, entry: Theorem, spec: EnumSpec, objects: Iterable[Any], m
         elif not witnessed:
             counterexample = f"no witness among {checked} objects (enumeration bug)"
     return Verdict(
-        theorem=theorem, n=spec.n, k=spec.k, passed=counterexample is None,
+        theorem=theorem, n=n, k=k, passed=counterexample is None,
         checked=checked, counterexample=counterexample, mode=mode,
     )
 
 
-def brute_check(theorem: str, spec: EnumSpec, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Exhaustively verify one registered theorem at the given scale."""
-    entry = _lookup(theorem, spec.n)
-    return _run(theorem, entry, spec, entry.source(spec.n, spec.k, budget), "exhaustive")
+def brute_check(theorem: str, n: int, k: int, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Exhaustively verify one registered theorem in dimension ``n`` over
+    ``k`` atoms."""
+    entry = _lookup(theorem, n, k)
+    return _run(theorem, entry, n, k, entry.source(n, k, budget), "exhaustive")
 
 
-def sample_check(theorem: str, spec: EnumSpec, samples: int, seed: int = 0) -> Verdict:
+def sample_check(theorem: str, n: int, k: int, samples: int, seed: int = 0) -> Verdict:
     """Randomized verification for scales beyond exhaustive reach: the same
     predicate as :func:`brute_check`, on ``samples`` seeded draws."""
-    entry = _lookup(theorem, spec.n)
+    entry = _lookup(theorem, n, k)
     if entry.sampler is None:
         raise PreconditionError(f"{theorem} supports exhaustive checking only")
     if samples < 1:
         raise PreconditionError(f"need at least one sample, got {samples}")
     rng = random.Random(seed)
-    alg = _numbered_algebra(spec.k)
-    draws = (entry.sampler(rng, alg, spec.n) for _ in range(samples))
-    return _run(theorem, entry, spec, draws, "sampled")
+    alg = _numbered_algebra(k)
+    draws = (entry.sampler(rng, alg, n) for _ in range(samples))
+    return _run(theorem, entry, n, k, draws, "sampled")

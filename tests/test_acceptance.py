@@ -35,7 +35,7 @@ from boolmat import rand as br
 from boolmat.bmatrix import is_stochastic_matrix
 from boolmat.cli import fixture_path
 from boolmat.model import parse_model
-from boolmat.oracle import EnumSpec, brute_check, enumerate_objects
+from boolmat.oracle import brute_check
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -48,32 +48,41 @@ def load_fixture(name: str):
         return parse_model(fh.read())
 
 
+def stochastic_vectors(alg, n):
+    """Every stochastic vector of length n: each atom in exactly one slot."""
+    out = []
+    for slots in product(range(n), repeat=alg.atom_count):
+        masks = [0] * n
+        for bit, slot in enumerate(slots):
+            masks[slot] |= 1 << bit
+        out.append(BVec(tuple(masks), alg))
+    assert len(out) == n**alg.atom_count
+    return out
+
+
+def stochastic_2x2(alg):
+    """Every 2x2 stochastic matrix, columns drawn from the stochastic vectors."""
+    columns = stochastic_vectors(alg, 2)
+    return [
+        BMatrix(2, 2, (c1.masks[0], c2.masks[0], c1.masks[1], c2.masks[1]), alg)
+        for c1 in columns
+        for c2 in columns
+    ]
+
+
 # --- shared randomized sweeps (criteria 2, 3 and 8 see the same matrices) ---
 
 
 @pytest.fixture(scope="module")
 def sweep_2x2_k3():
-    alg = make_algebra(["1", "2", "3"])
-    columns = list(enumerate_objects(EnumSpec(2, 3, "stochastic_vectors")))
-    mats = []
-    for c1 in columns:
-        for c2 in columns:
-            mats.append(
-                BMatrix(2, 2, (c1.masks[0], c2.masks[0], c1.masks[1], c2.masks[1]), c1.algebra)
-            )
+    mats = stochastic_2x2(make_algebra(["1", "2", "3"]))
     assert len(mats) == 64
     return mats
 
 
 @pytest.fixture(scope="module")
 def sweep_2x2_k6():
-    columns = list(enumerate_objects(EnumSpec(2, 6, "stochastic_vectors")))
-    mats = []
-    for c1 in columns:
-        for c2 in columns:
-            mats.append(
-                BMatrix(2, 2, (c1.masks[0], c2.masks[0], c1.masks[1], c2.masks[1]), c1.algebra)
-            )
+    mats = stochastic_2x2(make_algebra([str(i) for i in range(1, 7)]))
     assert len(mats) == 4096
     return mats
 
@@ -182,11 +191,11 @@ def test_criterion_3_power_theorem_general(sweep_general):
 def test_criterion_4_dimension_exhaustive():
     problems = []
     for n, k in ((2, 2), (3, 2), (2, 3)):
-        verdict = brute_check("DIMENSION", EnumSpec(n, k, "orthonormal_sets"))
+        verdict = brute_check("DIMENSION", n, k)
         if not verdict.passed:
             problems.append(str(verdict))
         alg = make_algebra([str(i) for i in range(1, k + 1)])
-        stoch = list(enumerate_objects(EnumSpec(n, k, "stochastic_vectors")))
+        stoch = stochastic_vectors(alg, n)
         for combo in product(stoch, repeat=n):
             family = list(combo)
             if is_orthonormal_set(family) and len(set(v.masks for v in family)) == n:

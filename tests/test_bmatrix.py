@@ -6,6 +6,7 @@ from operator import or_
 import pytest
 
 from boolmat import (
+    AlgebraMismatchError,
     BMatrix,
     BVec,
     NotInvertibleError,
@@ -95,6 +96,24 @@ def test_dimension_mismatch(p3):
         mul(identity(p3, 2), identity(p3, 3))
     with pytest.raises(ShapeError):
         apply(identity(p3, 2), vec(p3, "({1},{2},{3})"))
+
+
+def test_rows_and_columns_reject_indices_outside_the_matrix(p3):
+    a = BMatrix(3, 3, (1, 2, 3, 4, 5, 6, 7, 0, 0), p3)
+    assert a.column(2) == vec(p3, "({1,2},{2,3},{})")
+    assert a.row(2) == vec(p3, "(*,{},{})")
+    wide = BMatrix(2, 3, (1, 2, 3, 4, 5, 6), p3)
+    assert wide.column(2) == vec(p3, "({1,2},{2,3})")
+    assert wide.row(1) == vec(p3, "({3},{1,3},{2,3})")
+    for m in (a, wide):
+        for bad in (-1, m.cols):
+            with pytest.raises(ShapeError, match=f"column {bad} out of range"):
+                m.column(bad)
+        for bad in (-1, m.rows):
+            with pytest.raises(ShapeError, match=f"row {bad} out of range"):
+                m.row(bad)
+        assert [v.masks for v in m.row_list()] == [m.masks[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
+        assert [v.masks for v in m.column_list()] == [m.masks[j :: m.cols] for j in range(m.cols)]
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -582,6 +601,17 @@ def test_reduction_block_materialization(p3):
     assert d == identity(p3, 4)
     empty = BMatrix(0, 0, (), p3)
     assert block_diag(p3, 3, empty) == identity(p3, 3)
+
+
+def test_block_diag_rejects_a_negative_block_and_a_foreign_core(p3, p5):
+    assert block_diag(p3, 0, identity(p3, 2)) == identity(p3, 2)
+    with pytest.raises(PreconditionError):
+        block_diag(p3, -1, identity(p3, 2))
+    # identity(p3, 2) has masks that fit p5, but it is not a p5 matrix.
+    with pytest.raises(AlgebraMismatchError):
+        block_diag(p5, 1, identity(p3, 2))
+    with pytest.raises(AlgebraMismatchError):
+        block_diag(p5, 0, BMatrix(0, 0, (), p3))
 
 
 def test_reduce_by_orthogonal_set_single_agrees(p5):

@@ -85,6 +85,20 @@ def test_atoms_of_final_example(final_example, p3):
     assert sorted(str(a) for a in atoms.atoms) == ["{1}", "{2}", "{3}"]
 
 
+def test_atoms_reject_columns_and_atoms_outside_the_matrix(final_example):
+    atoms = matrix_atoms(final_example)
+    assert atoms.selectors == ((0, 1, 2), (0, 2, 2), (1, 0, 1))
+    assert [atoms.reached(j) for j in range(3)] == [{0, 1}, {0, 1, 2}, {0, 1, 2}]
+    assert atoms.selector(2, 2) == 1
+    for bad in (-1, 3):
+        with pytest.raises(ShapeError, match=f"column {bad} out of range"):
+            atoms.reached(bad)
+        with pytest.raises(ShapeError, match=f"column {bad} out of range"):
+            atoms.selector(0, bad)
+        with pytest.raises(ShapeError, match=f"atom index {bad} out of range"):
+            atoms.selector(bad, 0)
+
+
 def test_atoms_reject_non_stochastic(p2):
     bad = mat(p2, """
         {1} {}

@@ -422,6 +422,13 @@ def test_verify_unknown_theorem(capsys):
     assert "unknown theorem" in err
 
 
+@pytest.mark.parametrize("extra", [["--atoms", "2"], ["--atoms", "0", "--samples", "3"]])
+def test_verify_reports_an_unknown_theorem_before_its_dimensions(extra, capsys):
+    rc, out, err = run_cli(["verify", "--theorem", "FERMAT", "--n", "0", *extra], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: unknown theorem 'FERMAT'; registered: ")
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_rejects_non_positive_samples(samples, capsys):
     rc, out, err = run_cli(
@@ -511,13 +518,20 @@ def test_importing_the_library_and_cli_leaves_the_oracle_unloaded():
         "import sys, boolmat, boolmat.cli\n"
         "print('boolmat.oracle' in sys.modules)\n"
         "from boolmat.oracle import brute_check\n"
-        "names = ['BudgetExceededError', 'EnumSpec', 'Verdict', 'brute_check', 'enumerate_objects', 'sample_check']\n"
+        "names = ['BudgetExceededError', 'Verdict', 'brute_check', 'sample_check']\n"
         "print(boolmat.brute_check is brute_check, all(hasattr(boolmat, n) for n in names))\n"
         "print(hasattr(boolmat, 'no_such_name'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True", "True", "False"]
+
+
+def test_lazy_oracle_names_are_public_oracle_names():
+    from boolmat import oracle
+
+    assert boolmat._ORACLE_NAMES <= set(oracle.__all__)
+    assert all(getattr(boolmat, name) is getattr(oracle, name) for name in boolmat._ORACLE_NAMES)
 
 
 def test_verify_budget_defaults_to_the_oracle_budget(capsys):

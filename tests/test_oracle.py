@@ -12,65 +12,99 @@ from boolmat.oracle import (
     DEFAULT_BUDGET,
     THEOREMS,
     BudgetExceededError,
-    EnumSpec,
     brute_check,
-    enumerate_objects,
     sample_check,
-    space_size,
 )
 
 
 def test_spec_validation():
-    with pytest.raises(PreconditionError):
-        EnumSpec(2, 2, "nonsense")
-    with pytest.raises(PreconditionError):
-        EnumSpec(0, 2, "all_vectors")
+    for n, k in ((0, 2), (2, 0), (-1, 1)):
+        with pytest.raises(PreconditionError, match="n and k must be at least 1"):
+            brute_check("STOINV", n, k)
+        with pytest.raises(PreconditionError, match="n and k must be at least 1"):
+            sample_check("STOINV", n, k, samples=3)
+    # The theorem name is looked up first, the dimension precondition last.
+    with pytest.raises(PreconditionError, match="unknown theorem 'FERMAT'"):
+        brute_check("FERMAT", 0, 2)
+    with pytest.raises(PreconditionError, match="n and k must be at least 1"):
+        brute_check("ODDINV", 0, 2)
+
+
+def _involutions(n):
+    return sum(
+        math.factorial(n) // (math.factorial(j) * 2**j * math.factorial(n - 2 * j))
+        for j in range(n // 2 + 1)
+    )
+
+
+# Objects an exhaustive run checks, for every theorem whose source is not a
+# search over orthonormal families.
+CHECKED = {
+    "NORM": lambda n, k: 2 ** (2 * k * n + k),
+    "DESCENT": lambda n, k: n ** (2 * k),
+    "INVERSE": lambda n, k: 2 ** (k * n * n),
+    "STOINV": lambda n, k: n ** (k * n),
+    "ODDINV": lambda n, k: _involutions(n) ** k,
+    "UNITREDUCE": lambda n, k: math.factorial(n) ** k + math.factorial(n) ** (2 * k),
+    "ATOMS": lambda n, k: n ** (k * n),
+    "POWER": lambda n, k: n ** (k * n) + math.factorial(n) ** k,
+    "PERIOD_DIVIDES": lambda n, k: n ** (k * n),
+}
+SEARCH_SHAPED = {"DUALITY", "BASIS_UPBOUND", "DIMENSION", "DIMCOR2", "INCOMPLETE"}
 
 
 def test_space_sizes():
-    assert space_size(EnumSpec(2, 2, "all_vectors")) == 16
-    assert space_size(EnumSpec(2, 2, "stochastic_vectors")) == 4
-    assert space_size(EnumSpec(3, 1, "stochastic_vectors")) == 3
-    assert space_size(EnumSpec(2, 2, "stochastic_matrices")) == 16
-    assert space_size(EnumSpec(2, 3, "stochastic_matrices")) == 64
-    assert space_size(EnumSpec(2, 6, "stochastic_matrices")) == 4096
-    assert space_size(EnumSpec(3, 2, "unitary_matrices")) == 36
-    assert space_size(EnumSpec(3, 2, "orthonormal_sets")) is None
+    """The closed forms at small scales, against literal counts; the
+    exhaustive grid checks them on every verdict."""
+    assert set(CHECKED) | SEARCH_SHAPED == set(THEOREMS)
+    assert (_involutions(3), _involutions(5)) == (4, 26)
+    for theorem, n, k, size in (
+        ("NORM", 2, 2, 1024),
+        ("DESCENT", 3, 1, 9),
+        ("INVERSE", 2, 2, 256),
+        ("STOINV", 2, 2, 16),
+        ("STOINV", 2, 3, 64),
+        ("STOINV", 2, 6, 4096),
+        ("ODDINV", 3, 2, 16),
+        ("UNITREDUCE", 3, 2, 36 + 36 * 36),
+        ("POWER", 2, 2, 16 + 4),
+    ):
+        assert CHECKED[theorem](n, k) == size
+        verdict = brute_check(theorem, n, k)
+        assert verdict.passed, str(verdict)
+        assert verdict.checked == size
 
 
 def test_enumerations_match_closed_forms():
-    for spec in (
-        EnumSpec(2, 2, "all_vectors"),
-        EnumSpec(2, 2, "stochastic_vectors"),
-        EnumSpec(3, 1, "stochastic_vectors"),
-        EnumSpec(2, 2, "stochastic_matrices"),
-        EnumSpec(2, 2, "unitary_matrices"),
-    ):
-        objects = list(enumerate_objects(spec))
-        assert len(objects) == space_size(spec)
-        assert len(set(map(_key, objects))) == len(objects)
-
-
-def _key(obj):
-    if isinstance(obj, (BVec, BMatrix)):
-        return obj.masks
-    return tuple(v.masks for v in obj)
+    for n, k in ((2, 2), (3, 1), (2, 3)):
+        for masks, size in (
+            (oracle._iter_vector_masks(n, k), 2 ** (k * n)),
+            (oracle._iter_stochastic_masks(n, k), n**k),
+            (oracle._iter_stochastic_matrix_masks(n, k), n ** (k * n)),
+            (oracle._iter_unitary_masks(n, k), math.factorial(n) ** k),
+        ):
+            objects = list(masks)
+            assert len(objects) == size
+            assert len(set(objects)) == len(objects)
 
 
 def test_enumerated_stochastic_vectors_are_stochastic():
-    for v in enumerate_objects(EnumSpec(3, 2, "stochastic_vectors")):
-        assert v.is_stochastic()
+    alg = make_algebra(["1", "2"])
+    for v in oracle._iter_stochastic_masks(3, 2):
+        assert BVec(v, alg).is_stochastic()
 
 
 def test_stochastic_vectors_n2_k2_listed():
-    got = {str(v) for v in enumerate_objects(EnumSpec(2, 2, "stochastic_vectors"))}
+    alg = make_algebra(["1", "2"])
+    got = {str(BVec(v, alg)) for v in oracle._iter_stochastic_masks(2, 2)}
     assert got == {"(*,{})", "({},*)", "({1},{2})", "({2},{1})"}
 
 
 def test_enumerated_unitaries_are_unitary():
     from boolmat import is_unitary
 
-    mats = list(enumerate_objects(EnumSpec(2, 2, "unitary_matrices")))
+    alg = make_algebra(["1", "2"])
+    mats = [BMatrix(2, 2, m, alg) for m in oracle._iter_unitary_masks(2, 2)]
     assert len(mats) == 4
     assert all(is_unitary(m) for m in mats)
 
@@ -78,23 +112,29 @@ def test_enumerated_unitaries_are_unitary():
 def test_orthonormal_set_enumeration_is_orthonormal():
     from boolmat import is_orthonormal_set
 
-    families = list(enumerate_objects(EnumSpec(2, 2, "orthonormal_sets")))
+    alg = make_algebra(["1", "2"])
+    families = list(THEOREMS["DUALITY"].source(2, 2, DEFAULT_BUDGET))
     assert families
-    assert all(is_orthonormal_set(f) for f in families)
+    assert len(set(families)) == len(families)
+    assert all(is_orthonormal_set([BVec(v, alg) for v in f]) for f in families)
     assert all(len(f) <= 2 for f in families)
 
 
 def test_budget_refusal_reports_required_size():
     with pytest.raises(BudgetExceededError) as err:
-        list(enumerate_objects(EnumSpec(8, 8, "stochastic_matrices"), budget=1000))
+        brute_check("STOINV", 8, 8, budget=1000)
     assert err.value.required == 8**64
     with pytest.raises(BudgetExceededError):
-        brute_check("POWER", EnumSpec(8, 8, "stochastic_matrices"), budget=1000)
+        brute_check("POWER", 8, 8, budget=1000)
+    # A search over families has no closed form: it counts node visits.
+    with pytest.raises(BudgetExceededError) as err:
+        brute_check("DUALITY", 3, 2, budget=10)
+    assert err.value.required is None
 
 
 def test_unknown_theorem_rejected():
     with pytest.raises(PreconditionError):
-        brute_check("FERMAT", EnumSpec(2, 2, "stochastic_matrices"))
+        brute_check("FERMAT", 2, 2)
 
 
 GRID = [
@@ -126,19 +166,21 @@ GRID = [
 
 @pytest.mark.parametrize("theorem,n,k", GRID)
 def test_exhaustive_theorem_check_passes(theorem, n, k):
-    verdict = brute_check(theorem, EnumSpec(n, k, "stochastic_matrices"))
+    verdict = brute_check(theorem, n, k)
     assert verdict.passed, str(verdict)
     assert verdict.checked > 0
+    if theorem in CHECKED:
+        assert verdict.checked == CHECKED[theorem](n, k)
 
 
 def test_stoinv_exhaustive_object_count():
-    verdict = brute_check("STOINV", EnumSpec(3, 2, "stochastic_matrices"))
+    verdict = brute_check("STOINV", 3, 2)
     assert verdict.checked == 729
 
 
 def test_oddinv_rejects_even_dimension():
     with pytest.raises(PreconditionError):
-        brute_check("ODDINV", EnumSpec(2, 2, "stochastic_matrices"))
+        brute_check("ODDINV", 2, 2)
 
 
 SAMPLED = [
@@ -157,7 +199,7 @@ SAMPLED = [
 
 @pytest.mark.parametrize("theorem,n,k", SAMPLED)
 def test_sampled_theorem_check_passes(theorem, n, k):
-    verdict = sample_check(theorem, EnumSpec(n, k, "stochastic_matrices"), samples=50, seed=5)
+    verdict = sample_check(theorem, n, k, samples=50, seed=5)
     assert verdict.passed, str(verdict)
     assert verdict.checked == 50
     assert verdict.mode == "sampled"
@@ -171,9 +213,7 @@ def test_sampler_draws_from_the_exhaustive_object_space(theorem):
     entry = THEOREMS[theorem]
 
     def key(obj):
-        if entry.kind == "orthonormal_sets":
-            return frozenset(obj)
-        return obj
+        return frozenset(obj) if theorem == "INCOMPLETE" else obj
 
     space = {key(obj) for obj in entry.source(n, k, DEFAULT_BUDGET)}
     rng = random.Random(11)
@@ -186,14 +226,14 @@ def test_sampler_draws_from_the_exhaustive_object_space(theorem):
 
 def test_sampled_incomplete_runs_the_generating_check(monkeypatch):
     monkeypatch.setattr(oracle, "_is_generating", lambda vectors, n, k: False)
-    verdict = sample_check("INCOMPLETE", EnumSpec(4, 2, "orthonormal_sets"), 20)
+    verdict = sample_check("INCOMPLETE", 4, 2, 20)
     assert not verdict.passed
     assert verdict.checked == 1
 
 
 def test_dimension_fails_when_no_basis_is_enumerated(monkeypatch):
     monkeypatch.setattr(oracle, "_is_generating", lambda vectors, n, k: False)
-    verdict = brute_check("DIMENSION", EnumSpec(2, 2, "orthonormal_sets"))
+    verdict = brute_check("DIMENSION", 2, 2)
     assert not verdict.passed
     assert verdict.checked > 0
 
@@ -201,7 +241,7 @@ def test_dimension_fails_when_no_basis_is_enumerated(monkeypatch):
 def test_run_over_no_objects_is_not_a_pass(monkeypatch):
     empty = dataclasses.replace(THEOREMS["STOINV"], source=lambda n, k, budget: iter(()))
     monkeypatch.setitem(THEOREMS, "STOINV", empty)
-    verdict = brute_check("STOINV", EnumSpec(2, 2, "stochastic_matrices"))
+    verdict = brute_check("STOINV", 2, 2)
     assert not verdict.passed
     assert verdict.checked == 0
 
@@ -209,16 +249,15 @@ def test_run_over_no_objects_is_not_a_pass(monkeypatch):
 @pytest.mark.parametrize("samples", [0, -5])
 def test_non_positive_sample_counts_rejected(samples):
     with pytest.raises(PreconditionError):
-        sample_check("NORM", EnumSpec(2, 2, "all_vectors"), samples)
+        sample_check("NORM", 2, 2, samples)
 
 
 @pytest.mark.parametrize("theorem,n", [("INCOMPLETE", 1), ("DESCENT", 1), ("ODDINV", 4)])
 def test_preconditions_apply_to_both_modes(theorem, n):
-    spec = EnumSpec(n, 2, THEOREMS[theorem].kind)
     with pytest.raises(PreconditionError):
-        brute_check(theorem, spec)
+        brute_check(theorem, n, 2)
     with pytest.raises(PreconditionError):
-        sample_check(theorem, spec, samples=3)
+        sample_check(theorem, n, 2, samples=3)
 
 
 def _spans_everything(vectors, n, k):
@@ -258,7 +297,7 @@ def test_residuation_generating_test_matches_span_enumeration():
 
 def test_sampling_unavailable_for_search_shaped_checks():
     with pytest.raises(PreconditionError):
-        sample_check("DUALITY", EnumSpec(2, 2, "stochastic_matrices"), samples=5)
+        sample_check("DUALITY", 2, 2, samples=5)
 
 
 def test_registered_theorem_ids_are_complete():
@@ -330,39 +369,37 @@ def test_unitreduce_fails_like_direct_search_when_nothing_reduces(monkeypatch, n
     monkeypatch.setattr(oracle, "_block_form", lambda n, d, full: False)
     direct = _direct_unitreduce(n, k)
     first = next((i, c) for i, f in enumerate(_families(n, k), start=1) if (c := direct(f)) is not None)
-    verdict = brute_check("UNITREDUCE", EnumSpec(n, k, "unitary_matrices"))
+    verdict = brute_check("UNITREDUCE", n, k)
     assert not verdict.passed
     assert (verdict.checked, verdict.counterexample) == first
 
 
 def test_unitreduce_remembers_nothing_across_runs(monkeypatch):
-    spec = EnumSpec(2, 3, "unitary_matrices")
-    assert brute_check("UNITREDUCE", spec).passed
+    assert brute_check("UNITREDUCE", 2, 3).passed
     monkeypatch.setattr(oracle, "_block_form", lambda n, d, full: False)
-    assert not brute_check("UNITREDUCE", spec).passed
+    assert not brute_check("UNITREDUCE", 2, 3).passed
     monkeypatch.undo()
-    assert brute_check("UNITREDUCE", spec).passed
+    assert brute_check("UNITREDUCE", 2, 3).passed
 
 
 def test_unitreduce_exhaustive_at_n2_k6():
-    verdict = brute_check("UNITREDUCE", EnumSpec(2, 6, "unitary_matrices"))
+    verdict = brute_check("UNITREDUCE", 2, 6)
     assert verdict.passed, str(verdict)
     assert verdict.checked == 64 + 64 * 64
 
 
 def test_unitreduce_checks_every_pair_at_n3_k3():
-    verdict = brute_check("UNITREDUCE", EnumSpec(3, 3, "unitary_matrices"))
+    verdict = brute_check("UNITREDUCE", 3, 3)
     assert verdict.passed, str(verdict)
     assert verdict.checked == 216 + 216 * 216 == 46872
 
 
 def test_unitreduce_pairs_need_only_a_quadratic_budget():
-    spec = EnumSpec(2, 4, "unitary_matrices")
-    verdict = brute_check("UNITREDUCE", spec, budget=300)
+    verdict = brute_check("UNITREDUCE", 2, 4, budget=300)
     assert verdict.passed, str(verdict)
     assert verdict.checked == 16 + 16 * 16 == 272
     with pytest.raises(BudgetExceededError):
-        brute_check("UNITREDUCE", spec, budget=255)
+        brute_check("UNITREDUCE", 2, 4, budget=255)
 
 
 # --- POWER and PERIOD_DIVIDES walk each distinct power once ---
@@ -473,7 +510,7 @@ def test_power_walk_costs_one_product_per_distinct_power(monkeypatch):
 @pytest.mark.parametrize("theorem,most", [("PERIOD_DIVIDES", 1702), ("POWER", 2522)])
 def test_exhaustive_power_checks_stay_within_their_product_counts(monkeypatch, theorem, most):
     calls = _counting_matmul(monkeypatch)
-    verdict = brute_check(theorem, EnumSpec(3, 2, "stochastic_matrices"))
+    verdict = brute_check(theorem, 3, 2)
     assert verdict.passed, str(verdict)
     assert 0 < calls[0] <= most
 
@@ -510,7 +547,7 @@ def test_power_theorems_fail_under_a_wrong_product(monkeypatch, wrong, n, k, the
     check = fresh(n, k)
     objects = THEOREMS[theorem].source(n, k, DEFAULT_BUDGET)
     first = next((i, c) for i, obj in enumerate(objects, start=1) if (c := check(obj)) is not None)
-    verdict = brute_check(theorem, EnumSpec(n, k, "stochastic_matrices"))
+    verdict = brute_check(theorem, n, k)
     assert not verdict.passed
     assert (verdict.checked, verdict.counterexample) == first
 
