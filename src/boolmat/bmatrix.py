@@ -2,9 +2,9 @@
 
 A matrix multiplies by join-of-meets; columns of a stochastic matrix are
 stochastic vectors, and unitary matrices (``A A* = A* A = I``) are exactly
-the invertible ones, with inverse the transpose. Reflections (symmetric
-stochastic matrices) built from invariant stochastic vectors conjugate a
-unitary into block-diagonal form; :class:`Reduction` records the outcome.
+the invertible ones, with inverse the transpose. A unitary permutes each
+atom's slots; read slot by slot, invariant stochastic vectors give the
+block-diagonal form with no product, and :class:`Reduction` records it.
 
 Hot products dispatch to the packed-word kernel selected at import in
 :mod:`boolmat._kernel`.
@@ -24,7 +24,7 @@ from .algebra import (
     PreconditionError,
     ShapeError,
 )
-from .bvec import BVec, disjointify
+from .bvec import BVec, _atom_slots, disjoint_refinement
 
 __all__ = [
     "BMatrix",
@@ -293,9 +293,10 @@ def find_invariant_stochastic(matrices: Sequence[BMatrix]) -> BVec | None:
         _check_same_algebra(matrices[0], m)
         if m.rows != matrices[0].rows:
             raise ShapeError("family members must have equal sizes")
-    if not joint_trace(matrices).is_one:
+    diagonal = BVec(tuple(_diagonal_meet(matrices)), matrices[0].algebra)
+    if not diagonal.is_unit():
         return None
-    b = disjointify(BVec(tuple(_diagonal_meet(matrices)), matrices[0].algebra))
+    b = disjoint_refinement(diagonal)
     assert all(apply(m, b) == b for m in matrices), "constructed vector is not invariant"
     return b
 
@@ -361,16 +362,34 @@ def block_diag(algebra: Algebra, fixed: int, core: BMatrix) -> BMatrix:
     return BMatrix(n, n, tuple(masks), algebra)
 
 
-def _split_fixed_block(d: BMatrix) -> BMatrix:
-    """Check ``d = diag(1, C)`` and return C; failure is an internal error."""
-    n = d.rows
-    full = d.algebra._full
-    ok = d.masks[0] == full
-    ok = ok and all(d.masks[j] == 0 for j in range(1, n))
-    ok = ok and all(d.masks[i * n] == 0 for i in range(1, n))
-    assert ok, "conjugated matrix lost its guaranteed block form"
-    core = tuple(d.masks[i * n + j] for i in range(1, n) for j in range(1, n))
-    return BMatrix(n - 1, n - 1, core, d.algebra)
+def _reduce_by_slots(matrices: Sequence[BMatrix], invariants: Sequence[BVec]) -> list[Reduction]:
+    """Reduce unitaries that fix the orthogonal stochastic ``invariants``.
+
+    One :func:`_atom_slots` scan gives, per atom group, each member's
+    permutation (column to row) and each invariant's slot. Position t of the
+    conjugator takes invariant t's slot, swapped with whatever held it (one
+    invariant gives ``reflection_from``); each core is the member's
+    permutation seen through the conjugator's, cut to positions m..n-1.
+    """
+    alg = matrices[0].algebra
+    n, m, r = matrices[0].rows, len(invariants), len(matrices)
+    columns = [a.masks[j::n] for a in matrices for j in range(n)] + [v.masks for v in invariants]
+    conjugator = [0] * (n * n)
+    cores = [[0] * ((n - m) * (n - m)) for _ in matrices]
+    for s, w in _atom_slots(columns, alg.atom_count).items():
+        sigma = list(range(n))
+        for t, slot in enumerate(s[r * n :]):
+            p = sigma.index(slot)
+            sigma[t], sigma[p] = slot, sigma[t]
+        position = [0] * n
+        for j, i in enumerate(sigma):
+            conjugator[i * n + j] |= w
+            position[i] = j
+        for core, start in zip(cores, range(0, r * n, n)):
+            for j in range(m, n):
+                core[(position[s[start + sigma[j]]] - m) * (n - m) + j - m] |= w
+    b = BMatrix(n, n, tuple(conjugator), alg)
+    return [Reduction(conjugator=b, core=BMatrix(n - m, n - m, tuple(c), alg), fixed_count=m) for c in cores]
 
 
 def reduce_unitary(matrices: Sequence[BMatrix]) -> list[Reduction] | None:
@@ -389,21 +408,16 @@ def reduce_unitary(matrices: Sequence[BMatrix]) -> list[Reduction] | None:
     b = find_invariant_stochastic(matrices)
     if b is None:
         return None
-    refl = reflection_from(b)
-    out = []
-    for m in matrices:
-        d = mul(refl, mul(m, refl))
-        out.append(Reduction(conjugator=refl, core=_split_fixed_block(d), fixed_count=1))
-    return out
+    return _reduce_by_slots(matrices, [b])
 
 
 def reduce_by_orthogonal_set(a: BMatrix, invariants: Sequence[BVec]) -> Reduction:
     """Reduce a unitary by an invariant orthogonal set of stochastic vectors.
 
-    Peels one vector at a time: reflect it onto the first slot, cut off the
-    fixed block, and push the remaining vectors into the smaller space. The
-    conjugators accumulate into one unitary B with
-    ``A = B . diag(I_m, C) . B*`` where m = len(invariants).
+    The unitary permutes each atom's slots, fixing the atom's slot in every
+    invariant; per atom, the conjugator B takes invariant t's slot to
+    position t, so ``A = B . diag(I_m, C) . B*`` with m = len(invariants).
+    B is the product of the reflections that peel the invariants in order.
     """
     if not is_unitary(a):
         raise PreconditionError("reduce_by_orthogonal_set needs a unitary matrix")
@@ -421,23 +435,7 @@ def reduce_by_orthogonal_set(a: BMatrix, invariants: Sequence[BVec]) -> Reductio
             if any(x & y for x, y in zip(v.masks, w.masks)):
                 raise PreconditionError("invariant vectors must be mutually orthogonal")
 
-    alg = a.algebra
-    current = a
-    remaining = list(invariants)
-    conjugator: BMatrix | None = None
-    for step in range(len(invariants)):
-        refl = reflection_from(remaining[0])
-        current = _split_fixed_block(mul(refl, mul(current, refl)))
-        next_remaining = []
-        for v in remaining[1:]:
-            image = apply(refl, v)
-            assert image.masks[0] == 0, "orthogonal invariant kept a first component"
-            next_remaining.append(BVec(image.masks[1:], alg))
-        remaining = next_remaining
-        lifted = block_diag(alg, step, refl) if step else refl
-        conjugator = lifted if conjugator is None else mul(conjugator, lifted)
-    assert conjugator is not None
-    result = Reduction(conjugator=conjugator, core=current, fixed_count=len(invariants))
+    result = _reduce_by_slots([a], invariants)[0]
     assert result.reconstruct() == a, "reduction failed to reconstruct its input"
     return result
 

@@ -88,6 +88,8 @@ class BVec:
         return len(self.masks)
 
     def __getitem__(self, i: int) -> Elem:
+        if not 0 <= i < len(self.masks):
+            raise ShapeError(f"index {i} out of range for a length-{len(self.masks)} vector")
         return Elem(self.masks[i], self.algebra)
 
     def entries(self) -> list[Elem]:
@@ -384,6 +386,8 @@ def extend_to_basis(
         dim, alg = _uniform(vs)
         if n is not None and n != dim:
             raise ShapeError(f"vectors have length {dim}, not n={n}")
+        if algebra is not None and algebra is not alg:
+            raise AlgebraMismatchError("vectors are not over the given algebra")
         for v in vs:
             _require_stochastic(v, "extend_to_basis: every vector")
     elif n is None or algebra is None:

@@ -12,12 +12,11 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .algebra import Algebra, Elem, PreconditionError
+from .algebra import Algebra, PreconditionError
 from .bmatrix import BMatrix
 from .bvec import BVec
 
 __all__ = [
-    "random_elem",
     "random_vector",
     "random_stochastic_vector",
     "random_orthogonal_stochastic_pair",
@@ -27,10 +26,6 @@ __all__ = [
     "random_stochastic_orthonormal_set",
     "random_involution",
 ]
-
-
-def random_elem(rng: random.Random, algebra: Algebra) -> Elem:
-    return algebra.from_mask(rng.randrange(algebra._full + 1))
 
 
 def random_vector(rng: random.Random, algebra: Algebra, n: int) -> BVec:

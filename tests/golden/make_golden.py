@@ -1,8 +1,10 @@
 """Write the golden records: what every model command prints on the
 fixtures (``cli_outputs.json``), what ``verify`` prints
-(``verify_outputs.json``), and what the two atom-slot constructions,
+(``verify_outputs.json``), what the two atom-slot constructions,
 ``extend_to_basis`` and ``matrix_atoms``, return on seeded stochastic input
-(``construct_outputs.json``).
+(``construct_outputs.json``), and what the two reductions,
+``reduce_unitary`` and ``reduce_by_orthogonal_set``, return on seeded
+unitary input (``reduce_outputs.json``).
 
 Run from the root of a checkout whose output is the reference::
 
@@ -10,9 +12,9 @@ Run from the root of a checkout whose output is the reference::
 
 Each record holds one in-process ``boolmat.cli.main`` call with its exit
 code, stdout and stderr. Model records name command, fixture and mode;
-verify records hold the argv itself. Construction records hold input and
-output as masks. ``tests/test_golden.py`` replays the records, so a change
-that alters one output byte fails there.
+verify records hold the argv itself. Construction and reduction records
+hold input and output as masks. ``tests/test_golden.py`` replays the
+records, so a change that alters one output byte fails there.
 """
 
 from __future__ import annotations
@@ -23,7 +25,15 @@ import json
 import os
 import random
 
-from boolmat import BMatrix, BVec, extend_to_basis, make_algebra, matrix_atoms
+from boolmat import (
+    BMatrix,
+    BVec,
+    extend_to_basis,
+    make_algebra,
+    matrix_atoms,
+    reduce_by_orthogonal_set,
+    reduce_unitary,
+)
 from boolmat.cli import fixture_path, main
 from boolmat.oracle import THEOREMS
 from boolmat.rand import random_stochastic_matrix, random_stochastic_orthonormal_set
@@ -37,6 +47,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "cli_outputs.json")
 VERIFY_GOLDEN = os.path.join(HERE, "verify_outputs.json")
 CONSTRUCT_GOLDEN = os.path.join(HERE, "construct_outputs.json")
+REDUCE_GOLDEN = os.path.join(HERE, "reduce_outputs.json")
 
 # Every theorem runs exhaustively at (n, k) = (3, 2): odd, at least two and
 # each run under a second. INVERSE is refused there (16,777,216 matrices
@@ -65,6 +76,16 @@ CONSTRUCT_SEED = 29
 CONSTRUCT_ATOMS = (1, 3, 8, 65)
 BASIS_DIMS = range(1, 13)
 ATOM_DIMS = range(0, 11)
+
+
+# Reduction inputs, atom by atom: a unitary moves each atom's slots by a
+# permutation. At every n = 1..9 and k in CONSTRUCT_ATOMS, one family of 1-3
+# unitaries whose permutations fix a common slot per atom (joint trace one)
+# and one of 1-3 uniform unitaries (joint trace one only by chance); at every
+# n and m = 1..n, with k cycling, one unitary fixing m orthogonal invariants,
+# passed in shuffled order.
+REDUCE_SEED = 31
+REDUCE_DIMS = range(1, 10)
 
 
 def argv_of(command: str, fixture: str, names: list[str], porcelain: bool) -> list[str]:
@@ -158,6 +179,81 @@ def construct_records() -> list[dict]:
     return found
 
 
+def _permutation_fixing(rng: random.Random, n: int, fixed: list[int]) -> list[int]:
+    """A uniform permutation of ``range(n)`` that fixes every slot in ``fixed``."""
+    moved = [s for s in range(n) if s not in fixed]
+    image = moved[:]
+    rng.shuffle(image)
+    perm = list(range(n))
+    for s, t in zip(moved, image):
+        perm[s] = t
+    return perm
+
+
+def _unitary_masks(n: int, perms: list[list[int]]) -> list[int]:
+    """The unitary whose atom ``bit`` sends column j to row ``perms[bit][j]``."""
+    masks = [0] * (n * n)
+    for bit, perm in enumerate(perms):
+        for j, i in enumerate(perm):
+            masks[i * n + j] |= 1 << bit
+    return masks
+
+
+def _reduction_masks(red) -> dict:
+    return {
+        "conjugator": list(red.conjugator.masks),
+        "core_rows": red.core.rows,
+        "core": list(red.core.masks),
+        "fixed_count": red.fixed_count,
+    }
+
+
+def unitary_reduce_output(n: int, k: int, family: list[list[int]]) -> list[dict] | None:
+    """``reduce_unitary`` on the given masks, as masks, or None."""
+    alg = construct_algebra(k)
+    reductions = reduce_unitary([BMatrix(n, n, tuple(m), alg) for m in family])
+    return None if reductions is None else [_reduction_masks(r) for r in reductions]
+
+
+def orthogonal_reduce_output(n: int, k: int, matrix: list[int], invariants: list[list[int]]) -> dict:
+    """``reduce_by_orthogonal_set`` on the given masks, as masks."""
+    alg = construct_algebra(k)
+    a = BMatrix(n, n, tuple(matrix), alg)
+    return _reduction_masks(reduce_by_orthogonal_set(a, [BVec(tuple(v), alg) for v in invariants]))
+
+
+def reduce_records() -> list[dict]:
+    rng = random.Random(REDUCE_SEED)
+    found = []
+    for k in CONSTRUCT_ATOMS:
+        for n in REDUCE_DIMS:
+            for shared in (True, False):
+                fixed = [[rng.randrange(n)] if shared else [] for _ in range(k)]
+                family = [
+                    _unitary_masks(n, [_permutation_fixing(rng, n, f) for f in fixed])
+                    for _ in range(rng.randint(1, 3))
+                ]
+                found.append({
+                    "reduce": "unitary", "n": n, "k": k, "family": family,
+                    "result": unitary_reduce_output(n, k, family),
+                })
+    for n in REDUCE_DIMS:
+        for m in range(1, n + 1):
+            k = CONSTRUCT_ATOMS[(n + m) % len(CONSTRUCT_ATOMS)]
+            slots = [rng.sample(range(n), m) for _ in range(k)]
+            matrix = _unitary_masks(n, [_permutation_fixing(rng, n, s) for s in slots])
+            invariants = [[0] * n for _ in range(m)]
+            for bit, s in enumerate(slots):
+                for v, slot in zip(invariants, s):
+                    v[slot] |= 1 << bit
+            rng.shuffle(invariants)
+            found.append({
+                "reduce": "orthogonal", "n": n, "k": k, "matrix": matrix, "invariants": invariants,
+                "result": orthogonal_reduce_output(n, k, matrix, invariants),
+            })
+    return found
+
+
 def write(path: str, recs: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(recs, fh, indent=1)
@@ -176,3 +272,4 @@ if __name__ == "__main__":
     write(GOLDEN, records())
     write(VERIFY_GOLDEN, verify_records())
     write_lines(CONSTRUCT_GOLDEN, construct_records())
+    write_lines(REDUCE_GOLDEN, reduce_records())

@@ -672,6 +672,32 @@ def test_reduce_by_orthogonal_set_validations(p3):
         reduce_by_orthogonal_set(u, [delta(p3, 3, 0), delta(p3, 3, 0)])
 
 
+def test_reductions_read_atom_slots_without_products(monkeypatch):
+    # reduce_unitary multiplies nothing; reduce_by_orthogonal_set only makes
+    # the two products of its reconstruct() self-check, whatever m is.
+    rng = random.Random(53)
+    alg = make_algebra(["1", "2", "3"])
+    real = _kernel.matmul
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    family = [block_diag(alg, 1, br.random_unitary(rng, alg, 4)) for _ in range(3)]
+    conj = br.random_unitary(rng, alg, 5)
+    a = mul(conj, mul(block_diag(alg, 3, br.random_unitary(rng, alg, 2)), adjoint(conj)))
+    monkeypatch.setattr(_kernel, "matmul", counting)
+    for size in (1, 3):
+        assert reduce_unitary(family[:size]) is not None
+        assert calls == []
+    for m in (1, 2, 3):
+        calls.clear()
+        red = reduce_by_orthogonal_set(a, [conj.column(j) for j in range(m)])
+        assert red.fixed_count == m
+        assert len(calls) == 2
+
+
 # --- powers ---
 
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boolmat import (
+    AlgebraMismatchError,
     BVec,
     PreconditionError,
     ShapeError,
@@ -67,6 +68,14 @@ def test_zero_length_rejected(p3):
         zero_vec(p3, 0)
     with pytest.raises(ShapeError):
         BVec((), p3)
+
+
+def test_entries_reject_indices_outside_the_vector(p3):
+    v = vec(p3, "({1},{2},{})")
+    assert [v[i] for i in range(3)] == v.entries()
+    for i in (-1, len(v)):
+        with pytest.raises(ShapeError):
+            v[i]
 
 
 # --- inner product and norm ---
@@ -379,6 +388,15 @@ def test_extend_empty_gives_canonical(p3):
     assert extend_to_basis([], n=3, algebra=p3) == canonical_basis(p3, 3)
     with pytest.raises(PreconditionError):
         extend_to_basis([])
+
+
+def test_extend_rejects_an_algebra_other_than_the_vectors(p3, p5):
+    a = vec(p3, "({1},{2},{3})")
+    assert extend_to_basis([a], n=3, algebra=p3) == cyclic_basis(a)
+    with pytest.raises(AlgebraMismatchError):
+        extend_to_basis([a], n=3, algebra=p5)
+    with pytest.raises(AlgebraMismatchError):
+        extend_to_basis([a], algebra=make_algebra(["1", "2", "3"]))
 
 
 @pytest.mark.parametrize("n", [-1, 0])

@@ -5,8 +5,10 @@ commands on both bundled fixtures in porcelain and human mode.
 ``verify_outputs.json`` holds ``verify`` runs in both modes: every theorem at
 one exhaustive scale, UNITREDUCE at three, every theorem with a sampler at
 one seeded sampled scale, and refused runs. ``construct_outputs.json`` holds
-``extend_to_basis`` and ``matrix_atoms`` on seeded stochastic input, as
-masks. An intended output change regenerates them with
+``extend_to_basis`` and ``matrix_atoms`` on seeded stochastic input, and
+``reduce_outputs.json`` holds ``reduce_unitary`` and
+``reduce_by_orthogonal_set`` on seeded unitary input, both as masks. An
+intended output change regenerates them with
 ``tests/golden/make_golden.py``.
 """
 
@@ -18,11 +20,14 @@ from boolmat.oracle import THEOREMS
 from golden.make_golden import (
     CONSTRUCT_GOLDEN,
     GOLDEN,
+    REDUCE_GOLDEN,
     VERIFY_GOLDEN,
     argv_of,
     atoms_output,
     basis_output,
+    orthogonal_reduce_output,
     run,
+    unitary_reduce_output,
 )
 
 with open(GOLDEN, encoding="utf-8") as fh:
@@ -31,6 +36,10 @@ with open(VERIFY_GOLDEN, encoding="utf-8") as fh:
     VERIFY_RECORDS = json.load(fh)
 with open(CONSTRUCT_GOLDEN, encoding="utf-8") as fh:
     CONSTRUCT_RECORDS = json.load(fh)
+with open(REDUCE_GOLDEN, encoding="utf-8") as fh:
+    REDUCE_RECORDS = json.load(fh)
+UNITARY_RECORDS = [r for r in REDUCE_RECORDS if r["reduce"] == "unitary"]
+ORTHOGONAL_RECORDS = [r for r in REDUCE_RECORDS if r["reduce"] == "orthogonal"]
 BASIS_RECORDS = [r for r in CONSTRUCT_RECORDS if r["construct"] == "extend_to_basis"]
 ATOM_RECORDS = [r for r in CONSTRUCT_RECORDS if r["construct"] == "matrix_atoms"]
 
@@ -91,3 +100,31 @@ def test_construct_records_cover_every_scale():
     ks = (1, 3, 8, 65)
     assert basis == {(n, k) for n in range(1, 13) for k in ks}
     assert atoms == {(n, k) for n in range(0, 11) for k in ks}
+
+
+@pytest.mark.parametrize(
+    "record", UNITARY_RECORDS, ids=[f"n{r['n']}-k{r['k']}-{i}" for i, r in enumerate(UNITARY_RECORDS)]
+)
+def test_reduce_unitary_matches_golden(record):
+    assert unitary_reduce_output(record["n"], record["k"], record["family"]) == record["result"]
+
+
+@pytest.mark.parametrize(
+    "record",
+    ORTHOGONAL_RECORDS,
+    ids=[f"n{r['n']}-k{r['k']}-m{len(r['invariants'])}" for r in ORTHOGONAL_RECORDS],
+)
+def test_reduce_by_orthogonal_set_matches_golden(record):
+    got = orthogonal_reduce_output(record["n"], record["k"], record["matrix"], record["invariants"])
+    assert got == record["result"]
+
+
+def test_reduce_records_cover_every_scale():
+    ks = (1, 3, 8, 65)
+    reduced = {(r["n"], r["k"]) for r in UNITARY_RECORDS if r["result"] is not None}
+    assert reduced == {(n, k) for n in range(1, 10) for k in ks}
+    assert {r["k"] for r in UNITARY_RECORDS if r["result"] is None} == set(ks)
+    assert {len(r["family"]) for r in UNITARY_RECORDS} == {1, 2, 3}
+    orthogonal = {(r["n"], len(r["invariants"])) for r in ORTHOGONAL_RECORDS}
+    assert orthogonal == {(n, m) for n in range(1, 10) for m in range(1, n + 1)}
+    assert {r["k"] for r in ORTHOGONAL_RECORDS} == set(ks)
