@@ -13,7 +13,7 @@ Hot products dispatch to the packed-word kernel selected at import in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import _kernel
 from .algebra import (
@@ -249,6 +249,11 @@ def trace(a: BMatrix) -> Elem:
 
 def joint_trace(matrices: Sequence[BMatrix]) -> Elem:
     """Join over i of the meet of the (i,i) entries across the family."""
+    return _joined(_checked_diagonal_meet(matrices), matrices[0].algebra)
+
+
+def _checked_diagonal_meet(matrices: Sequence[BMatrix]) -> list[int]:
+    """:func:`_diagonal_meet` after the checks of :func:`joint_trace`."""
     if not matrices:
         raise PreconditionError("joint trace of an empty family")
     first = matrices[0]
@@ -258,10 +263,7 @@ def joint_trace(matrices: Sequence[BMatrix]) -> Elem:
         _check_same_algebra(first, m)
         if (m.rows, m.cols) != (first.rows, first.cols):
             raise ShapeError("joint trace needs equal sizes")
-    acc = 0
-    for d in _diagonal_meet(matrices):
-        acc |= d
-    return Elem(acc, first.algebra)
+    return _diagonal_meet(matrices)
 
 
 def _diagonal_meet(matrices: Sequence[BMatrix]) -> list[int]:
@@ -277,6 +279,26 @@ def _diagonal_meet(matrices: Sequence[BMatrix]) -> list[int]:
     return out
 
 
+def _joined(masks: Sequence[int], algebra: Algebra) -> Elem:
+    acc = 0
+    for d in masks:
+        acc |= d
+    return Elem(acc, algebra)
+
+
+def _require_family(matrices: Sequence[BMatrix], member_ok: Callable[[BMatrix], bool], message: str) -> None:
+    """A nonempty family of ``member_ok`` matrices over one algebra and of one size."""
+    if not matrices:
+        raise PreconditionError("empty family")
+    for m in matrices:
+        if not member_ok(m):
+            raise PreconditionError(message)
+    for m in matrices[1:]:
+        _check_same_algebra(matrices[0], m)
+        if m.rows != matrices[0].rows:
+            raise ShapeError("family members must have equal sizes")
+
+
 def find_invariant_stochastic(matrices: Sequence[BMatrix]) -> BVec | None:
     """Common invariant stochastic vector of a stochastic family, or None.
 
@@ -284,21 +306,26 @@ def find_invariant_stochastic(matrices: Sequence[BMatrix]) -> BVec | None:
     deterministic: greedy disjointification of the diagonal-meet vector in
     index order.
     """
-    if not matrices:
-        raise PreconditionError("empty family")
-    for m in matrices:
-        if not is_stochastic_matrix(m):
-            raise PreconditionError("find_invariant_stochastic needs stochastic matrices")
-    for m in matrices[1:]:
-        _check_same_algebra(matrices[0], m)
-        if m.rows != matrices[0].rows:
-            raise ShapeError("family members must have equal sizes")
-    diagonal = BVec(tuple(_diagonal_meet(matrices)), matrices[0].algebra)
-    if not diagonal.is_unit():
+    _require_family(matrices, is_stochastic_matrix, "find_invariant_stochastic needs stochastic matrices")
+    return _invariant(matrices, _diagonal_meet(matrices))
+
+
+def _invariant(matrices: Sequence[BMatrix], diagonal: list[int]) -> BVec | None:
+    """:func:`find_invariant_stochastic` of a checked family with diagonal meet ``diagonal``."""
+    vec = BVec(tuple(diagonal), matrices[0].algebra)
+    if not vec.is_unit():
         return None
-    b = disjoint_refinement(diagonal)
+    b = disjoint_refinement(vec)
     assert all(apply(m, b) == b for m in matrices), "constructed vector is not invariant"
     return b
+
+
+def _trace_and_invariant(matrices: Sequence[BMatrix]) -> tuple[Elem, BVec | None]:
+    """``joint_trace`` then ``find_invariant_stochastic``, checked in that
+    order, from one diagonal meet."""
+    diagonal = _checked_diagonal_meet(matrices)
+    _require_family(matrices, is_stochastic_matrix, "find_invariant_stochastic needs stochastic matrices")
+    return _joined(diagonal, matrices[0].algebra), _invariant(matrices, diagonal)
 
 
 def reflection_from(b: BVec) -> BMatrix:
@@ -400,15 +427,22 @@ def reduce_unitary(matrices: Sequence[BMatrix]) -> list[Reduction] | None:
     (no common invariant stochastic vector exists). Merely stochastic
     inputs are rejected: trace one does not make those reducible.
     """
-    if not matrices:
-        raise PreconditionError("empty family")
-    for m in matrices:
-        if not is_unitary(m):
-            raise PreconditionError("reduce_unitary needs unitary matrices")
-    b = find_invariant_stochastic(matrices)
-    if b is None:
-        return None
-    return _reduce_by_slots(matrices, [b])
+    _require_family(matrices, is_unitary, "reduce_unitary needs unitary matrices")
+    return _reductions(matrices, _diagonal_meet(matrices))
+
+
+def _reductions(matrices: Sequence[BMatrix], diagonal: list[int]) -> list[Reduction] | None:
+    """:func:`reduce_unitary` of a checked family with diagonal meet ``diagonal``."""
+    b = _invariant(matrices, diagonal)
+    return None if b is None else _reduce_by_slots(matrices, [b])
+
+
+def _trace_and_reductions(matrices: Sequence[BMatrix]) -> tuple[Elem, list[Reduction] | None]:
+    """``joint_trace`` then ``reduce_unitary``, checked in that order, from
+    one diagonal meet."""
+    diagonal = _checked_diagonal_meet(matrices)
+    _require_family(matrices, is_unitary, "reduce_unitary needs unitary matrices")
+    return _joined(diagonal, matrices[0].algebra), _reductions(matrices, diagonal)
 
 
 def reduce_by_orthogonal_set(a: BMatrix, invariants: Sequence[BVec]) -> Reduction:

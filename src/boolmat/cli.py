@@ -17,11 +17,10 @@ from . import chains
 from .algebra import BoolmatError, PreconditionError
 from .bmatrix import (
     BMatrix,
-    find_invariant_stochastic,
+    _trace_and_invariant,
+    _trace_and_reductions,
     is_stochastic_matrix,
     is_unitary,
-    joint_trace,
-    reduce_unitary,
     trace,
 )
 from .bvec import extend_to_basis
@@ -85,8 +84,7 @@ def _cmd_invariant(args) -> int:
     model = _load(args.file)
     picked = _pick_matrices(model, args.names)
     mats = [m for _, m in picked]
-    joint = joint_trace(mats)
-    vec = find_invariant_stochastic(mats)
+    joint, vec = _trace_and_invariant(mats)
     if args.porcelain:
         print(f"trace={joint}")
         print(f"invariant={'none' if vec is None else vec}")
@@ -103,8 +101,7 @@ def _cmd_reduce(args) -> int:
     model = _load(args.file)
     picked = _pick_matrices(model, args.names)
     mats = [m for _, m in picked]
-    joint = joint_trace(mats)
-    reductions = reduce_unitary(mats)
+    joint, reductions = _trace_and_reductions(mats)
     if reductions is None:
         if args.porcelain:
             print(f"trace={joint}")

@@ -4,6 +4,12 @@ The checks here are deliberately naive. They work on raw bit masks with
 triple-loop products and exhaustive searches, never touching the packed
 kernels or the constructive algorithms whose correctness they back up. A
 verdict of ``passed=False`` from any registered check is a release blocker.
+Naive is not wasteful, though: the atoms of a matrix are found by a
+depth-first walk over column selections that does not extend a prefix whose
+meet is already zero (no selection through it can meet to anything else),
+so every nonzero meet is still read off the entries as the definition
+states; and ``A b == b`` is decided row by row, up to the first row that
+differs.
 
 Each theorem is written once, as a predicate that maps one object to a
 counterexample or None. Exhaustive and sampled runs feed the same predicate,
@@ -204,6 +210,17 @@ def _matvec(n: int, a: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(_or_all(a[i * n + j] & v[j] for j in range(n)) for i in range(n))
 
 
+def _fixes(n: int, a: Sequence[int], v: Sequence[int]) -> bool:
+    """Whether ``A v == v``, row by row up to the first row that differs."""
+    for i in range(n):
+        acc = 0
+        for j in range(n):
+            acc |= a[i * n + j] & v[j]
+        if acc != v[i]:
+            return False
+    return True
+
+
 def _transpose(n: int, a: Sequence[int]) -> tuple[int, ...]:
     return tuple(a[j * n + i] for i in range(n) for j in range(n))
 
@@ -261,14 +278,26 @@ def _block_form(n: int, d: Sequence[int], full: int) -> bool:
 
 
 def _atoms_of(n: int, a: Sequence[int], full: int) -> list[tuple[int, tuple[int, ...]]]:
-    """All nonzero column-selection meets with their selections; no pruning."""
+    """All nonzero column-selection meets with their selections, in the
+    lexicographic order of the selections.
+
+    A selection picks one row per column; its meet is the meet of the picked
+    entries. The walk is depth first over the columns and carries the meet
+    of the prefix, so a prefix whose meet is already zero is not extended:
+    every selection through it meets to zero as well. Every selection left
+    is still met entry by entry, straight from the definition.
+    """
     out = []
-    for selection in product(range(n), repeat=n):
-        m = full
-        for j, i in enumerate(selection):
-            m &= a[i * n + j]
-        if m:
+
+    def walk(j: int, m: int, selection: tuple[int, ...]) -> None:
+        if j == n:
             out.append((m, selection))
+            return
+        for i in range(n):
+            if meet := m & a[i * n + j]:
+                walk(j + 1, meet, selection + (i,))
+
+    walk(0, full, ())
     return out
 
 
@@ -588,7 +617,7 @@ def _stoinv(n: int, k: int) -> Callable[[Any], str | None]:
     stoch_vecs = list(_iter_stochastic_masks(n, k))
 
     def check(a: Any) -> str | None:
-        has_invariant = any(_matvec(n, a, b) == b for b in stoch_vecs)
+        has_invariant = any(_fixes(n, a, b) for b in stoch_vecs)
         if has_invariant != (_trace(n, a) == alg._full):
             return _fmt_mat(n, a, alg)
         return None
@@ -655,10 +684,12 @@ def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
                 if rebuilt != a[i * n + j]:
                     return f"entry ({i},{j}) is not the join of its atoms"
         for m, selection in atoms:
-            for j in range(n):
-                scaled = [m if t == j else 0 for t in range(n)]
-                expect = tuple(m if t == selection[j] else 0 for t in range(n))
-                if _matvec(n, a, scaled) != expect:
+            # Column j of A (m I) is A applied to m e_j, which must be m e_i
+            # for the row i the atom selects in column j.
+            scaled = _identity_masks(n, m)
+            moved = _matmul(n, a, scaled)
+            for j, i in enumerate(selection):
+                if moved[j::n] != scaled[i::n]:
                     return f"atom action fails at column {j}"
         return None
 

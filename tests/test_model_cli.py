@@ -331,6 +331,47 @@ def test_reduce_rejects_stochastic_non_unitary(tmp_path, capsys):
     assert "unitary" in err
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command,fixture,names,rc", [
+    ("invariant", "paper_s5.bm", ["A"], 0),
+    ("invariant", "paper_s5.bm", [], 1),
+    ("invariant", "s6_final.bm", [], 1),
+    ("reduce", "paper_s5.bm", ["A"], 0),
+    ("reduce", "paper_s5.bm", [], 1),
+    ("reduce", "s6_final.bm", [], 2),
+])
+def test_invariant_and_reduce_meet_the_diagonals_once(monkeypatch, capsys, command, fixture, names, rc):
+    """The joint trace they print and the vector or reduction they build
+    share one diagonal meet."""
+    calls = _count_calls(monkeypatch, boolmat.bmatrix, "_diagonal_meet")
+    for porcelain in ([], ["--porcelain"]):
+        calls[0] = 0
+        assert run_cli([command, *porcelain, fixture_path(fixture), *names], capsys)[0] == rc
+        assert calls[0] == 1
+
+
+def test_reduce_unitary_scans_each_member_only_in_is_unitary(monkeypatch):
+    """``is_unitary`` scans a member and its adjoint; nothing scans again."""
+    mats = list(parse_model(read(P5)).matrices.values())
+    scans = _count_calls(monkeypatch, boolmat.bmatrix, "is_stochastic_matrix")
+    meets = _count_calls(monkeypatch, boolmat.bmatrix, "_diagonal_meet")
+    for family in ([mats[0]], mats):
+        scans[0] = meets[0] = 0
+        boolmat.reduce_unitary(family)
+        assert (scans[0], meets[0]) == (2 * len(family), 1)
+
+
 def test_period_porcelain(capsys):
     rc, out, _ = run_cli(["period", "--porcelain", S6, "A"], capsys)
     assert rc == 0

@@ -1,7 +1,10 @@
+import ast
 import dataclasses
+import inspect
 import math
 import random
 from itertools import combinations_with_replacement, product
+from typing import Any, Callable, Sequence
 
 import pytest
 
@@ -12,6 +15,12 @@ from boolmat.oracle import (
     DEFAULT_BUDGET,
     THEOREMS,
     BudgetExceededError,
+    _fmt_mat,
+    _iter_stochastic_masks,
+    _matvec,
+    _numbered_algebra,
+    _or_all,
+    _trace,
     brute_check,
     sample_check,
 )
@@ -567,3 +576,198 @@ def test_naive_products_stay_the_kernel_reference():
                 for t in range(n):
                     expected |= a[i * n + t] & b[t * n + j]
                 assert oracle._matmul(n, a, b)[i * n + j] == expected
+
+
+# --- ATOMS and STOINV against their unpruned forms ---
+# The three functions below are the plain definitions the oracle started
+# from, kept verbatim: every selection met in full, one matrix-vector
+# product per atom and column, and a whole A b compared with b.
+
+
+def _atoms_of(n: int, a: Sequence[int], full: int) -> list[tuple[int, tuple[int, ...]]]:
+    """All nonzero column-selection meets with their selections; no pruning."""
+    out = []
+    for selection in product(range(n), repeat=n):
+        m = full
+        for j, i in enumerate(selection):
+            m &= a[i * n + j]
+        if m:
+            out.append((m, selection))
+    return out
+
+
+def _stoinv(n: int, k: int) -> Callable[[Any], str | None]:
+    """Invariant stochastic vector exists exactly when the trace is one."""
+    alg = _numbered_algebra(k)
+    stoch_vecs = list(_iter_stochastic_masks(n, k))
+
+    def check(a: Any) -> str | None:
+        has_invariant = any(_matvec(n, a, b) == b for b in stoch_vecs)
+        if has_invariant != (_trace(n, a) == alg._full):
+            return _fmt_mat(n, a, alg)
+        return None
+
+    return check
+
+
+def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
+    """Atoms partition one, rebuild every entry, and drive the slot action."""
+    alg = _numbered_algebra(k)
+    full = alg._full
+
+    def problem(a: Sequence[int]) -> str | None:
+        atoms = _atoms_of(n, a, full)
+        joined = 0
+        for idx, (m, _) in enumerate(atoms):
+            if any(m & m2 for m2, _ in atoms[:idx]):
+                return "overlapping atoms"
+            joined |= m
+        if joined != full:
+            return "atoms do not cover one"
+        for i in range(n):
+            for j in range(n):
+                rebuilt = _or_all(m for m, _ in atoms if m & ~a[i * n + j] == 0)
+                if rebuilt != a[i * n + j]:
+                    return f"entry ({i},{j}) is not the join of its atoms"
+        for m, selection in atoms:
+            for j in range(n):
+                scaled = [m if t == j else 0 for t in range(n)]
+                expect = tuple(m if t == selection[j] else 0 for t in range(n))
+                if _matvec(n, a, scaled) != expect:
+                    return f"atom action fails at column {j}"
+        return None
+
+    def check(a: Any) -> str | None:
+        found = problem(a)
+        return None if found is None else f"{found} in {_fmt_mat(n, a, alg)}"
+
+    return check
+
+
+def _general_square_masks(count, seed, sizes, atoms):
+    """Seeded (n, k, masks) with n drawn from ``sizes`` and k from ``atoms``,
+    any mask in any entry; the zero and all-``*`` matrix of every shape first."""
+    rng = random.Random(seed)
+    out = [(n, k, (fill,) * (n * n)) for n in sizes for k in atoms for fill in (0, (1 << k) - 1)]
+    for _ in range(count):
+        n, k = rng.choice(sizes), rng.choice(atoms)
+        out.append((n, k, tuple(rng.getrandbits(k) for _ in range(n * n))))
+    return out
+
+
+def test_pruned_atom_walk_lists_what_the_full_loop_lists():
+    objects = _general_square_masks(1500, 4409, range(1, 6), range(1, 5))
+    objects += [(n, k, a) for n, k in ((2, 2), (3, 2)) for a in oracle._iter_stochastic_matrix_masks(n, k)]
+    lengths = set()
+    for n, k, a in objects:
+        got = oracle._atoms_of(n, a, (1 << k) - 1)
+        assert got == _atoms_of(n, a, (1 << k) - 1), (n, k, a)
+        lengths.add(len(got))
+    assert 0 in lengths and max(lengths) > 8
+
+
+@pytest.mark.parametrize("theorem,reference", [("ATOMS", _atoms), ("STOINV", _stoinv)])
+@pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 2)])
+def test_atoms_and_stoinv_match_their_references_on_every_object(theorem, reference, n, k):
+    objects = list(THEOREMS[theorem].source(n, k, DEFAULT_BUDGET))
+    check, ref = THEOREMS[theorem].predicate(n, k), reference(n, k)
+    assert [check(a) for a in objects] == [ref(a) for a in objects] == [None] * len(objects)
+
+
+@pytest.mark.parametrize("theorem,reference", [("ATOMS", _atoms), ("STOINV", _stoinv)])
+def test_atoms_and_stoinv_match_their_references_on_general_matrices(theorem, reference):
+    """Off the stochastic matrices both statements fail often, so the
+    counterexample strings are compared as well as the passes."""
+    checks = {}
+    outcomes = []
+    for n, k, a in _general_square_masks(2000, 5501, range(1, 5), range(1, 4)):
+        if (n, k) not in checks:
+            checks[n, k] = (THEOREMS[theorem].predicate(n, k), reference(n, k))
+        check, ref = checks[n, k]
+        got = check(a)
+        assert got == ref(a), (n, k, a)
+        outcomes.append(got is None)
+    assert outcomes.count(False) > 500 and outcomes.count(True) > 100
+
+
+def _first_reference_failure(theorem, reference, n, k):
+    check = reference(n, k)
+    objects = THEOREMS[theorem].source(n, k, DEFAULT_BUDGET)
+    return next((i, c) for i, obj in enumerate(objects, start=1) if (c := check(obj)) is not None)
+
+
+def test_atoms_fails_like_its_reference_when_the_last_atom_is_dropped(monkeypatch):
+    pruned, full_loop = oracle._atoms_of, _atoms_of
+    monkeypatch.setattr(oracle, "_atoms_of", lambda n, a, full: pruned(n, a, full)[:-1])
+    monkeypatch.setitem(globals(), "_atoms_of", lambda n, a, full: full_loop(n, a, full)[:-1])
+    first = _first_reference_failure("ATOMS", _atoms, 3, 2)
+    verdict = brute_check("ATOMS", 3, 2)
+    assert not verdict.passed
+    assert (verdict.checked, verdict.counterexample) == first
+
+
+def test_stoinv_fails_like_its_reference_when_only_the_first_row_is_compared(monkeypatch):
+    def fixes_the_first_row(n, a, v):
+        return oracle._matvec(n, a, v)[0] == v[0]
+
+    def matvec_copying_all_but_the_first_row(n, a, v):
+        return oracle._matvec(n, a, v)[:1] + tuple(v[1:])
+
+    monkeypatch.setattr(oracle, "_fixes", fixes_the_first_row)
+    monkeypatch.setitem(globals(), "_matvec", matvec_copying_all_but_the_first_row)
+    first = _first_reference_failure("STOINV", _stoinv, 3, 2)
+    verdict = brute_check("STOINV", 3, 2)
+    assert not verdict.passed
+    assert (verdict.checked, verdict.counterexample) == first
+    assert first[0] > 1
+
+
+def test_stoinv_needs_no_last_row_on_stochastic_input(monkeypatch):
+    """A b is stochastic when A and b are, so its last row is the complement
+    of the others: comparing all rows but the last decides A b == b."""
+    monkeypatch.setattr(oracle, "_fixes", lambda n, a, v: oracle._matvec(n, a, v)[:-1] == tuple(v[:-1]))
+    assert brute_check("STOINV", 3, 2).passed
+    assert sample_check("STOINV", 4, 3, samples=200, seed=9).passed
+
+
+def test_invariance_helper_matches_the_product():
+    rng = random.Random(6607)
+    seen = set()
+    for n, k, a in _general_square_masks(3000, 6607, range(1, 5), range(1, 4)):
+        v = tuple(rng.getrandbits(k) for _ in range(n))
+        if rng.randrange(2):
+            v = oracle._matvec(n, a, v)
+        fixed = oracle._fixes(n, a, v)
+        assert fixed == (oracle._matvec(n, a, v) == v)
+        seen.add(fixed)
+    assert seen == {True, False}
+
+
+# --- the oracle stays independent of what it checks ---
+
+
+def test_oracle_imports_nothing_it_checks():
+    """No kernel, bmatrix or chains import; from bvec only ``BVec``, and
+    that only to format counterexamples."""
+    tree = ast.parse(inspect.getsource(oracle))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [(node.module or "", alias.name) for alias in node.names]
+    assert ("bvec", "BVec") in imported
+    for module, name in imported:
+        parts = set(module.split(".")) | {name}
+        assert not parts & {"_kernel", "bmatrix", "chains", "_atom_slots"}, (module, name)
+        if "bvec" in parts:
+            assert (module, name) == ("bvec", "BVec")
+    users = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id == "BVec"
+    }
+    assert users == {"_fmt_vec"}
+    assert "_atom_slots" not in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
