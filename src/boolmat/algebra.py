@@ -44,6 +44,7 @@ class NotInvertibleError(PreconditionError):
 
 
 _algebra_ids = itertools.count(1)
+_RESERVED = frozenset(" ,{}()*")  # characters no atom name may contain
 
 
 class Algebra:
@@ -59,14 +60,19 @@ class Algebra:
         names = tuple(atom_names)
         if not names:
             raise PreconditionError("an algebra needs at least one atom (0 = 1 is rejected)")
-        if len(set(names)) != len(names):
+        index = dict(zip(names, range(len(names))))
+        if len(index) != len(names):
             raise PreconditionError(f"duplicate atom names: {names!r}")
-        if any(not n or any(c in " ,{}()*" for c in n) for n in names):
+        joined = "".join(names)  # a character is in some name iff it is in this
+        if not all(names) or not _RESERVED.isdisjoint(joined):
             raise PreconditionError("atom names must be non-empty and free of ' ,{}()*'")
+        # Model text splits tokens at whitespace; a token starting with '#' is a comment.
+        if joined.split() != [joined] or "#" in joined and any(n[0] == "#" for n in names):
+            raise PreconditionError("atom names must be free of whitespace and must not start with '#'")
         self.atom_names = names
         self.atom_count = len(names)
         self.uid = next(_algebra_ids)
-        self._index = {n: i for i, n in enumerate(names)}
+        self._index = index
         self._full = (1 << len(names)) - 1
         self._zero = Elem(0, self)
         self._one = Elem(self._full, self)
@@ -122,20 +128,35 @@ class Algebra:
     def parse(self, text: str) -> Elem:
         """Parse an element literal: ``{}``, ``{a,b}`` or ``*``.
 
-        Inverse of :func:`format`/``str``: ``parse(str(x)) == x`` bit-exactly.
+        Inverse of ``str``: ``parse(str(x)) == x`` bit-exactly.
+        """
+        return Elem(self._mask_of(text), self)
+
+    def _mask_of(self, text: str) -> int:
+        """Mask of an element literal; :meth:`parse` without the ``Elem``.
+
+        An empty atom name is reported before an unknown one, an unknown
+        name is the first in order, and a repeated name counts once.
         """
         t = text.strip()
         if t == "*":
-            return self._one
-        if not (t.startswith("{") and t.endswith("}")):
+            return self._full
+        if not t or t[0] != "{" or t[-1] != "}":
             raise PreconditionError(f"bad element literal {text!r} (expected '{{...}}' or '*')")
         body = t[1:-1].strip()
         if not body:
-            return self._zero
-        parts = [p.strip() for p in body.split(",")]
-        if any(not p for p in parts):
-            raise PreconditionError(f"bad element literal {text!r} (empty atom name)")
-        return self.from_atoms(parts)
+            return 0
+        index = self._index
+        mask = 0
+        try:
+            for part in body.split(","):
+                mask |= 1 << index[part.strip()]
+        except KeyError:
+            parts = [p.strip() for p in body.split(",")]
+            if "" in parts:
+                raise PreconditionError(f"bad element literal {text!r} (empty atom name)") from None
+            return self.from_atoms(parts).mask  # raises for the first unknown name
+        return mask
 
     def __repr__(self) -> str:
         return f"Algebra({list(self.atom_names)!r})"

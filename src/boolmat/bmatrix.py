@@ -71,11 +71,14 @@ class BMatrix:
         self.algebra._check_masks(self.masks)
 
     @classmethod
-    def _from_kernel(cls, rows: int, cols: int, masks: tuple[int, ...], algebra: Algebra) -> BMatrix:
-        """A kernel product of checked operands, built without ``__post_init__``.
+    def _unchecked(cls, rows: int, cols: int, masks: tuple[int, ...], algebra: Algebra) -> BMatrix:
+        """A matrix built without ``__post_init__``, for masks whose shape and
+        range hold by construction.
 
-        Shape and range hold by construction: every entry is a join of meets
-        of masks in ``[0, 2**k)``, so it stays there.
+        Callers: a kernel product of checked operands (every entry is a join
+        of meets of masks in ``[0, 2**k)``, so it stays there) and a parsed
+        model block (``rows`` lines of ``cols`` literals, each read by
+        :meth:`Algebra._mask_of`, which yields only masks in range).
         """
         self = object.__new__(cls)
         object.__setattr__(self, "rows", rows)
@@ -165,7 +168,7 @@ def mul(a: BMatrix, b: BMatrix) -> BMatrix:
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     out = _kernel.matmul(a.rows, a.cols, b.cols, a.masks, b.masks, a.algebra.atom_count)
-    return BMatrix._from_kernel(a.rows, b.cols, tuple(out), a.algebra)
+    return BMatrix._unchecked(a.rows, b.cols, tuple(out), a.algebra)
 
 
 def apply(a: BMatrix, v: BVec) -> BVec:
@@ -177,7 +180,7 @@ def apply(a: BMatrix, v: BVec) -> BVec:
     if a.rows == 0:
         raise ShapeError("result would be a length-0 vector")
     out = _kernel.matvec(a.rows, a.cols, a.masks, v.masks, a.algebra.atom_count)
-    return BVec._from_kernel(tuple(out), a.algebra)
+    return BVec._unchecked(tuple(out), a.algebra)
 
 
 def adjoint(a: BMatrix) -> BMatrix:

@@ -73,11 +73,14 @@ class BVec:
         self.algebra._check_masks(self.masks)
 
     @classmethod
-    def _from_kernel(cls, masks: tuple[int, ...], algebra: Algebra) -> BVec:
-        """A kernel product of checked operands, built without ``__post_init__``.
+    def _unchecked(cls, masks: tuple[int, ...], algebra: Algebra) -> BVec:
+        """A vector built without ``__post_init__``, for masks whose length and
+        range hold by construction.
 
-        Length and range hold by construction: every entry is a join of meets
-        of masks in ``[0, 2**k)``, and a product has at least one row.
+        Callers: a kernel product of checked operands (every entry is a join
+        of meets of masks in ``[0, 2**k)``, and a product has at least one
+        row) and a parsed model line (a positive count of literals, each read
+        by :meth:`Algebra._mask_of`).
         """
         self = object.__new__(cls)
         object.__setattr__(self, "masks", masks)

@@ -38,7 +38,7 @@ def _load(path: str) -> ModelFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionError(f"cannot read {path}: {exc}") from None
     return parse_model(text)
 

@@ -121,26 +121,36 @@ def parse_model(text: str) -> ModelFile:
     known: dict[str, int] = {}  # literal -> mask, valid for this algebra only
     pos = 1
 
-    def parse_elements(expected: int, what: str) -> list[int]:
+    def read_block(count: int, width: int, what: str) -> tuple[int, ...]:
+        """Masks of the next ``count`` lines of ``width`` literals each.
+
+        The whole block is one lookup pass, and only literals not seen
+        before are parsed. If anything fails, the block is scanned again in
+        file order, and the first error, as a row-by-row read meets it, is
+        raised: a wrong element count, a bad literal, the end of the file.
+        """
         nonlocal pos
-        if pos >= len(meaningful):
-            raise ModelSyntaxError(len(lines), 1, f"unexpected end of file inside {what}")
-        line = meaningful[pos]
-        pos += 1
-        tokens = line[2]
-        if len(tokens) != expected:
-            raise _error(line, 0, f"{what}: expected {expected} elements, got {len(tokens)}")
-        try:
-            return list(map(known.__getitem__, tokens))
-        except KeyError:
-            pass
-        for index, tok in enumerate(tokens):
-            if tok not in known:
+        block = meaningful[pos : pos + count]
+        if len(block) == count and all(len(line[2]) == width for line in block):
+            tokens = block[0][2] if count == 1 else [tok for line in block for tok in line[2]]
+            try:
+                for tok in set(tokens).difference(known):
+                    known[tok] = algebra._mask_of(tok)
+            except PreconditionError:
+                pass
+            else:
+                pos += count
+                return tuple(map(known.__getitem__, tokens))
+        for line in block:
+            tokens = line[2]
+            if len(tokens) != width:
+                raise _error(line, 0, f"{what}: expected {width} elements, got {len(tokens)}")
+            for index, tok in enumerate(tokens):
                 try:
-                    known[tok] = algebra.parse(tok).mask
+                    algebra._mask_of(tok)
                 except PreconditionError as exc:
                     raise _error(line, index, str(exc)) from None
-        return list(map(known.__getitem__, tokens))
+        raise ModelSyntaxError(len(lines), 1, f"unexpected end of file inside {what}")
 
     while pos < len(meaningful):
         line = meaningful[pos]
@@ -163,15 +173,13 @@ def parse_model(text: str) -> ModelFile:
             rows, cols = int(m.group(1)), int(m.group(2))
             if rows < 1 or cols < 1:
                 raise _error(line, 2, "matrix dimensions must be positive")
-            masks: list[int] = []
-            for _ in range(rows):
-                masks.extend(parse_elements(cols, f"matrix {name}"))
-            model.matrices[name] = BMatrix(rows, cols, tuple(masks), algebra)
+            masks = read_block(rows, cols, f"matrix {name}")
+            model.matrices[name] = BMatrix._unchecked(rows, cols, masks, algebra)
         else:
             if not shape.isdigit() or int(shape) < 1:
                 raise _error(line, 2, f"bad vector length {shape!r}")
             length = int(shape)
-            model.vectors[name] = BVec(tuple(parse_elements(length, f"vector {name}")), algebra)
+            model.vectors[name] = BVec._unchecked(read_block(1, length, f"vector {name}"), algebra)
         model.order.append((kind, name))
     return model
 

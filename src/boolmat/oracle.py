@@ -665,7 +665,14 @@ def _unitreduce(n: int, k: int) -> Callable[[Any], str | None]:
 
 
 def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
-    """Atoms partition one, rebuild every entry, and drive the slot action."""
+    """Atoms partition one and rebuild every entry.
+
+    They then also drive the slot action: ``A (m e_j) = m e_i`` for the row
+    i that atom m selects in column j. No separate check can fail first. If
+    a row t other than i had an entry in column j that meets m, the
+    selection with t in column j would meet to a nonzero element that
+    overlaps m, and "overlapping atoms" is reported before anything else.
+    """
     alg = _numbered_algebra(k)
     full = alg._full
 
@@ -683,14 +690,6 @@ def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
                 rebuilt = _or_all(m for m, _ in atoms if m & ~a[i * n + j] == 0)
                 if rebuilt != a[i * n + j]:
                     return f"entry ({i},{j}) is not the join of its atoms"
-        for m, selection in atoms:
-            # Column j of A (m I) is A applied to m e_j, which must be m e_i
-            # for the row i the atom selects in column j.
-            scaled = _identity_masks(n, m)
-            moved = _matmul(n, a, scaled)
-            for j, i in enumerate(selection):
-                if moved[j::n] != scaled[i::n]:
-                    return f"atom action fails at column {j}"
         return None
 
     def check(a: Any) -> str | None:

@@ -32,6 +32,26 @@ def test_reserved_characters_rejected():
         make_algebra([""])
 
 
+@pytest.mark.parametrize("name", [c.join("xy") for c in "\t\n\v\f\r\x1c\x1d\x1e\x1f\x85\xa0\u2003\u2028\u3000"] + ["#z", "#"])
+def test_names_model_text_cannot_carry_rejected(name):
+    # Model text splits tokens at whitespace and reads a token starting
+    # with '#' as a comment, so neither could be written and read back.
+    with pytest.raises(PreconditionError) as err:
+        make_algebra(["a", name])
+    assert str(err.value) == "atom names must be free of whitespace and must not start with '#'"
+
+
+def test_reserved_character_message_wins_over_whitespace():
+    for names in (["a\tb", "c,d"], ["#a", ""], ["x y"]):
+        with pytest.raises(PreconditionError) as err:
+            make_algebra(names)
+        assert str(err.value) == "atom names must be non-empty and free of ' ,{}()*'"
+
+
+def test_hash_inside_a_name_is_accepted():
+    assert make_algebra(["a#", "b#c"]).atom_names == ("a#", "b#c")
+
+
 def test_basic_set_operations(p3):
     e = p3.parse
     assert (e("{1,2}") & e("{2,3}")) == e("{2}")

@@ -132,9 +132,9 @@ def test_every_public_constructor_rejects_out_of_range_masks(k, high):
     alg = make_algebra([f"a{i}" for i in range(k)])
     bad = alg._full + 1 if high else -1
     ok = alg._full
-    # Elem and the kernel-result helper are unchecked, so they can carry the
+    # Elem and the `_unchecked` helper skip the range check, so they can carry the
     # bad mask up to the public constructor under test.
-    bad_column = BVec._from_kernel((bad, ok), alg)
+    bad_column = BVec._unchecked((bad, ok), alg)
     good_column = BVec((ok, ok), alg)
     builds = [
         lambda: BMatrix(1, 2, (ok, bad), alg),

@@ -1,4 +1,7 @@
+import collections
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -208,6 +211,290 @@ def test_format_parse_roundtrip_random(model):
     assert {n: v.masks for n, v in again.vectors.items()} == {
         n: v.masks for n, v in model.vectors.items()
     }
+
+
+
+# --- the block parser against the row-by-row parser it replaced ---
+#
+# Reference copies, verbatim apart from names: `Algebra.parse` and
+# `parse_model` as they were before a model block was read in one lookup
+# pass. The reference parser reads literals with the reference `parse`.
+
+
+def _reference_algebra_parse(self, text):
+    t = text.strip()
+    if t == "*":
+        return self._one
+    if not (t.startswith("{") and t.endswith("}")):
+        raise PreconditionError(f"bad element literal {text!r} (expected '{{...}}' or '*')")
+    body = t[1:-1].strip()
+    if not body:
+        return self._zero
+    parts = [p.strip() for p in body.split(",")]
+    if any(not p for p in parts):
+        raise PreconditionError(f"bad element literal {text!r} (empty atom name)")
+    return self.from_atoms(parts)
+
+
+_REF_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_REF_SHAPE_RE = re.compile(r"(\d+)x(\d+)$")
+_REF_TOKEN_RE = re.compile(r"\S+")
+
+
+def _reference_tokens(raw):
+    tokens = raw.split()
+    if "#" in raw:
+        for i, tok in enumerate(tokens):
+            if tok[0] == "#":
+                return tokens[:i]
+    return tokens
+
+
+def _reference_error(line, index, message):
+    lineno, raw, _ = line
+    column = list(_REF_TOKEN_RE.finditer(raw))[index].start() + 1
+    return ModelSyntaxError(lineno, column, message)
+
+
+def _reference_parse_model(text):
+    lines = text.splitlines()
+    meaningful = []
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = _reference_tokens(raw)
+        if tokens:
+            meaningful.append((lineno, raw, tokens))
+    if not meaningful:
+        raise ModelSyntaxError(1, 1, "empty model: expected an 'atoms:' line")
+
+    line = meaningful[0]
+    tokens = line[2]
+    if tokens[0] != "atoms:":
+        raise _reference_error(line, 0, f"expected 'atoms:', got {tokens[0]!r}")
+    if len(tokens) == 1:
+        raise _reference_error(line, 0, "at least one atom name is required")
+    try:
+        algebra = boolmat.Algebra(tokens[1:])
+    except PreconditionError as exc:
+        raise _reference_error(line, 1, str(exc)) from None
+
+    model = ModelFile(algebra=algebra)
+    known = {}  # literal -> mask, valid for this algebra only
+    pos = 1
+
+    def parse_elements(expected, what):
+        nonlocal pos
+        if pos >= len(meaningful):
+            raise ModelSyntaxError(len(lines), 1, f"unexpected end of file inside {what}")
+        line = meaningful[pos]
+        pos += 1
+        tokens = line[2]
+        if len(tokens) != expected:
+            raise _reference_error(line, 0, f"{what}: expected {expected} elements, got {len(tokens)}")
+        try:
+            return list(map(known.__getitem__, tokens))
+        except KeyError:
+            pass
+        for index, tok in enumerate(tokens):
+            if tok not in known:
+                try:
+                    known[tok] = _reference_algebra_parse(algebra, tok).mask
+                except PreconditionError as exc:
+                    raise _reference_error(line, index, str(exc)) from None
+        return list(map(known.__getitem__, tokens))
+
+    while pos < len(meaningful):
+        line = meaningful[pos]
+        pos += 1
+        tokens = line[2]
+        kind = tokens[0]
+        if kind not in ("matrix", "vector"):
+            raise _reference_error(line, 0, f"expected 'matrix' or 'vector', got {kind!r}")
+        if len(tokens) != 3:
+            raise _reference_error(line, 0, f"{kind} header needs a name and a shape")
+        name, shape = tokens[1], tokens[2]
+        if not _REF_NAME_RE.match(name):
+            raise _reference_error(line, 1, f"bad name {name!r}")
+        if name in model.matrices or name in model.vectors:
+            raise _reference_error(line, 1, f"duplicate name {name!r}")
+        if kind == "matrix":
+            m = _REF_SHAPE_RE.match(shape)
+            if not m:
+                raise _reference_error(line, 2, f"bad shape {shape!r}, expected like 3x4")
+            rows, cols = int(m.group(1)), int(m.group(2))
+            if rows < 1 or cols < 1:
+                raise _reference_error(line, 2, "matrix dimensions must be positive")
+            masks = []
+            for _ in range(rows):
+                masks.extend(parse_elements(cols, f"matrix {name}"))
+            model.matrices[name] = boolmat.BMatrix(rows, cols, tuple(masks), algebra)
+        else:
+            if not shape.isdigit() or int(shape) < 1:
+                raise _reference_error(line, 2, f"bad vector length {shape!r}")
+            length = int(shape)
+            model.vectors[name] = boolmat.BVec(tuple(parse_elements(length, f"vector {name}")), algebra)
+        model.order.append((kind, name))
+    return model
+
+
+def _outcome(parse, text):
+    """A parsed model as plain values, or the position and text of its error."""
+    try:
+        model = parse(text)
+    except ModelSyntaxError as exc:
+        return ("error", exc.line, exc.column, str(exc))
+    return (
+        "model",
+        model.algebra.atom_names,
+        model.order,
+        {n: (m.rows, m.cols, m.masks) for n, m in model.matrices.items()},
+        {n: v.masks for n, v in model.vectors.items()},
+    )
+
+
+# Characters a mutation inserts or writes over: literal syntax, atom names
+# that exist and one that does not, comment and separator characters, and
+# line ends (U+00A0 separates tokens; a form feed also ends a line).
+_MUTATION_CHARS = "{},*123459xA#\t  \f\n"
+
+
+def _mutant(rng, text):
+    """One seeded mutation of a model text: character edits, a dropped,
+    duplicated or moved token, a dropped or duplicated row, or a bad literal
+    in the first, middle or last row of a block."""
+    lines = text.split("\n")
+    kind = rng.randrange(6)
+    if kind == 0:  # delete, insert or replace one to three characters
+        chars = list(text)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(chars) + 1)
+            op = rng.randrange(3)
+            if op == 0 and i < len(chars):
+                del chars[i]
+            elif op == 1 or i == len(chars):
+                chars.insert(i, rng.choice(_MUTATION_CHARS))
+            else:
+                chars[i] = rng.choice(_MUTATION_CHARS)
+        return "".join(chars)
+    if kind in (1, 2):  # drop or duplicate one token, or move one to the next line
+        i = rng.randrange(len(lines))
+        tokens = lines[i].split()
+        if tokens:
+            j = rng.randrange(len(tokens))
+            if kind == 1:
+                del tokens[j]
+            elif i + 1 < len(lines) and rng.random() < 0.5:
+                lines[i + 1] = tokens.pop() + " " + lines[i + 1]
+            else:
+                tokens.insert(j, tokens[j])
+        lines[i] = " ".join(tokens)
+        return "\n".join(lines)
+    if kind in (3, 4):  # drop or duplicate one line
+        i = rng.randrange(len(lines))
+        if kind == 3:
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+        return "\n".join(lines)
+    # a bad literal in the first, middle or last row of some block
+    headers = [i for i, line in enumerate(lines) if line.split()[:1] in (["matrix"], ["vector"])]
+    h = rng.choice(headers)
+    rows = int(lines[h].split()[2].split("x")[0]) if lines[h].startswith("matrix") else 1
+    i = h + 1 + rng.choice([0, rows // 2, rows - 1])
+    tokens = lines[i].split()
+    j = rng.randrange(len(tokens))
+    tokens[j] = rng.choice(["{9}", "{1,}", "{,}", "{x,1}", "1", "{1", "**", "{}}", "{1}#"])
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+def _base_texts(rng):
+    texts = [read(P5), read(S6)]
+    for _ in range(40):
+        alg = boolmat.Algebra([str(i) for i in range(1, rng.randint(1, 5) + 1)])
+        model = ModelFile(algebra=alg)
+        for idx in range(rng.randint(1, 3)):
+            name = f"M{idx}"
+            if rng.random() < 0.6:
+                rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+                masks = tuple(rng.randrange(alg._full + 1) for _ in range(rows * cols))
+                model.matrices[name] = boolmat.BMatrix(rows, cols, masks, alg)
+                model.order.append(("matrix", name))
+            else:
+                masks = tuple(rng.randrange(alg._full + 1) for _ in range(rng.randint(1, 5)))
+                model.vectors[name] = boolmat.BVec(masks, alg)
+                model.order.append(("vector", name))
+        texts.append(format_model(model))
+    return texts
+
+
+def test_block_parser_matches_row_by_row_reference_on_mutated_texts():
+    rng = random.Random(20261019)
+    bases = _base_texts(rng)
+    seen = collections.Counter()
+    for _ in range(3600):
+        text = _mutant(rng, rng.choice(bases))
+        expected = _outcome(_reference_parse_model, text)
+        assert _outcome(parse_model, text) == expected, text
+        kind = expected[0]
+        if kind == "error":
+            kind = next((m for m in _BLOCK_ERRORS if m in expected[3]), "other")
+        seen[kind] += 1
+    # the corpus reaches parsed models and every error a block can raise
+    assert seen["model"] >= 300, seen
+    for message in _BLOCK_ERRORS:
+        assert seen[message] >= 50, seen
+
+
+_BLOCK_ERRORS = ("unexpected end of file", "elements, got", "unknown atom name", "(empty atom name)",
+                 "(expected '{...}' or '*')")
+
+
+
+_P3_ATOMS = "(atoms: ('1', '2', '3'))"
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        (" {2 , 1} ", 0b011),
+        ("{1,1}", 0b001),
+        ("{ }", 0),
+        ("{,}", "bad element literal '{,}' (empty atom name)"),
+        ("{x,}", "bad element literal '{x,}' (empty atom name)"),
+        ("{x,y}", f"unknown atom name 'x' {_P3_ATOMS}"),
+        ("{", "bad element literal '{' (expected '{...}' or '*')"),
+        ("}", "bad element literal '}' (expected '{...}' or '*')"),
+        ("1,2", "bad element literal '1,2' (expected '{...}' or '*')"),
+    ],
+)
+def test_algebra_parse_edges_match_the_reference(text, expected):
+    p3 = boolmat.Algebra(["1", "2", "3"])
+    for parse in (p3.parse, lambda t: _reference_algebra_parse(p3, t)):
+        if isinstance(expected, int):
+            assert parse(text) == Elem(expected, p3)
+        else:
+            with pytest.raises(PreconditionError) as err:
+                parse(text)
+            assert str(err.value) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text("ab#,\t   \x1c\f\n", min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
+def test_every_accepted_atom_name_survives_format_and_parse(names):
+    try:
+        alg = boolmat.Algebra(names)
+    except PreconditionError:
+        return
+    model = ModelFile(algebra=alg)
+    model.vectors["v"] = boolmat.BVec((alg._full,), alg)
+    model.order.append(("vector", "v"))
+    assert parse_model(format_model(model)).algebra.atom_names == tuple(names)
+
+
+def test_atom_names_model_text_cannot_carry_are_rejected():
+    # Accepted before, written as "atoms: x\ty #z", read back as ('x', 'y').
+    with pytest.raises(PreconditionError, match="whitespace"):
+        boolmat.Algebra(["x\ty", "#z"])
 
 
 # --- CLI commands, captured via capsys ---
@@ -503,6 +790,15 @@ def test_missing_file_exit_code(capsys):
     rc, _, err = run_cli(["check", "/nonexistent/path.bm"], capsys)
     assert rc == 2
     assert "cannot read" in err
+
+
+def test_non_utf8_file_is_a_precondition_error(tmp_path, capsys):
+    # Exit code 1 would claim a negative verdict; an unreadable file is 2.
+    path = tmp_path / "bad.bm"
+    path.write_bytes(b"atoms: 1\nvector v 1\n\xff\n")
+    rc, out, err = run_cli(["check", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_unknown_matrix_name(capsys):
