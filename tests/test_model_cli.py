@@ -354,7 +354,7 @@ def _outcome(parse, text):
 # Characters a mutation inserts or writes over: literal syntax, atom names
 # that exist and one that does not, comment and separator characters, and
 # line ends (U+00A0 separates tokens; a form feed also ends a line).
-_MUTATION_CHARS = "{},*123459xA#\t  \f\n"
+_MUTATION_CHARS = "{},*123459xA#\t \u00a0\f\n"
 
 
 def _mutant(rng, text):
