@@ -32,10 +32,15 @@ def test_reserved_characters_rejected():
         make_algebra([""])
 
 
-@pytest.mark.parametrize("name", [c.join("xy") for c in "\t\n\v\f\r\x1c\x1d\x1e\x1f\x85\xa0\u2003\u2028\u3000"] + ["#z", "#"])
+_SPLITTING = "\t\n\v\f\r\x1c\x1d\x1e\x1f\x85\xa0\u2003\u2028\u3000"  # str.split() splits at each
+
+
+@pytest.mark.parametrize("name", [c.join("xy") for c in _SPLITTING] + ["#z", "#"])
 def test_names_model_text_cannot_carry_rejected(name):
     # Model text splits tokens at whitespace and reads a token starting
-    # with '#' as a comment, so neither could be written and read back.
+    # with '#' as a comment, so neither could be written and read back:
+    # atoms "x\ty" and "#z" would be written as "atoms: x\ty #z" and read
+    # back as ('x', 'y').
     with pytest.raises(PreconditionError) as err:
         make_algebra(["a", name])
     assert str(err.value) == "atom names must be free of whitespace and must not start with '#'"

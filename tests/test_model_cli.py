@@ -478,8 +478,11 @@ def test_algebra_parse_edges_match_the_reference(text, expected):
             assert str(err.value) == expected
 
 
+_NAME_CHARS = "ab#,\t \u00a0\u2003\x1c\f\n"  # '#', ',' and whitespace model text treats specially
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.text("ab#,\t   \x1c\f\n", min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
+@given(st.lists(st.text(_NAME_CHARS, min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
 def test_every_accepted_atom_name_survives_format_and_parse(names):
     try:
         alg = boolmat.Algebra(names)
@@ -489,12 +492,6 @@ def test_every_accepted_atom_name_survives_format_and_parse(names):
     model.vectors["v"] = boolmat.BVec((alg._full,), alg)
     model.order.append(("vector", "v"))
     assert parse_model(format_model(model)).algebra.atom_names == tuple(names)
-
-
-def test_atom_names_model_text_cannot_carry_are_rejected():
-    # Accepted before, written as "atoms: x\ty #z", read back as ('x', 'y').
-    with pytest.raises(PreconditionError, match="whitespace"):
-        boolmat.Algebra(["x\ty", "#z"])
 
 
 # --- CLI commands, captured via capsys ---
