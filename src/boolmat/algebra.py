@@ -54,7 +54,7 @@ class Algebra:
     with equal atom names. Mixing raises :class:`AlgebraMismatchError`.
     """
 
-    __slots__ = ("atom_names", "atom_count", "uid", "_index", "_full", "_zero", "_one")
+    __slots__ = ("atom_names", "atom_count", "uid", "_index", "_full")
 
     def __init__(self, atom_names: Sequence[str]):
         names = tuple(atom_names)
@@ -74,18 +74,16 @@ class Algebra:
         self.uid = next(_algebra_ids)
         self._index = index
         self._full = (1 << len(names)) - 1
-        self._zero = Elem(0, self)
-        self._one = Elem(self._full, self)
 
     @property
     def zero(self) -> Elem:
         """The least element (empty atom set)."""
-        return self._zero
+        return Elem(0, self)
 
     @property
     def one(self) -> Elem:
         """The greatest element (full atom set)."""
-        return self._one
+        return Elem(self._full, self)
 
     def atom(self, index: int) -> Elem:
         """The ``index``-th atom (0-based) as an element."""

@@ -252,11 +252,6 @@ def trace(a: BMatrix) -> Elem:
 
 def joint_trace(matrices: Sequence[BMatrix]) -> Elem:
     """Join over i of the meet of the (i,i) entries across the family."""
-    return _joined(_checked_diagonal_meet(matrices), matrices[0].algebra)
-
-
-def _checked_diagonal_meet(matrices: Sequence[BMatrix]) -> list[int]:
-    """:func:`_diagonal_meet` after the checks of :func:`joint_trace`."""
     if not matrices:
         raise PreconditionError("joint trace of an empty family")
     first = matrices[0]
@@ -266,7 +261,10 @@ def _checked_diagonal_meet(matrices: Sequence[BMatrix]) -> list[int]:
         _check_same_algebra(first, m)
         if (m.rows, m.cols) != (first.rows, first.cols):
             raise ShapeError("joint trace needs equal sizes")
-    return _diagonal_meet(matrices)
+    acc = 0
+    for d in _diagonal_meet(matrices):
+        acc |= d
+    return Elem(acc, first.algebra)
 
 
 def _diagonal_meet(matrices: Sequence[BMatrix]) -> list[int]:
@@ -280,13 +278,6 @@ def _diagonal_meet(matrices: Sequence[BMatrix]) -> list[int]:
             d &= m.masks[i * n + i]
         out.append(d)
     return out
-
-
-def _joined(masks: Sequence[int], algebra: Algebra) -> Elem:
-    acc = 0
-    for d in masks:
-        acc |= d
-    return Elem(acc, algebra)
 
 
 def _require_family(matrices: Sequence[BMatrix], member_ok: Callable[[BMatrix], bool], message: str) -> None:
@@ -310,25 +301,17 @@ def find_invariant_stochastic(matrices: Sequence[BMatrix]) -> BVec | None:
     index order.
     """
     _require_family(matrices, is_stochastic_matrix, "find_invariant_stochastic needs stochastic matrices")
-    return _invariant(matrices, _diagonal_meet(matrices))
+    return _invariant(matrices)
 
 
-def _invariant(matrices: Sequence[BMatrix], diagonal: list[int]) -> BVec | None:
-    """:func:`find_invariant_stochastic` of a checked family with diagonal meet ``diagonal``."""
-    vec = BVec(tuple(diagonal), matrices[0].algebra)
+def _invariant(matrices: Sequence[BMatrix]) -> BVec | None:
+    """:func:`find_invariant_stochastic` of a checked family."""
+    vec = BVec(tuple(_diagonal_meet(matrices)), matrices[0].algebra)
     if not vec.is_unit():
         return None
     b = disjoint_refinement(vec)
     assert all(apply(m, b) == b for m in matrices), "constructed vector is not invariant"
     return b
-
-
-def _trace_and_invariant(matrices: Sequence[BMatrix]) -> tuple[Elem, BVec | None]:
-    """``joint_trace`` then ``find_invariant_stochastic``, checked in that
-    order, from one diagonal meet."""
-    diagonal = _checked_diagonal_meet(matrices)
-    _require_family(matrices, is_stochastic_matrix, "find_invariant_stochastic needs stochastic matrices")
-    return _joined(diagonal, matrices[0].algebra), _invariant(matrices, diagonal)
 
 
 def reflection_from(b: BVec) -> BMatrix:
@@ -431,21 +414,8 @@ def reduce_unitary(matrices: Sequence[BMatrix]) -> list[Reduction] | None:
     inputs are rejected: trace one does not make those reducible.
     """
     _require_family(matrices, is_unitary, "reduce_unitary needs unitary matrices")
-    return _reductions(matrices, _diagonal_meet(matrices))
-
-
-def _reductions(matrices: Sequence[BMatrix], diagonal: list[int]) -> list[Reduction] | None:
-    """:func:`reduce_unitary` of a checked family with diagonal meet ``diagonal``."""
-    b = _invariant(matrices, diagonal)
+    b = _invariant(matrices)
     return None if b is None else _reduce_by_slots(matrices, [b])
-
-
-def _trace_and_reductions(matrices: Sequence[BMatrix]) -> tuple[Elem, list[Reduction] | None]:
-    """``joint_trace`` then ``reduce_unitary``, checked in that order, from
-    one diagonal meet."""
-    diagonal = _checked_diagonal_meet(matrices)
-    _require_family(matrices, is_unitary, "reduce_unitary needs unitary matrices")
-    return _joined(diagonal, matrices[0].algebra), _reductions(matrices, diagonal)
 
 
 def reduce_by_orthogonal_set(a: BMatrix, invariants: Sequence[BVec]) -> Reduction:

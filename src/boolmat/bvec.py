@@ -287,25 +287,12 @@ def is_orthonormal_set(vectors: Sequence[BVec]) -> bool:
     return True
 
 
-def _transpose_family(vectors: Sequence[BVec]) -> list[BVec]:
-    n, alg = _uniform(vectors)
-    return [BVec(tuple(v.masks[i] for v in vectors), alg) for i in range(n)]
-
-
 def is_basis(vectors: Sequence[BVec]) -> bool:
-    """Orthonormal set of cardinality n: exactly the bases of the space.
-
-    In debug runs the duality characterization (the transposed family is
-    orthonormal) is cross-checked; disagreement would be a library bug.
-    """
+    """Orthonormal set of cardinality n: exactly the bases of the space."""
     if not vectors:
         return False
     n, _ = _uniform(vectors)
-    result = len(vectors) == n and is_orthonormal_set(vectors)
-    if __debug__:
-        dual = is_orthonormal_set(_transpose_family(vectors)) and is_orthonormal_set(vectors)
-        assert dual == result, f"duality cross-check failed for {vectors!r}"
-    return result
+    return len(vectors) == n and is_orthonormal_set(vectors)
 
 
 def coordinates(b: BVec, basis: Sequence[BVec]) -> list[Elem]:

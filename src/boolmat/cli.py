@@ -17,10 +17,11 @@ from . import chains
 from .algebra import BoolmatError, PreconditionError
 from .bmatrix import (
     BMatrix,
-    _trace_and_invariant,
-    _trace_and_reductions,
+    find_invariant_stochastic,
     is_stochastic_matrix,
     is_unitary,
+    joint_trace,
+    reduce_unitary,
     trace,
 )
 from .bvec import extend_to_basis
@@ -84,7 +85,8 @@ def _cmd_invariant(args) -> int:
     model = _load(args.file)
     picked = _pick_matrices(model, args.names)
     mats = [m for _, m in picked]
-    joint, vec = _trace_and_invariant(mats)
+    joint = joint_trace(mats)
+    vec = find_invariant_stochastic(mats)
     if args.porcelain:
         print(f"trace={joint}")
         print(f"invariant={'none' if vec is None else vec}")
@@ -101,7 +103,8 @@ def _cmd_reduce(args) -> int:
     model = _load(args.file)
     picked = _pick_matrices(model, args.names)
     mats = [m for _, m in picked]
-    joint, reductions = _trace_and_reductions(mats)
+    joint = joint_trace(mats)
+    reductions = reduce_unitary(mats)
     if reductions is None:
         if args.porcelain:
             print(f"trace={joint}")

@@ -1,3 +1,4 @@
+import collections
 import random
 from itertools import permutations, product
 
@@ -337,6 +338,61 @@ def test_duality_matches_basis_predicate():
         for w in units[i + 1 :]:
             transposed = [BVec((v.masks[t], w.masks[t]), alg) for t in range(2)]
             assert is_basis([v, w]) == is_orthonormal_set(transposed)
+
+
+def _orthonormal_masks(vectors, full):
+    for i, v in enumerate(vectors):
+        seen = 0
+        for m in v:
+            seen |= m
+        if seen != full or any(any(x & y for x, y in zip(v, w)) for w in vectors[i + 1 :]):
+            return False
+    return True
+
+
+def _unit_vector(rng, alg, n):
+    masks = list(br.random_vector(rng, alg, n).masks)
+    missing = alg._full
+    for m in masks:
+        missing &= ~m
+    masks[rng.randrange(n)] |= missing
+    return BVec(tuple(masks), alg)
+
+
+_FAMILY_DRAWS = {
+    "stochastic": br.random_stochastic_vector,
+    "unit": _unit_vector,
+    "random": br.random_vector,
+}
+
+
+def test_is_basis_matches_the_duality_form_on_random_families():
+    """A family is a basis (n orthonormal vectors) exactly when it and its
+    transposed family are both orthonormal. Families: columns of a random
+    unitary, cut short, extended by one stochastic vector, or with one
+    column swapped for a unit vector; and families of stochastic, unit or
+    random vectors, at sizes n - 1, n and n + 1."""
+    rng = random.Random(2717)
+    seen = collections.Counter()
+    for _ in range(2400):
+        n, k = rng.randint(1, 5), rng.randint(1, 4)
+        alg = make_algebra([str(i + 1) for i in range(k)])
+        size = rng.choice([s for s in (n - 1, n, n + 1) if s >= 1])
+        kind = rng.choice(["unitary", "unitary_but_one", *_FAMILY_DRAWS])
+        if kind.startswith("unitary"):
+            family = br.random_unitary(rng, alg, n).column_list()[:size]
+            family += [br.random_stochastic_vector(rng, alg, n) for _ in range(size - n)]
+            if kind == "unitary_but_one":
+                family[rng.randrange(size)] = _unit_vector(rng, alg, n)
+        else:
+            family = [_FAMILY_DRAWS[kind](rng, alg, n) for _ in range(size)]
+        masks = [v.masks for v in family]
+        transposed = [tuple(v[i] for v in masks) for i in range(n)]
+        dual = _orthonormal_masks(masks, alg._full) and _orthonormal_masks(transposed, alg._full)
+        assert is_basis(family) == dual, family
+        seen[size - n, dual] += 1
+    assert set(seen) == {(-1, False), (0, False), (0, True), (1, False)}
+    assert seen[0, True] > 300 and seen[0, False] > 300
 
 
 # --- coordinates ---

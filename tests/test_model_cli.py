@@ -1,4 +1,7 @@
+import ast
 import collections
+import gc
+import inspect
 import os
 import random
 import re
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 
 import boolmat
 from boolmat import is_unitary, mul
-from boolmat.algebra import Elem, PreconditionError
+from boolmat.algebra import Algebra, Elem, PreconditionError
 from boolmat.cli import fixture_path, main
 from boolmat.model import ModelFile, ModelSyntaxError, format_model, parse_model
 
@@ -224,12 +227,12 @@ def test_format_parse_roundtrip_random(model):
 def _reference_algebra_parse(self, text):
     t = text.strip()
     if t == "*":
-        return self._one
+        return self.one
     if not (t.startswith("{") and t.endswith("}")):
         raise PreconditionError(f"bad element literal {text!r} (expected '{{...}}' or '*')")
     body = t[1:-1].strip()
     if not body:
-        return self._zero
+        return self.zero
     parts = [p.strip() for p in body.split(",")]
     if any(not p for p in parts):
         raise PreconditionError(f"bad element literal {text!r} (empty atom name)")
@@ -494,6 +497,26 @@ def test_every_accepted_atom_name_survives_format_and_parse(names):
     assert parse_model(format_model(model)).algebra.atom_names == tuple(names)
 
 
+def _live_algebras():
+    return sum(isinstance(obj, Algebra) for obj in gc.get_objects())
+
+
+def test_parsed_models_are_freed_without_the_cycle_collector():
+    """An algebra holds no element of itself, so a model dropped by its last
+    reference goes at once rather than at the next collection."""
+    text = read(P5)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = _live_algebras()
+        for _ in range(50):
+            parse_model(text)
+        assert _live_algebras() - before == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # --- CLI commands, captured via capsys ---
 
 
@@ -627,22 +650,39 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("command,fixture,names,rc", [
-    ("invariant", "paper_s5.bm", ["A"], 0),
-    ("invariant", "paper_s5.bm", [], 1),
-    ("invariant", "s6_final.bm", [], 1),
-    ("reduce", "paper_s5.bm", ["A"], 0),
-    ("reduce", "paper_s5.bm", [], 1),
-    ("reduce", "s6_final.bm", [], 2),
-])
-def test_invariant_and_reduce_meet_the_diagonals_once(monkeypatch, capsys, command, fixture, names, rc):
-    """The joint trace they print and the vector or reduction they build
-    share one diagonal meet."""
-    calls = _count_calls(monkeypatch, boolmat.bmatrix, "_diagonal_meet")
-    for porcelain in ([], ["--porcelain"]):
-        calls[0] = 0
-        assert run_cli([command, *porcelain, fixture_path(fixture), *names], capsys)[0] == rc
-        assert calls[0] == 1
+_FAMILY_ERROR_MODELS = {
+    "rectangular": "atoms: 1 2\nmatrix R 2x3\n* {} {}\n{} * *\n",
+    "two_sizes": "atoms: 1 2\nmatrix A 2x2\n* {}\n{} *\nmatrix B 3x3\n* {} {}\n{} * {}\n{} {} *\n",
+    "not_stochastic": "atoms: 1 2\nmatrix N 2x2\n* {1}\n{} *\n",
+    "not_unitary": "atoms: 1 2\nmatrix C 2x2\n* *\n{} {}\n",
+}
+
+
+_FAMILY_ERRORS = [
+    ("rectangular", "invariant", 2, {}, "error: joint trace needs square matrices\n"),
+    ("rectangular", "reduce", 2, {}, "error: joint trace needs square matrices\n"),
+    ("two_sizes", "invariant", 2, {}, "error: joint trace needs equal sizes\n"),
+    ("two_sizes", "reduce", 2, {}, "error: joint trace needs equal sizes\n"),
+    ("not_stochastic", "invariant", 2, {}, "error: find_invariant_stochastic needs stochastic matrices\n"),
+    ("not_stochastic", "reduce", 2, {}, "error: reduce_unitary needs unitary matrices\n"),
+    ("not_unitary", "invariant", 0,
+     {False: "C: invariant vector (*,{})\n", True: "trace=*\ninvariant=(*,{})\n"}, ""),
+    ("not_unitary", "reduce", 2, {}, "error: reduce_unitary needs unitary matrices\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "model,command,rc,out,err", [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in _FAMILY_ERRORS]
+)
+@pytest.mark.parametrize("porcelain", [False, True], ids=["human", "porcelain"])
+def test_family_commands_check_the_joint_trace_first(tmp_path, capsys, model, command, rc, out, err, porcelain):
+    """The joint trace's shape checks come before the family's stochastic or
+    unitary check: a 2x3 matrix and a 2x2 beside a 3x3 are reported as
+    joint-trace errors."""
+    path = tmp_path / f"{model}.bm"
+    path.write_text(_FAMILY_ERROR_MODELS[model])
+    argv = [command, *(["--porcelain"] if porcelain else []), str(path)]
+    assert run_cli(argv, capsys) == (rc, out.get(porcelain, ""), err)
 
 
 def test_reduce_unitary_scans_each_member_only_in_is_unitary(monkeypatch):
@@ -878,3 +918,19 @@ def test_verify_budget_defaults_to_the_oracle_budget(capsys):
     assert capsys.readouterr().out == default
     assert main([*argv, "--budget", "15"]) == 2
     assert "enumeration needs budget 16, configured 15" in capsys.readouterr().err
+
+
+def test_cli_imports_no_private_library_name():
+    """The CLI calls the public functions, so it shares their checks and
+    their trace: a private twin of one would import an underscore name."""
+    import boolmat.cli
+
+    tree = ast.parse(inspect.getsource(boolmat.cli))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("boolmat"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -730,6 +730,63 @@ def test_stoinv_needs_no_last_row_on_stochastic_input(monkeypatch):
     assert sample_check("STOINV", 4, 3, samples=200, seed=9).passed
 
 
+def _merge_first_two_atoms(atoms_of):
+    def merged(n, a, full):
+        atoms = atoms_of(n, a, full)
+        return [(atoms[0][0] | atoms[1][0], atoms[0][1]), *atoms[2:]] if len(atoms) > 1 else atoms
+
+    return merged
+
+
+@pytest.mark.parametrize("theorem,n,k,helper,plant,checked,counterexample", [
+    pytest.param(
+        "NORM", 2, 1, "_inner", lambda inner: lambda a, b: inner(a[:-1], b[:-1]),
+        3, "bilinearity fails at c=0, a=({},{}), b=({},*)", id="NORM",
+    ),
+    pytest.param(
+        "DESCENT", 2, 2, "_inner", lambda inner: lambda a, b: inner(a[1:], b[1:]),
+        1, "a=(*,{}) b=(*,{}): orthogonal=True, witness=False", id="DESCENT-witness",
+    ),
+    pytest.param(
+        "DESCENT", 2, 2, "_inner", lambda inner: lambda a, b: inner(a[:-1], b[:-1]),
+        8, "a=({1},{2}) b=({},*): constructed c not stochastic", id="DESCENT-construction",
+    ),
+    pytest.param(
+        "DUALITY", 2, 1, "_is_generating", lambda gen: lambda vectors, n, k: False,
+        2, "['({},*)', '(*,{})']: generating=False, dual orthonormal=True", id="DUALITY",
+    ),
+    pytest.param(
+        "BASIS_UPBOUND", 2, 2, "_inner", lambda inner: lambda a, b: 0,
+        3, "3 orthonormal stochastic vectors in dimension 2: ['(*,{})', '({1},{2})', '({2},{1})']",
+        id="BASIS_UPBOUND",
+    ),
+    pytest.param(
+        "DIMENSION", 2, 1, "_is_generating", lambda gen: lambda vectors, n, k: True,
+        1, "basis of cardinality 1 != 2: ['({},*)']", id="DIMENSION",
+    ),
+    pytest.param(
+        "DIMCOR2", 2, 1, "_is_generating", lambda gen: lambda vectors, n, k: False,
+        2, "cardinality 2 vs generating mismatch: ['({},*)', '(*,{})']", id="DIMCOR2",
+    ),
+    pytest.param(
+        "INVERSE", 2, 1, "_matvec", lambda matvec: lambda n, a, v: matvec(n, a, (*v[:-1], 0)),
+        7, "[{} *; * {}]: bijective=False unitary=True cols=True rows=True", id="INVERSE",
+    ),
+    pytest.param(
+        "ATOMS", 2, 2, "_atoms_of", _merge_first_two_atoms,
+        2, "entry (0,1) is not the join of its atoms in [* {1}; {} {2}]", id="ATOMS-rebuild",
+    ),
+])
+def test_planted_falsehood_gives_the_first_counterexample(monkeypatch, theorem, n, k, helper, plant, checked, counterexample):
+    """Each counterexample return fires on the first object a wrong helper
+    makes false: an inner product blind to one slot, a generating test that
+    always answers the same, a product that drops the last column, atoms
+    with two merged into one."""
+    monkeypatch.setattr(oracle, helper, plant(getattr(oracle, helper)))
+    verdict = brute_check(theorem, n, k)
+    assert (verdict.passed, verdict.checked, verdict.counterexample) == (False, checked, counterexample)
+
+
 def test_invariance_helper_matches_the_product():
     rng = random.Random(6607)
     seen = set()
