@@ -43,13 +43,5 @@ def matmul(n: int, m: int, p: int, a: Sequence[int], b: Sequence[int]) -> list[i
 
 
 def matvec(n: int, m: int, a: Sequence[int], v: Sequence[int]) -> list[int]:
-    """out[i] = OR_t (a[i*m+t] & v[t])."""
-    _check_shape(n, m, 1, a, v)
-    out = [0] * n
-    for i in range(n):
-        acc = 0
-        base = i * m
-        for t in range(m):
-            acc |= a[base + t] & v[t]
-        out[i] = acc
-    return out
+    """out[i] = OR_t (a[i*m+t] & v[t]): the p = 1 case of :func:`matmul`."""
+    return matmul(n, m, 1, a, v)

@@ -45,6 +45,7 @@ class NotInvertibleError(PreconditionError):
 
 _algebra_ids = itertools.count(1)
 _RESERVED = frozenset(" ,{}()*")  # characters no atom name may contain
+_MASK_TYPES = frozenset((int, bool))
 
 
 class Algebra:
@@ -60,6 +61,8 @@ class Algebra:
         names = tuple(atom_names)
         if not names:
             raise PreconditionError("an algebra needs at least one atom (0 = 1 is rejected)")
+        if not all(isinstance(n, str) for n in names):
+            raise PreconditionError(f"atom names must be strings: {names!r}")
         index = dict(zip(names, range(len(names))))
         if len(index) != len(names):
             raise PreconditionError(f"duplicate atom names: {names!r}")
@@ -111,8 +114,12 @@ class Algebra:
         return Elem(mask, self)
 
     def _check_masks(self, masks: Sequence[int]) -> None:
-        """Reject any mask outside ``[0, 2**k)``; an empty sequence passes."""
+        """Reject any mask that is not an ``int`` (``bool`` counts as one) or
+        lies outside ``[0, 2**k)``; an empty sequence passes."""
         if masks:
+            if not set(map(type, masks)) <= _MASK_TYPES:
+                bad = next(m for m in masks if type(m) not in _MASK_TYPES)
+                raise PreconditionError(f"mask {bad!r} is not an int")
             low, high = min(masks), max(masks)
             if low < 0 or high > self._full:
                 bad = low if low < 0 else high

@@ -68,6 +68,7 @@ class BVec:
         return BVec(tuple(e.mask for e in entries), alg)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "masks", tuple(self.masks))
         if not self.masks:
             raise ShapeError("vectors of length 0 are not supported")
         self.algebra._check_masks(self.masks)

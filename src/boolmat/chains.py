@@ -224,17 +224,13 @@ def _atom_profile(atoms: MatrixAtoms) -> PowerProfile:
     are at least the longest tail and the lcm of all cycle lengths divides
     ``t - s``; powers start at ``A**1``, so the exponent is at least one.
     """
-    n = atoms.matrix.rows
-    if n == 0:
+    if atoms.matrix.rows == 0:
         raise PreconditionError("power profile of an empty matrix")
     tail, p = 0, 1
     for f in atoms.selectors:
         t, q = _tail_and_period(f)
         tail, p = max(tail, t), math.lcm(p, q)
     e = max(tail, 1)
-    assert e <= (n - 1) ** 2 + 1, f"exponent bound violated: e={e} for n={n}"
-    assert e <= max(n - 1, 1), f"stochastic exponent bound violated: e={e} for n={n}"
-    assert lcm_upto(n) % p == 0, f"stochastic period bound violated: p={p} for n={n}"
     return PowerProfile(exponent=e, period=p, powers=_AtomPowers(atoms, e + p - 1))
 
 
@@ -258,7 +254,6 @@ def _profile(a: BMatrix) -> tuple[PowerProfile, MatrixAtoms | None]:
     atoms = _stochastic_atoms(a)
     if atoms is not None:
         return _atom_profile(atoms), atoms
-    n = a.rows
     seen: dict[tuple[int, ...], int] = {}
     powers: list[BMatrix] = []
     cur = a
@@ -269,9 +264,7 @@ def _profile(a: BMatrix) -> tuple[PowerProfile, MatrixAtoms | None]:
         cur = mul(cur, a)
         s += 1
     t = seen[cur.masks]
-    e, p = t, s - t
-    assert e <= (n - 1) ** 2 + 1, f"exponent bound violated: e={e} for n={n}"
-    return PowerProfile(exponent=e, period=p, powers=tuple(powers)), None
+    return PowerProfile(exponent=t, period=s - t, powers=tuple(powers)), None
 
 
 def verify_power_theorem(a: BMatrix) -> bool:

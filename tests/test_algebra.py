@@ -25,6 +25,12 @@ def test_duplicate_names_rejected():
         make_algebra(["a", "a"])
 
 
+@pytest.mark.parametrize("names", [[1, 2], [b"a"], ["a", None], [["a"]]], ids=repr)
+def test_names_that_are_not_strings_rejected(names):
+    with pytest.raises(PreconditionError, match="atom names must be strings"):
+        make_algebra(names)
+
+
 def test_reserved_characters_rejected():
     with pytest.raises(PreconditionError):
         make_algebra(["a b"])

@@ -37,6 +37,7 @@ from boolmat import _kernel
 from boolmat import rand as br
 from boolmat.algebra import Elem
 from boolmat.bvec import inner
+from boolmat.chains import power_profile, relation_report
 
 from conftest import mat, vec
 
@@ -147,6 +148,34 @@ def test_every_public_constructor_rejects_out_of_range_masks(k, high):
     for build in builds:
         with pytest.raises(PreconditionError, match=f"outside algebra with {k} atoms"):
             build()
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "a"])
+def test_every_public_constructor_rejects_masks_that_are_not_ints(p2, bad):
+    builds = [
+        lambda: BMatrix(1, 2, (3, bad), p2),
+        lambda: BMatrix(1, 2, [bad, 3], p2),
+        lambda: BVec((3, bad), p2),
+        lambda: BVec([bad], p2),
+        lambda: p2.from_mask(bad),
+    ]
+    for build in builds:
+        with pytest.raises(PreconditionError, match=f"mask {bad!r} is not an int"):
+            build()
+
+
+def test_constructors_store_mask_sequences_as_tuples(p2):
+    m = BMatrix(2, 2, [3, 1, 0, 2], p2)
+    same = BMatrix(2, 2, (3, 1, 0, 2), p2)
+    assert type(m.masks) is tuple
+    assert m == same and hash(m) == hash(same)
+    assert power_profile(m) == power_profile(same)
+    assert relation_report(m) == relation_report(same)
+    v = BVec([2, 1], p2)
+    assert type(v.masks) is tuple
+    assert v == BVec((2, 1), p2) and hash(v) == hash(BVec((2, 1), p2))
+    assert BVec([True, 2], p2) == BVec((1, 2), p2)
+    assert p2.from_mask(True) == p2.from_mask(1)
 
 
 def _naive_product(n, m, p, a, b):
@@ -496,6 +525,31 @@ def test_common_invariant_of_family():
             assert all(apply(m, b) == b for m in mats)
 
 
+def test_families_sharing_an_invariant_are_fixed_and_reduced():
+    # Members R.diag(1, C).R share the invariant R e_1; cores are random
+    # unitaries or stochastic matrices, so the members' diagonals differ and
+    # a vector read from one member's diagonal alone is often not shared.
+    rng = random.Random(59)
+    algebras = [make_algebra([str(i) for i in range(1, k + 1)]) for k in range(1, 5)]
+    for _ in range(600):
+        alg = rng.choice(algebras)
+        n = rng.randrange(2, 6)
+        r = reflection_from(br.random_stochastic_vector(rng, alg, n))
+        family = []
+        for _ in range(rng.randrange(1, 4)):
+            core = (br.random_unitary if rng.random() < 0.5 else br.random_stochastic_matrix)(rng, alg, n - 1)
+            family.append(mul(r, mul(block_diag(alg, 1, core), r)))
+        b = find_invariant_stochastic(family)
+        assert b is not None and b.is_stochastic()
+        for a in family:
+            assert _naive_product(n, n, 1, a.masks, b.masks) == b.masks
+        unitaries = [a for a in family if is_unitary(a)]
+        for a in unitaries:
+            assert reduce_by_orthogonal_set(a, [b]).reconstruct() == a
+        if len(unitaries) == len(family):
+            assert [red.reconstruct() for red in reduce_unitary(family)] == family
+
+
 # --- reflections ---
 
 
@@ -673,8 +727,7 @@ def test_reduce_by_orthogonal_set_validations(p3):
 
 
 def test_reductions_read_atom_slots_without_products(monkeypatch):
-    # reduce_unitary multiplies nothing; reduce_by_orthogonal_set only makes
-    # the two products of its reconstruct() self-check, whatever m is.
+    # Neither reduction multiplies, whatever m is.
     rng = random.Random(53)
     alg = make_algebra(["1", "2", "3"])
     real = _kernel.matmul
@@ -695,7 +748,7 @@ def test_reductions_read_atom_slots_without_products(monkeypatch):
         calls.clear()
         red = reduce_by_orthogonal_set(a, [conj.column(j) for j in range(m)])
         assert red.fixed_count == m
-        assert len(calls) == 2
+        assert calls == []
 
 
 # --- powers ---

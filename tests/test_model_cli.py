@@ -934,3 +934,23 @@ def test_cli_imports_no_private_library_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_library_holds_no_run_time_self_check():
+    """Theorems are checked by the oracle and the tests, not re-proved on every
+    call: no module holds an ``assert``, which ``python -O`` strips, or reads
+    ``__debug__``."""
+    package = os.path.dirname(boolmat.__file__)
+    found = []
+    for folder, _, files in os.walk(package):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as f:
+                    tree = ast.parse(f.read())
+                found += [
+                    (os.path.relpath(path, package), node.lineno)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__"
+                ]
+    assert found == []

@@ -752,6 +752,14 @@ def _merge_first_two_atoms(atoms_of):
         8, "a=({1},{2}) b=({},*): constructed c not stochastic", id="DESCENT-construction",
     ),
     pytest.param(
+        "DESCENT", 3, 2, "_inner", lambda inner: lambda a, b: inner(a, b) | b[-1],
+        9, "a=(*,{},{}) b=({},{},*): orthogonal=False, witness=True", id="DESCENT-search-first",
+    ),
+    pytest.param(
+        "DESCENT", 3, 2, "_inner", lambda inner: lambda a, b: inner(a, b) | (a[-2] & b[-1]),
+        15, "a=({1},{2},{}) b=({},{1},{2}): orthogonal=False, witness=True", id="DESCENT-search-last",
+    ),
+    pytest.param(
         "DUALITY", 2, 1, "_is_generating", lambda gen: lambda vectors, n, k: False,
         2, "['({},*)', '(*,{})']: generating=False, dual orthonormal=True", id="DUALITY",
     ),
@@ -781,7 +789,14 @@ def test_planted_falsehood_gives_the_first_counterexample(monkeypatch, theorem, 
     """Each counterexample return fires on the first object a wrong helper
     makes false: an inner product blind to one slot, a generating test that
     always answers the same, a product that drops the last column, atoms
-    with two merged into one."""
+    with two merged into one.
+
+    The two DESCENT-search inner products also meet b's last entry (with
+    everything, or with a's second-last entry), so pairs that are in fact
+    orthogonal reach the non-orthogonal search, which must find their
+    witness: the first and the last of the four short stochastic vectors
+    respectively. A search that drops either of them moves the first
+    counterexample."""
     monkeypatch.setattr(oracle, helper, plant(getattr(oracle, helper)))
     verdict = brute_check(theorem, n, k)
     assert (verdict.passed, verdict.checked, verdict.counterexample) == (False, checked, counterexample)
