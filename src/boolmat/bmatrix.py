@@ -63,6 +63,8 @@ class BMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "masks", tuple(self.masks))
+        if not (isinstance(self.rows, int) and isinstance(self.cols, int)):
+            raise ShapeError(f"matrix dimensions must be ints, got {self.rows!r} and {self.cols!r}")
         if self.rows < 0 or self.cols < 0:
             raise ShapeError("negative matrix dimensions")
         if len(self.masks) != self.rows * self.cols:
@@ -92,14 +94,16 @@ class BMatrix:
     def of(rows: Sequence[Sequence[Elem]]) -> BMatrix:
         """Build from a rectangular grid of elements."""
         if not rows:
-            raise ShapeError("use an explicit 0x0 only via from_masks")
+            raise ShapeError("an empty grid has no algebra; build 0x0 as BMatrix(0, 0, (), algebra)")
         width = len(rows[0])
-        alg = rows[0][0].algebra if width else None
+        alg = None
         masks: list[int] = []
         for r in rows:
             if len(r) != width:
                 raise ShapeError("ragged rows")
             for e in r:
+                if not isinstance(e, Elem):
+                    raise PreconditionError(f"matrix entry {e!r} is not an Elem")
                 if alg is None:
                     alg = e.algebra
                 if e.algebra is not alg:

@@ -61,8 +61,12 @@ class BVec:
         """Build from elements, validating a shared algebra."""
         if not entries:
             raise ShapeError("vectors of length 0 are not supported")
-        alg = entries[0].algebra
-        for e in entries[1:]:
+        alg = None
+        for e in entries:
+            if not isinstance(e, Elem):
+                raise PreconditionError(f"vector entry {e!r} is not an Elem")
+            if alg is None:
+                alg = e.algebra
             if e.algebra is not alg:
                 raise AlgebraMismatchError("vector entries come from different algebras")
         return BVec(tuple(e.mask for e in entries), alg)

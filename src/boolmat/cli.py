@@ -47,19 +47,19 @@ def _load(path: str) -> ModelFile:
 def _pick_matrices(model: ModelFile, names: Sequence[str]) -> list[tuple[str, BMatrix]]:
     if names:
         return [(n, model.matrix(n)) for n in names]
-    found = [(n, model.matrices[n]) for _, n in model.order if n in model.matrices]
+    found = list(model.matrices.items())
     if not found:
         raise PreconditionError("the model contains no matrices")
     return found
 
 
-def _emit_matrix(prefix: str, mat: BMatrix, porcelain: bool, indent: str = "  ") -> None:
+def _emit_matrix(prefix: str, mat: BMatrix, porcelain: bool) -> None:
     if porcelain:
         for i, row in enumerate(element_rows(mat), start=1):
             print(f"{prefix}.row{i}=" + " ".join(row))
     else:
         for line in matrix_lines(mat) or ["(empty)"]:
-            print(indent + line)
+            print("  " + line)
 
 
 def _cmd_check(args) -> int:
@@ -222,7 +222,7 @@ def _cmd_basis_extend(args) -> int:
     if args.names:
         vectors = [model.vector(n) for n in args.names]
     else:
-        vectors = [model.vectors[n] for _, n in model.order if n in model.vectors]
+        vectors = list(model.vectors.values())
         if not vectors:
             raise PreconditionError("the model contains no vectors")
     basis = extend_to_basis(vectors)

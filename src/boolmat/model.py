@@ -120,38 +120,6 @@ def parse_model(text: str) -> ModelFile:
     model = ModelFile(algebra=algebra)
     known: dict[str, int] = {}  # literal -> mask, valid for this algebra only
     pos = 1
-
-    def read_block(count: int, width: int, what: str) -> tuple[int, ...]:
-        """Masks of the next ``count`` lines of ``width`` literals each.
-
-        The whole block is one lookup pass, and only literals not seen
-        before are parsed. If anything fails, the block is scanned again in
-        file order, and the first error, as a row-by-row read meets it, is
-        raised: a wrong element count, a bad literal, the end of the file.
-        """
-        nonlocal pos
-        block = meaningful[pos : pos + count]
-        if len(block) == count and all(len(line[2]) == width for line in block):
-            tokens = block[0][2] if count == 1 else [tok for line in block for tok in line[2]]
-            try:
-                for tok in set(tokens).difference(known):
-                    known[tok] = algebra._mask_of(tok)
-            except PreconditionError:
-                pass
-            else:
-                pos += count
-                return tuple(map(known.__getitem__, tokens))
-        for line in block:
-            tokens = line[2]
-            if len(tokens) != width:
-                raise _error(line, 0, f"{what}: expected {width} elements, got {len(tokens)}")
-            for index, tok in enumerate(tokens):
-                try:
-                    algebra._mask_of(tok)
-                except PreconditionError as exc:
-                    raise _error(line, index, str(exc)) from None
-        raise ModelSyntaxError(len(lines), 1, f"unexpected end of file inside {what}")
-
     while pos < len(meaningful):
         line = meaningful[pos]
         pos += 1
@@ -173,13 +141,30 @@ def parse_model(text: str) -> ModelFile:
             rows, cols = int(m.group(1)), int(m.group(2))
             if rows < 1 or cols < 1:
                 raise _error(line, 2, "matrix dimensions must be positive")
-            masks = read_block(rows, cols, f"matrix {name}")
-            model.matrices[name] = BMatrix._unchecked(rows, cols, masks, algebra)
         else:
             if not shape.isdigit() or int(shape) < 1:
                 raise _error(line, 2, f"bad vector length {shape!r}")
-            length = int(shape)
-            model.vectors[name] = BVec._unchecked(read_block(1, length, f"vector {name}"), algebra)
+            rows, cols = 1, int(shape)
+        block = meaningful[pos : pos + rows]
+        pos += rows
+        masks: list[int] = []
+        for row in block:
+            tokens = row[2]
+            if len(tokens) != cols:
+                raise _error(row, 0, f"{kind} {name}: expected {cols} elements, got {len(tokens)}")
+            for index, tok in enumerate(tokens):
+                if tok not in known:
+                    try:
+                        known[tok] = algebra._mask_of(tok)
+                    except PreconditionError as exc:
+                        raise _error(row, index, str(exc)) from None
+            masks.extend(map(known.__getitem__, tokens))
+        if len(block) < rows:
+            raise ModelSyntaxError(len(lines), 1, f"unexpected end of file inside {kind} {name}")
+        if kind == "matrix":
+            model.matrices[name] = BMatrix._unchecked(rows, cols, tuple(masks), algebra)
+        else:
+            model.vectors[name] = BVec._unchecked(tuple(masks), algebra)
         model.order.append((kind, name))
     return model
 

@@ -401,7 +401,8 @@ def _unitary_families(n: int, k: int, budget: int) -> Iterable[Any]:
 
 def _stochastic_then_unitary(n: int, k: int, budget: int) -> Iterable[Any]:
     """POWER objects ``(is_unitary, masks)``: stochastic matrices, then unitaries."""
-    stochastic = _stochastic_matrices(n, k, budget)
+    _require_budget(n ** (k * n) + math.factorial(n) ** k, budget)
+    stochastic = _iter_stochastic_matrix_masks(n, k)
     return chain(((False, a) for a in stochastic), ((True, u) for u in _iter_unitary_masks(n, k)))
 
 

@@ -178,6 +178,32 @@ def test_constructors_store_mask_sequences_as_tuples(p2):
     assert p2.from_mask(True) == p2.from_mask(1)
 
 
+@pytest.mark.parametrize("bad", [2.0, "2", None])
+def test_matrix_dimensions_that_are_not_ints_rejected(p2, bad):
+    with pytest.raises(ShapeError, match="dimensions must be ints"):
+        BMatrix(bad, 2, (3, 0, 0, 3), p2)
+    with pytest.raises(ShapeError, match="dimensions must be ints"):
+        BMatrix(2, bad, (3, 0, 0, 3), p2)
+
+
+def test_grid_entries_that_are_not_elements_rejected(p2):
+    one = p2.from_mask(1)
+    for build in (
+        lambda: BMatrix.of([[1, 2]]),
+        lambda: BMatrix.of([[one, 2]]),
+        lambda: BVec.of([1]),
+        lambda: BVec.of([one, 2]),
+    ):
+        with pytest.raises(PreconditionError, match="is not an Elem"):
+            build()
+
+
+def test_empty_grid_names_the_zero_by_zero_constructor(p2):
+    with pytest.raises(ShapeError, match=r"BMatrix\(0, 0, \(\), algebra\)"):
+        BMatrix.of([])
+    assert BMatrix(0, 0, (), p2).rows == 0
+
+
 def _naive_product(n, m, p, a, b):
     return tuple(
         reduce(or_, (a[i * m + t] & b[t * p + j] for t in range(m)), 0) for i in range(n) for j in range(p)

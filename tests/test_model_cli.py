@@ -217,7 +217,7 @@ def test_format_parse_roundtrip_random(model):
 
 
 
-# --- the block parser against the row-by-row parser it replaced ---
+# --- the model parser against a row-by-row reference parser ---
 #
 # Reference copies, verbatim apart from names: `Algebra.parse` and
 # `parse_model` as they were before a model block was read in one lookup
@@ -450,6 +450,26 @@ def test_block_parser_matches_row_by_row_reference_on_mutated_texts():
 
 _BLOCK_ERRORS = ("unexpected end of file", "elements, got", "unknown atom name", "(empty atom name)",
                  "(expected '{...}' or '*')")
+
+
+@pytest.mark.parametrize("fixture", ["paper_s5.bm", "s6_final.bm"])
+def test_parse_reads_each_distinct_literal_once(monkeypatch, fixture):
+    """The per-parse memo: ``_mask_of`` runs once per distinct literal text,
+    however often that literal repeats in the file."""
+    text = read(fixture_path(fixture))
+    calls = collections.Counter()
+    mask_of = Algebra._mask_of
+
+    def counting(self, literal):
+        calls[literal] += 1
+        return mask_of(self, literal)
+
+    monkeypatch.setattr(Algebra, "_mask_of", counting)
+    parse_model(text)
+    rows = map(_reference_tokens, text.splitlines())
+    literals = [tok for row in rows if row and row[0] not in ("atoms:", "matrix", "vector") for tok in row]
+    assert len(literals) > len(set(literals))
+    assert calls == collections.Counter(set(literals))
 
 
 

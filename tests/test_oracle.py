@@ -141,6 +141,17 @@ def test_budget_refusal_reports_required_size():
     assert err.value.required is None
 
 
+def test_power_budget_counts_stochastic_matrices_and_unitaries():
+    """POWER streams 16 stochastic matrices and 4 unitaries at n = k = 2; the
+    guard counts both, so a budget of the stochastic half alone is refused."""
+    for budget in (16, 19):
+        with pytest.raises(BudgetExceededError) as err:
+            brute_check("POWER", 2, 2, budget=budget)
+        assert err.value.required == 20
+    verdict = brute_check("POWER", 2, 2, budget=20)
+    assert verdict.passed and verdict.checked == 20
+
+
 def test_unknown_theorem_rejected():
     with pytest.raises(PreconditionError):
         brute_check("FERMAT", 2, 2)
