@@ -449,26 +449,59 @@ def reduce_by_orthogonal_set(a: BMatrix, invariants: Sequence[BVec]) -> Reductio
 
 
 def power(a: BMatrix, e: int) -> BMatrix:
-    """``A**e`` by repeated squaring; ``A**0`` is the identity.
+    """``A**e`` from a ladder of squares; ``A**0`` is the identity.
 
-    The ladder starts at the lowest set bit of ``e``, so ``e >= 1`` costs
-    ``popcount(e) - 1 + floor(log2 e)`` products and ``e = 0`` none.
+    The ladder ``A, A**2, A**4, ...`` stops at the top bit of ``e``, or
+    earlier at its first repeat, and ``A**e`` is the product of the rungs
+    at the set bits of ``e`` once a repeat has folded it (see
+    :func:`_powers`). So ``e >= 1`` costs at most
+    ``floor(log2 e) + popcount(e) - 1`` products, and ``e = 0`` none.
     """
     if not a.is_square():
         raise ShapeError("powers of a non-square matrix")
+    _check_exponent(e)
     if e < 0:
         raise PreconditionError("negative powers are not defined")
-    if e == 0:
-        return identity(a.algebra, a.rows)
-    base = a
-    while not e & 1:
-        base = mul(base, base)
-        e >>= 1
-    result = base
-    e >>= 1
-    while e:
-        base = mul(base, base)
-        if e & 1:
-            result = mul(result, base)
-        e >>= 1
-    return result
+    return _powers(a, (e,))[0]
+
+
+def _check_exponent(e: object) -> None:
+    if not isinstance(e, int):
+        raise PreconditionError(f"exponent {e!r} is not an int")
+
+
+def _powers(a: BMatrix, exponents: Sequence[int]) -> list[BMatrix]:
+    """``A**e`` for each ``e >= 0`` in ``exponents``, from one ladder of squares.
+
+    The ladder holds ``A**(2**i)`` up to the top bit of the largest
+    exponent. It stops early at the first square that equals an earlier
+    rung, ``A**(2**t) == A**(2**s)`` with s < t: multiplying both sides by
+    ``A**(x - 2**s)`` gives ``A**x == A**(x + d)`` for every ``x >= 2**s``,
+    with ``d = 2**t - 2**s``. An exponent ``e >= 2**s`` is then folded to
+    ``2**s + (e - 2**s) % d``, which is below ``2**t``, so its bits are all
+    rungs. Each power costs ``popcount - 1`` products over the ladder's,
+    and folding never adds a bit: above bit s it reduces modulo
+    ``2**(t - s) - 1``, where a carry out of the top wraps round to bit s.
+    """
+    top = max(exponents, default=0)
+    ladder = [a]
+    seen = {a.masks: 0}
+    start = period = 0
+    while len(ladder) < top.bit_length():
+        square = mul(ladder[-1], ladder[-1])
+        if square.masks in seen:
+            start = 1 << seen[square.masks]
+            period = (1 << len(ladder)) - start
+            break
+        seen[square.masks] = len(ladder)
+        ladder.append(square)
+    out = []
+    for e in exponents:
+        if period and e >= start:
+            e = start + (e - start) % period
+        result = None
+        for i, rung in enumerate(ladder):
+            if e >> i & 1:
+                result = rung if result is None else mul(result, rung)
+        out.append(identity(a.algebra, a.rows) if result is None else result)
+    return out

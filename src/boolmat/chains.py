@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .algebra import Elem, PreconditionError, ShapeError
-from .bmatrix import BMatrix, is_stochastic_matrix, mul, power
+from .bmatrix import BMatrix, _check_exponent, _powers, is_stochastic_matrix, mul
 from .bvec import _atom_slots
 
 __all__ = [
@@ -118,6 +118,7 @@ class MatrixAtoms:
         Entry (i, j) is the join of the atoms whose function, iterated s
         times, sends slot j to slot i.
         """
+        _check_exponent(s)
         if s < 0:
             raise PreconditionError("negative powers are not defined")
         n = self.matrix.rows
@@ -209,6 +210,7 @@ class PowerProfile:
 
     def power_at(self, s: int) -> BMatrix:
         """``A**s`` for any s >= 1, resolved through the cycle."""
+        _check_exponent(s)
         if s < 1:
             raise PreconditionError("power_at needs s >= 1")
         if s < self.exponent + self.period:
@@ -271,11 +273,19 @@ def verify_power_theorem(a: BMatrix) -> bool:
     """Compare ``A**(lcm(1..n)+n-1)`` with ``A**(n-1)`` bit-exactly.
 
     Always true for stochastic matrices; False would mean a library bug.
+    Both powers are products over one ladder of squares, which stops at
+    its first repeat ``A**(2**t) == A**(2**s)``: from ``A**(2**s)`` on,
+    powers repeat with period ``2**t - 2**s``, so the large exponent folds
+    onto the rungs already built. With ``E = lcm(1..n) + n - 1`` this costs
+    at most ``E.bit_length() - 1`` squares plus
+    ``popcount(E) + popcount(n - 1) - 2`` products, and the atom functions
+    are never consulted.
     """
     if not is_stochastic_matrix(a):
         raise PreconditionError("the power identity is stated for stochastic matrices")
     n = a.rows
-    return power(a, lcm_upto(n) + n - 1) == power(a, n - 1)
+    big, small = _powers(a, (lcm_upto(n) + n - 1, n - 1))
+    return big == small
 
 
 def _check_site(n: int, site: int) -> None:

@@ -30,11 +30,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, permutations, product
 from operator import or_
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from . import rand
 from .algebra import Algebra, BoolmatError, PreconditionError
 from .bvec import BVec
 
@@ -108,14 +108,18 @@ def _iter_stochastic_matrix_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
         yield tuple(chosen[j][i] for i in range(n) for j in range(n))
 
 
+def _matrix_masks(n: int, maps: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """The matrix whose atom ``bit`` moves column j to row ``maps[bit][j]``."""
+    masks = [0] * (n * n)
+    for bit, col_to_row in enumerate(maps):
+        for j, i in enumerate(col_to_row):
+            masks[i * n + j] |= 1 << bit
+    return tuple(masks)
+
+
 def _iter_permutation_masks(n: int, k: int, perms: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
     """Matrices whose every atom moves columns to rows by one of ``perms``."""
-    for assign in product(perms, repeat=k):
-        masks = [0] * (n * n)
-        for bit, perm in enumerate(assign):
-            for j, i in enumerate(perm):
-                masks[i * n + j] |= 1 << bit
-        yield tuple(masks)
+    return (_matrix_masks(n, assign) for assign in product(perms, repeat=k))
 
 
 def _iter_unitary_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -427,24 +431,62 @@ def _sample_stochastic_pair(rng: random.Random, alg: Algebra, n: int) -> Any:
     return tuple(a), tuple(b)
 
 
+def _random_permutation(rng: random.Random, n: int) -> list[int]:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+@cache
+def _involution_counts(n: int) -> tuple[int, ...]:
+    """The number of involutions of range(i), for i = 0..n."""
+    counts = [1, 1]
+    for i in range(2, n + 1):
+        counts.append(counts[i - 1] + (i - 1) * counts[i - 2])
+    return tuple(counts)
+
+
+def _random_involution(rng: random.Random, n: int) -> list[int]:
+    """A uniform involution of range(n): the last unpaired point stays fixed
+    with probability ``counts[size - 1] / counts[size]``, else pairs with a
+    uniform partner."""
+    counts = _involution_counts(n)
+    perm = list(range(n))
+    remaining = list(range(n))
+    while remaining:
+        size = len(remaining)
+        x = remaining.pop()
+        if size == 1 or rng.randrange(counts[size]) < counts[size - 1]:
+            continue
+        y = remaining.pop(rng.randrange(len(remaining)))
+        perm[x], perm[y] = y, x
+    return perm
+
+
 def _sample_short_family(rng: random.Random, alg: Algebra, n: int) -> Any:
+    """The first m < n columns of a uniform unitary, for a uniform m."""
     m = rng.randrange(1, n)
-    return tuple(v.masks for v in rand.random_stochastic_orthonormal_set(rng, alg, n, m))
+    columns = [[0] * n for _ in range(m)]
+    for bit in range(alg.atom_count):
+        perm = _random_permutation(rng, n)
+        for j in range(m):
+            columns[j][perm[j]] |= 1 << bit
+    return tuple(map(tuple, columns))
 
 
 def _sample_stochastic_matrix(rng: random.Random, alg: Algebra, n: int) -> Any:
-    return rand.random_stochastic_matrix(rng, alg, n).masks
+    return _matrix_masks(n, [[rng.randrange(n) for _ in range(n)] for _ in range(alg.atom_count)])
 
 
 def _sample_symmetric_stochastic(rng: random.Random, alg: Algebra, n: int) -> Any:
-    return rand.random_symmetric_stochastic(rng, alg, n).masks
+    return _matrix_masks(n, [_random_involution(rng, n) for _ in range(alg.atom_count)])
 
 
 def _sample_power(rng: random.Random, alg: Algebra, n: int) -> Any:
     """A stochastic matrix or a unitary, chosen by a fair coin."""
     if rng.randrange(2):
-        return True, rand.random_unitary(rng, alg, n).masks
-    return False, rand.random_stochastic_matrix(rng, alg, n).masks
+        return True, _matrix_masks(n, [_random_permutation(rng, n) for _ in range(alg.atom_count)])
+    return False, _sample_stochastic_matrix(rng, alg, n)
 
 
 # --- predicates (n, k) -> (object -> counterexample | None) ---

@@ -786,9 +786,29 @@ def test_power_zero_is_identity(p3):
     assert power(a, 0) == identity(p3, 3)
 
 
+def _ladder_products(a, e):
+    """Products that ``A**e`` costs over a naive ladder of squares: square
+    until the top bit of e or until a square equals an earlier rung
+    ``A**(2**s)``, fold e by that repeat, then one product per further set
+    bit."""
+    if e == 0:
+        return 0
+    rungs = [a]
+    while len(rungs) < e.bit_length():
+        square = mul(rungs[-1], rungs[-1])
+        if square in rungs:
+            s, t = rungs.index(square), len(rungs)
+            if e >= 2**s:
+                e = 2**s + (e - 2**s) % (2**t - 2**s)
+            return t + bin(e).count("1") - 1
+        rungs.append(square)
+    return len(rungs) - 1 + bin(e).count("1") - 1
+
+
 def test_power_product_count_and_bits(monkeypatch, p5):
-    # popcount(e) - 1 + floor(log2 e) products for e >= 1, none for e = 0,
-    # and the same bits as multiplying by A e times.
+    # The ladder's exact count, never more than the binary ladder's
+    # popcount(e) - 1 + floor(log2 e); none for e = 0; and the same bits as
+    # multiplying by A e times.
     a = random_any_matrix(random.Random(61), p5, 4)
     real = _kernel.matmul
     calls = []
@@ -800,12 +820,55 @@ def test_power_product_count_and_bits(monkeypatch, p5):
     monkeypatch.setattr(_kernel, "matmul", counting)
     repeated = identity(p5, 4)
     for e in range(41):
+        expected = _ladder_products(a, e)
+        assert expected <= (0 if e == 0 else bin(e).count("1") - 1 + e.bit_length() - 1), e
         calls.clear()
         got = power(a, e)
-        assert len(calls) == (0 if e == 0 else bin(e).count("1") - 1 + e.bit_length() - 1), e
+        assert len(calls) == expected, e
         assert got == repeated, e
         repeated = mul(repeated, a)
     assert power(a, 0) == identity(p5, 4)
+
+
+def test_power_stops_the_ladder_at_its_first_repeat(monkeypatch, p3):
+    # A 3-cycle: A**4 == A, so the ladder is A, A**2 and one square that
+    # repeats; A**(10**30) folds to A**(1 + (10**30 - 1) % 3) == A.
+    a = mat(p3, """
+        {}    {}    *
+        *     {}    {}
+        {}    *     {}
+    """)
+    calls = []
+    real = _kernel.matmul
+    monkeypatch.setattr(_kernel, "matmul", lambda *args: calls.append(args) or real(*args))
+    assert power(a, 10**30) == a
+    assert len(calls) == 2
+
+
+def test_power_matches_repeated_products():
+    rng = random.Random(67)
+    algebras = [make_algebra([str(i) for i in range(1, k + 1)]) for k in range(1, 5)]
+    draws = {
+        "general": random_any_matrix,
+        "stochastic": br.random_stochastic_matrix,
+        "unitary": br.random_unitary,
+    }
+    for kind, draw in draws.items():
+        for n in range(7):
+            for _ in range(2):
+                alg = rng.choice(algebras)
+                a = BMatrix(0, 0, (), alg) if n == 0 else draw(rng, alg, n)
+                repeated = identity(alg, n)
+                for e in range(301):
+                    assert power(a, e) == repeated, (kind, n, e)
+                    repeated = mul(repeated, a)
+
+
+@pytest.mark.parametrize("bad", [2.0, "2", None, 2 + 0j])
+def test_power_rejects_exponents_that_are_not_ints(p3, bad):
+    a = identity(p3, 3)
+    with pytest.raises(PreconditionError, match="not an int"):
+        power(a, bad)
 
 
 def test_two_by_two_stochastic_cubes_to_itself():

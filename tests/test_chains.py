@@ -276,6 +276,31 @@ def test_power_theorem_rejects_non_stochastic(p2):
         verify_power_theorem(bad)
 
 
+def test_power_theorem_makes_logarithmically_many_products(monkeypatch):
+    rng = random.Random(141)
+    alg = make_algebra(["1", "2", "3"])
+    # 12 sites; the cycle types give period lcm(5, 7, 8, 9) = 2520
+    long_chain = _from_functions(alg, [_cycles(rng, 12, t) for t in [(5, 7), (8, 4), (9, 3)]])
+    assert power_profile(long_chain).period == 2520
+    samples = [br.random_stochastic_matrix(rng, alg, 12), long_chain]
+    bound = 2 * (lcm_upto(12) + 11).bit_length()
+    calls = []
+    real = _kernel.matmul
+    monkeypatch.setattr(_kernel, "matmul", lambda *args: calls.append(args) or real(*args))
+    for a in samples:
+        calls.clear()
+        assert verify_power_theorem(a)
+        assert 0 < len(calls) <= bound
+
+
+@pytest.mark.parametrize("bad", [2.0, "2", None])
+def test_atom_powers_reject_exponents_that_are_not_ints(final_example, bad):
+    with pytest.raises(PreconditionError, match="not an int"):
+        matrix_atoms(final_example).power(bad)
+    with pytest.raises(PreconditionError, match="not an int"):
+        power_profile(final_example).power_at(bad)
+
+
 # --- reachability ---
 
 
@@ -370,8 +395,8 @@ def _assert_matches_references(a):
     assert len(profile.powers) == e + p - 1
     for s in range(1, e + p + 3):
         assert profile.power_at(s) == power(a, s)
-    far = 10**6 + 7
-    assert profile.power_at(far) == power(a, far)
+    for far in (10**6 + 7, 2**99 + 12345, 10**30, 10**30 + 1):
+        assert profile.power_at(far) == power(a, far)
     report = relation_report(a)
     assert (report.exponent, report.period) == (e, p)
     for j in range(1, n + 1):

@@ -244,6 +244,35 @@ def test_sampler_draws_from_the_exhaustive_object_space(theorem):
         assert {unitary for unitary, _ in drawn} == {False, True}
 
 
+# Each sampler's draw through ``rand``'s generators: the sampler must make
+# the same rng calls and build the same masks, so seeded verdicts do not
+# depend on which of the two drew the objects.
+RAND_DRAWS = {
+    "STOINV": lambda rng, alg, n: br.random_stochastic_matrix(rng, alg, n).masks,
+    "ODDINV": lambda rng, alg, n: br.random_symmetric_stochastic(rng, alg, n).masks,
+    "POWER": lambda rng, alg, n: (
+        (True, br.random_unitary(rng, alg, n).masks)
+        if rng.randrange(2)
+        else (False, br.random_stochastic_matrix(rng, alg, n).masks)
+    ),
+    "INCOMPLETE": lambda rng, alg, n: tuple(
+        v.masks for v in br.random_stochastic_orthonormal_set(rng, alg, n, rng.randrange(1, n))
+    ),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(RAND_DRAWS))
+def test_samplers_draw_what_the_random_generators_draw(theorem):
+    sampler, reference = THEOREMS[theorem].sampler, RAND_DRAWS[theorem]
+    for k in range(1, 5):
+        alg = make_algebra([str(i + 1) for i in range(k)])
+        for n in range(2, 6):
+            for seed in range(300):
+                mine, theirs = random.Random(seed), random.Random(seed)
+                assert sampler(mine, alg, n) == reference(theirs, alg, n), (k, n, seed)
+                assert mine.getstate() == theirs.getstate(), (k, n, seed)
+
+
 def test_sampled_incomplete_runs_the_generating_check(monkeypatch):
     monkeypatch.setattr(oracle, "_is_generating", lambda vectors, n, k: False)
     verdict = sample_check("INCOMPLETE", 4, 2, 20)
@@ -830,8 +859,8 @@ def test_invariance_helper_matches_the_product():
 
 
 def test_oracle_imports_nothing_it_checks():
-    """No kernel, bmatrix or chains import; from bvec only ``BVec``, and
-    that only to format counterexamples."""
+    """No kernel, bmatrix, chains or rand import; from bvec only ``BVec``,
+    and that only to format counterexamples."""
     tree = ast.parse(inspect.getsource(oracle))
     imported = []
     for node in ast.walk(tree):
@@ -842,7 +871,7 @@ def test_oracle_imports_nothing_it_checks():
     assert ("bvec", "BVec") in imported
     for module, name in imported:
         parts = set(module.split(".")) | {name}
-        assert not parts & {"_kernel", "bmatrix", "chains", "_atom_slots"}, (module, name)
+        assert not parts & {"_kernel", "bmatrix", "chains", "rand", "_atom_slots"}, (module, name)
         if "bvec" in parts:
             assert (module, name) == ("bvec", "BVec")
     users = {
