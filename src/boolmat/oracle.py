@@ -1,7 +1,7 @@
 """Brute-force reference checks: every theorem, verified by enumeration.
 
 The checks here are deliberately naive. They work on raw bit masks with
-triple-loop products and exhaustive searches, never touching the packed
+definition-level products and exhaustive searches, never touching the packed
 kernels or the constructive algorithms whose correctness they back up. A
 verdict of ``passed=False`` from any registered check is a release blocker.
 Naive is not wasteful, though: the atoms of a matrix are found by a
@@ -10,6 +10,15 @@ meet is already zero (no selection through it can meet to anything else),
 so every nonzero meet is still read off the entries as the definition
 states; and ``A b == b`` is decided row by row, up to the first row that
 differs.
+
+A product is computed word-parallel (SIMD within a register): the whole
+matrix sits in one int, entry (i, j) in a lane of w bits, and for each inner
+index t one AND takes column t of the left factor, a multiplication copies
+it along each row, and an AND with row t of the right factor copied into
+every row gives ``x_it & y_tj`` in every lane at once. The OR of those n
+words is, lane by lane, ``OR_t (x_it & y_tj)``: the definition of the
+product, reached by a different algorithm from the per-entry loops of the
+library's kernels, so the oracle does not share their mistakes.
 
 Each theorem is written once, as a predicate that maps one object to a
 counterexample or None. Exhaustive and sampled runs feed the same predicate,
@@ -105,7 +114,7 @@ def _iter_stochastic_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
 def _iter_stochastic_matrix_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
     columns = list(_iter_stochastic_masks(n, k))
     for chosen in product(columns, repeat=n):
-        yield tuple(chosen[j][i] for i in range(n) for j in range(n))
+        yield tuple(chain.from_iterable(zip(*chosen)))
 
 
 def _matrix_masks(n: int, maps: Iterable[Sequence[int]]) -> tuple[int, ...]:
@@ -199,15 +208,67 @@ def _is_stochastic_vec(v: Sequence[int], full: int) -> bool:
     return _is_orthovector(v) and _or_all(v) == full
 
 
+def _pack(v: Sequence[int], w: int) -> int:
+    """The masks of ``v`` side by side in one int, ``w`` bits per slot.
+
+    A row-major ``n x n`` matrix packs to its word: entry (i, j) in bits
+    ``[w*(i*n+j), w*(i*n+j+1))``.
+    """
+    acc = 0
+    for m in reversed(v):
+        acc = acc << w | m
+    return acc
+
+
+def _unpack(word: int, w: int, count: int) -> tuple[int, ...]:
+    lane = (1 << w) - 1
+    return tuple(word >> w * i & lane for i in range(count))
+
+
+@cache
+def _spread(n: int, w: int) -> int:
+    """A 1 in each of ``n`` lanes of ``w`` bits: times a value that fits
+    one lane, it copies the value into every lane."""
+    return _pack([1] * n, w)
+
+
+@cache
+def _columns(n: int, w: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """For each t, the lanes of column t and the shift that moves them to
+    column 0; and the multiplier that copies column 0 along each row."""
+    lane = (1 << w) - 1
+    column0 = _pack([lane if j == 0 else 0 for _ in range(n) for j in range(n)], w)
+    return tuple((column0 << w * t, w * t) for t in range(n)), _spread(n, w)
+
+
+def _row_tiles(n: int, w: int, y: int) -> tuple[int, ...]:
+    """For each t, row t of the packed matrix ``y`` copied into every row."""
+    width = w * n
+    row = (1 << width) - 1
+    tile = _spread(n, width)
+    return tuple((y >> width * t & row) * tile for t in range(n))
+
+
+def _wordmul(n: int, w: int, x: int, tiles: Sequence[int]) -> int:
+    """The packed product ``x y``, given ``y``'s row tiles.
+
+    Term t copies column t of ``x`` along each row and ANDs it with row t of
+    ``y`` in every row, so lane (i, j) holds ``x_it & y_tj``; the OR of the
+    n terms is ``OR_t (x_it & y_tj)`` in every lane. Lanes never carry into
+    each other: column t moves to column 0 before the copy, and each copy
+    lands in its own lane.
+    """
+    columns, spread = _columns(n, w)
+    out = 0
+    for (column, shift), tile in zip(columns, tiles):
+        out |= ((x & column) >> shift) * spread & tile
+    return out
+
+
 def _matmul(n: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            acc = 0
-            for t in range(n):
-                acc |= a[i * n + t] & b[t * n + j]
-            out[i * n + j] = acc
-    return tuple(out)
+    """The product of two row-major mask tuples, through :func:`_wordmul`."""
+    w = max(max(a, default=0).bit_length(), max(b, default=0).bit_length(), 1)
+    return _unpack(_wordmul(n, w, _pack(a, w), _row_tiles(n, w, _pack(b, w))), w, n * n)
 
 
 def _matvec(n: int, a: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
@@ -257,14 +318,6 @@ def _is_generating(vectors: Sequence[Sequence[int]], n: int, k: int) -> bool:
     )
 
 
-def _pack(v: Sequence[int], k: int) -> int:
-    """The masks of ``v`` side by side in one int, ``k`` bits per slot."""
-    acc = 0
-    for m in reversed(v):
-        acc = acc << k | m
-    return acc
-
-
 def _is_orthonormal_family(vectors: Sequence[Sequence[int]], full: int) -> bool:
     for i, v in enumerate(vectors):
         if _or_all(v) != full:
@@ -275,10 +328,17 @@ def _is_orthonormal_family(vectors: Sequence[Sequence[int]], full: int) -> bool:
     return True
 
 
-def _block_form(n: int, d: Sequence[int], full: int) -> bool:
-    if d[0] != full:
-        return False
-    return all(d[j] == 0 for j in range(1, n)) and all(d[i * n] == 0 for i in range(1, n))
+@cache
+def _cross(n: int, w: int) -> int:
+    """The lanes of row 0 and column 0 of a packed ``n x n`` matrix."""
+    lane = (1 << w) - 1
+    return _pack([lane if i == 0 or j == 0 else 0 for i in range(n) for j in range(n)], w)
+
+
+def _block_form(n: int, d: int, full: int) -> bool:
+    """Whether the packed ``d`` (lanes as wide as ``full``) is ``full`` at
+    (0, 0) and zero in the rest of row 0 and of column 0."""
+    return d & _cross(n, full.bit_length()) == full
 
 
 def _atoms_of(n: int, a: Sequence[int], full: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -305,20 +365,23 @@ def _atoms_of(n: int, a: Sequence[int], full: int) -> list[tuple[int, tuple[int,
     return out
 
 
-def _power_walk(n: int, x: tuple[int, ...], a: Sequence[int], steps: int) -> list[tuple[int, ...]]:
-    """``x A, x A**2, ..., x A**steps``, one right product with ``a`` per step.
+def _power_walk(n: int, w: int, a: int, top: int) -> list[int]:
+    """``A, A**2, ..., A**top`` for the packed ``a``: it starts at
+    ``A**1 = A`` and takes one right product with ``a`` per step.
 
-    Power sequences turn periodic after a few steps, so a dict from each
-    power met to its product with ``a`` serves a power that comes back
-    without multiplying it again: at most one product per distinct power.
+    ``a``'s row tiles are built once for the walk. Power sequences turn
+    periodic after a few steps, so a dict from each power met to its product
+    with ``a`` serves a power that comes back without multiplying it again:
+    at most one product per distinct power.
     """
-    after: dict[tuple[int, ...], tuple[int, ...]] = {}
-    walk = []
-    cur = x
-    for _ in range(steps):
+    tiles = _row_tiles(n, w, a)
+    after: dict[int, int] = {}
+    walk = [a]
+    cur = a
+    for _ in range(top - 1):
         nxt = after.get(cur)
         if nxt is None:
-            nxt = after[cur] = _matmul(n, cur, a)
+            nxt = after[cur] = _wordmul(n, w, cur, tiles)
         walk.append(nxt)
         cur = nxt
     return walk
@@ -332,8 +395,8 @@ def _brute_period_exponent(n: int, a: Sequence[int]) -> tuple[int, int]:
     smallest witness for that p.
     """
     horizon = (n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))
-    first = tuple(a)
-    powers = [first, *_power_walk(n, first, a, horizon)]
+    w = max(a, default=0).bit_length() or 1
+    powers = _power_walk(n, w, _pack(a, w), horizon + 1)
     for p in range(1, horizon + 1):
         for e in range(1, horizon - p + 2):
             if powers[e - 1 + p] == powers[e - 1]:
@@ -614,17 +677,18 @@ def _dimcor2(n: int, k: int) -> Callable[[Any], str | None]:
 def _incomplete(n: int, k: int) -> Callable[[Any], str | None]:
     """Every short stochastic orthonormal family completes to a basis."""
     alg = _numbered_algebra(k)
-    stoch = list(_iter_stochastic_masks(n, k))
+    stoch = [(v, _pack(v, k)) for v in _iter_stochastic_masks(n, k)]
 
-    def completes(fam: tuple[tuple[int, ...], ...]) -> bool:
+    def completes(fam: tuple[tuple[int, ...], ...], used: int) -> bool:
+        """``used`` is the OR of the members' packed words: a candidate is
+        orthogonal to every member exactly when its word misses it."""
         if len(fam) == n:
             return _is_generating(fam, n, k)
-        return any(
-            completes(fam + (v,)) for v in stoch if all(_inner(v, w) == 0 for w in fam)
-        )
+        return any(completes(fam + (v,), used | word) for v, word in stoch if not word & used)
 
     def check(fam: Any) -> str | None:
-        return None if completes(tuple(fam)) else f"no completion for {_fmt_family(fam, alg)}"
+        used = _or_all(_pack(v, k) for v in fam)
+        return None if completes(tuple(fam), used) else f"no completion for {_fmt_family(fam, alg)}"
 
     return check
 
@@ -677,22 +741,28 @@ def _oddinv(n: int, k: int) -> Callable[[Any], str | None]:
 def _unitreduce(n: int, k: int) -> Callable[[Any], str | None]:
     """Unitary families reduce simultaneously exactly when joint trace is one.
 
-    Reducibility is decided by searching every unitary conjugator. The
-    search runs once per distinct unitary of a run: its result is the set of
-    conjugators that put the unitary in block form, as bits over conjugator
-    indices, and a family reduces exactly when its members' sets meet.
+    Reducibility is decided by searching every unitary conjugator B for
+    ``(B* M) B`` in block form. The search runs once per distinct unitary of
+    a run: its result is the set of conjugators that put the unitary in
+    block form, as bits over conjugator indices, and a family reduces
+    exactly when its members' sets meet. Conjugators are packed, with B's
+    row tiles, once per run, and each unitary's row tiles once, when it is
+    first met.
     """
     alg = _numbered_algebra(k)
     full = alg._full
-    conjugators = [(b, _transpose(n, b)) for b in _iter_unitary_masks(n, k)]
+    conjugators = [
+        (_pack(_transpose(n, b), k), _row_tiles(n, k, _pack(b, k))) for b in _iter_unitary_masks(n, k)
+    ]
     reducers: dict[tuple[int, ...], int] = {}
 
     def reducing(m: tuple[int, ...]) -> int:
         bits = reducers.get(m)
         if bits is None:
+            tiles = _row_tiles(n, k, _pack(m, k))
             bits = 0
-            for c, (b, bt) in enumerate(conjugators):
-                if _block_form(n, _matmul(n, bt, _matmul(n, m, b)), full):
+            for c, (bt, b_tiles) in enumerate(conjugators):
+                if _block_form(n, _wordmul(n, k, _wordmul(n, k, bt, tiles), b_tiles), full):
                     bits |= 1 << c
             reducers[m] = bits
         return bits
@@ -745,17 +815,16 @@ def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
 def _power(n: int, k: int) -> Callable[[Any], str | None]:
     """The stochastic power identity, and its unitary sharpening."""
     alg = _numbered_algebra(k)
-    full = alg._full
     lcm = math.lcm(*range(1, n + 1))
-    ident = _identity_masks(n, full)
+    ident = _pack(_identity_masks(n, alg._full), k)
 
     def check(obj: Any) -> str | None:
         unitary, a = obj
         if unitary:
-            if _power_walk(n, ident, a, lcm)[-1] != ident:
+            if _power_walk(n, k, _pack(a, k), lcm)[-1] != ident:
                 return f"unitary {_fmt_mat(n, a, alg)}"
             return None
-        powers = [ident, *_power_walk(n, ident, a, n - 1 + lcm)]
+        powers = [ident, *_power_walk(n, k, _pack(a, k), n - 1 + lcm)]
         return None if powers[-1] == powers[n - 1] else _fmt_mat(n, a, alg)
 
     return check

@@ -10,6 +10,7 @@ sampling over each class.
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Sequence
 
 from .algebra import Algebra, PreconditionError
@@ -80,11 +81,13 @@ def random_unitary(rng: random.Random, algebra: Algebra, n: int) -> BMatrix:
     return _matrix_from_assignments(algebra, n, assigns)
 
 
-def _involution_counts(n: int) -> list[int]:
+@cache
+def _involution_counts(n: int) -> tuple[int, ...]:
+    """The number of involutions of range(i), for i = 0..n."""
     counts = [1, 1]
     for i in range(2, n + 1):
         counts.append(counts[i - 1] + (i - 1) * counts[i - 2])
-    return counts
+    return tuple(counts)
 
 
 def random_involution(rng: random.Random, n: int) -> list[int]:

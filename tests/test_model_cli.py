@@ -780,6 +780,26 @@ def test_verify_porcelain(capsys):
     ]
 
 
+def test_verify_porcelain_prints_the_counterexample_of_a_failed_check(monkeypatch, capsys):
+    from boolmat import oracle
+
+    # Every product zero: A**3 == A**1 fails on the first stochastic matrix.
+    monkeypatch.setattr(oracle, "_wordmul", lambda n, w, x, tiles: 0)
+    rc, out, _ = run_cli(
+        ["verify", "--theorem", "POWER", "--n", "2", "--atoms", "2", "--porcelain"], capsys
+    )
+    assert rc == 1
+    assert out.splitlines() == [
+        "theorem=POWER",
+        "n=2",
+        "atoms=2",
+        "mode=exhaustive",
+        "checked=1",
+        "verdict=fail",
+        "counterexample=[* *; {} {}]",
+    ]
+
+
 def test_verify_sampled(capsys):
     rc, out, _ = run_cli(
         ["verify", "--porcelain", "--theorem", "POWER", "--n", "4", "--atoms", "4",

@@ -280,6 +280,24 @@ def test_sampled_incomplete_runs_the_generating_check(monkeypatch):
     assert verdict.checked == 1
 
 
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])
+def test_incomplete_completes_only_by_orthogonal_vectors(monkeypatch, n, k):
+    """With no family generating, the completion search visits every way to
+    extend each short family; each one it hands over must be orthonormal."""
+    handed = []
+
+    def never(vectors, n, k):
+        handed.append(vectors)
+        return False
+
+    monkeypatch.setattr(oracle, "_is_generating", never)
+    check = oracle._incomplete(n, k)
+    for fam in THEOREMS["INCOMPLETE"].source(n, k, DEFAULT_BUDGET):
+        assert check(fam) is not None
+    assert handed
+    assert all(len(f) == n and oracle._is_orthonormal_family(f, (1 << k) - 1) for f in handed)
+
+
 def test_dimension_fails_when_no_basis_is_enumerated(monkeypatch):
     monkeypatch.setattr(oracle, "_is_generating", lambda vectors, n, k: False)
     verdict = brute_check("DIMENSION", 2, 2)
@@ -371,7 +389,7 @@ def _direct_unitreduce(n, k):
 
     def check(mats):
         reducible = any(
-            all(oracle._block_form(n, oracle._matmul(n, bt, oracle._matmul(n, m, b)), full) for m in mats)
+            all(oracle._block_form(n, oracle._pack(oracle._matmul(n, bt, oracle._matmul(n, m, b)), k), full) for m in mats)
             for b, bt in conjugators
         )
         joint_trace = oracle._or_all(oracle._and_all(m[i * n + i] for m in mats) & full for i in range(n))
@@ -384,8 +402,10 @@ def _direct_unitreduce(n, k):
 
 def _scrambled_block_form(n, d, full):
     """A fixed stand-in for the block-form test that holds for about a third
-    of all products, so reducibility stops following the joint trace."""
-    return sum((i + 1) * x for i, x in enumerate(d)) % 3 == 0
+    of all products, so reducibility stops following the joint trace. It
+    reads the packed product's lanes, as wide as ``full``."""
+    lanes = oracle._unpack(d, full.bit_length(), n * n)
+    return sum((i + 1) * x for i, x in enumerate(lanes)) % 3 == 0
 
 
 def _families(n, k):
@@ -468,14 +488,14 @@ def _unmemoised_period_exponent(n, a):
 
 
 def _unmemoised_power(n, k):
-    """The POWER predicate with one fresh product per step."""
+    """The POWER predicate with one fresh product per step, from ``A**1 = A``."""
     alg = oracle._numbered_algebra(k)
     lcm = math.lcm(*range(1, n + 1))
     ident = oracle._identity_masks(n, alg._full)
 
     def naive_power(a, e):
-        cur = ident
-        for _ in range(e):
+        cur = ident if e == 0 else tuple(a)
+        for _ in range(e - 1):
             cur = oracle._matmul(n, cur, a)
         return cur
 
@@ -524,15 +544,15 @@ def test_power_walk_matches_unmemoised_loops():
     assert seen == {True, False}
 
 
-def _counting_matmul(monkeypatch):
+def _counting_wordmul(monkeypatch):
     calls = [0]
-    product = oracle._matmul
+    product = oracle._wordmul
 
-    def counted(n, a, b):
+    def counted(n, w, x, tiles):
         calls[0] += 1
-        return product(n, a, b)
+        return product(n, w, x, tiles)
 
-    monkeypatch.setattr(oracle, "_matmul", counted)
+    monkeypatch.setattr(oracle, "_wordmul", counted)
     return calls
 
 
@@ -544,21 +564,23 @@ def test_power_walk_costs_one_product_per_distinct_power(monkeypatch):
         for _ in range((n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))):
             powers.append(oracle._matmul(n, powers[-1], a))
         # A**1 .. A**horizon are the powers the exponent search multiplies.
-        distinct.append((len(set(powers[1:])), len(set(powers))))
-    calls = _counting_matmul(monkeypatch)
-    for (n, k, a), (searched, every) in zip(objects, distinct):
+        # POWER's walks start at A as well and stop before the horizon, so
+        # they multiply no power the search does not.
+        distinct.append(len(set(powers[1:])))
+    calls = _counting_wordmul(monkeypatch)
+    for (n, k, a), searched in zip(objects, distinct):
         calls[0] = 0
         oracle._brute_period_exponent(n, a)
         assert calls[0] == searched
         for obj in ((False, a), (True, a)):
             calls[0] = 0
             oracle._power(n, k)(obj)
-            assert calls[0] <= every
+            assert calls[0] <= searched
 
 
-@pytest.mark.parametrize("theorem,most", [("PERIOD_DIVIDES", 1702), ("POWER", 2522)])
+@pytest.mark.parametrize("theorem,most", [("PERIOD_DIVIDES", 1702), ("POWER", 1817)])
 def test_exhaustive_power_checks_stay_within_their_product_counts(monkeypatch, theorem, most):
-    calls = _counting_matmul(monkeypatch)
+    calls = _counting_wordmul(monkeypatch)
     verdict = brute_check(theorem, 3, 2)
     assert verdict.passed, str(verdict)
     assert 0 < calls[0] <= most
@@ -575,23 +597,53 @@ def _unmemoised_period_divides(n, k):
     return check
 
 
-_REFERENCE_MATMUL = oracle._matmul
+_REFERENCE_WORDMUL = oracle._wordmul
 
 
-def _product_dropping_last_term(n, a, b):
+def _word_product_dropping_last_term(n, w, x, tiles):
+    columns, spread = oracle._columns(n, w)
+    out = 0
+    for (column, shift), tile in list(zip(columns, tiles))[: n - 1]:
+        out |= ((x & column) >> shift) * spread & tile
+    return out
+
+
+def _transposed_word_product(n, w, x, tiles):
+    lanes = oracle._unpack(_REFERENCE_WORDMUL(n, w, x, tiles), w, n * n)
+    return oracle._pack(oracle._transpose(n, lanes), w)
+
+
+# The same two mistakes made on mask tuples, by literal loops.
+
+
+def _triple_loop(n, a, b, terms=None):
+    """``OR_t (a_it & b_tj)`` over the first ``terms`` (default n) values of t."""
     return tuple(
-        oracle._or_all(a[i * n + t] & b[t * n + j] for t in range(n - 1)) for i in range(n) for j in range(n)
+        oracle._or_all(a[i * n + t] & b[t * n + j] for t in range(n if terms is None else terms))
+        for i in range(n)
+        for j in range(n)
     )
 
 
+def _product_dropping_last_term(n, a, b):
+    return _triple_loop(n, a, b, n - 1)
+
+
 def _transposed_product(n, a, b):
-    return oracle._transpose(n, _REFERENCE_MATMUL(n, a, b))
+    return oracle._transpose(n, _triple_loop(n, a, b))
 
 
-@pytest.mark.parametrize("wrong", [_product_dropping_last_term, _transposed_product])
+@pytest.mark.parametrize("wrong_word,wrong", [
+    pytest.param(_word_product_dropping_last_term, _product_dropping_last_term, id="_product_dropping_last_term"),
+    pytest.param(_transposed_word_product, _transposed_product, id="_transposed_product"),
+])
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 2)])
 @pytest.mark.parametrize("theorem,fresh", [("POWER", _unmemoised_power), ("PERIOD_DIVIDES", _unmemoised_period_divides)])
-def test_power_theorems_fail_under_a_wrong_product(monkeypatch, wrong, n, k, theorem, fresh):
+def test_power_theorems_fail_under_a_wrong_product(monkeypatch, wrong_word, wrong, n, k, theorem, fresh):
+    """A wrong word product fails the walks on the first object, and with
+    the counterexample, that the one-product-per-step loops give under the
+    same mistake made on mask tuples."""
+    monkeypatch.setattr(oracle, "_wordmul", wrong_word)
     monkeypatch.setattr(oracle, "_matmul", wrong)
     check = fresh(n, k)
     objects = THEOREMS[theorem].source(n, k, DEFAULT_BUDGET)
@@ -599,6 +651,23 @@ def test_power_theorems_fail_under_a_wrong_product(monkeypatch, wrong, n, k, the
     verdict = brute_check(theorem, n, k)
     assert not verdict.passed
     assert (verdict.checked, verdict.counterexample) == first
+
+
+def test_word_product_matches_the_triple_loop_on_general_matrices():
+    """Lanes of every width 1-9, masks of every width up to the lane's
+    (narrower masks leave high lane bits clear), n from 0 to 6."""
+    rng = random.Random(4409)
+    for _ in range(1500):
+        n, w = rng.randrange(7), rng.randrange(1, 10)
+        a = tuple(rng.getrandbits(rng.randrange(w + 1)) for _ in range(n * n))
+        b = tuple(rng.getrandbits(rng.randrange(w + 1)) for _ in range(n * n))
+        word = oracle._wordmul(n, w, oracle._pack(a, w), oracle._row_tiles(n, w, oracle._pack(b, w)))
+        assert oracle._unpack(word, w, n * n) == _triple_loop(n, a, b), (n, w, a, b)
+        assert word >> w * n * n == 0
+    # Three-bit masks in nine-bit lanes: the top six bits of each lane stay clear.
+    a, b = (5, 7, 0, 3), (6, 1, 7, 4)
+    word = oracle._wordmul(2, 9, oracle._pack(a, 9), oracle._row_tiles(2, 9, oracle._pack(b, 9)))
+    assert word == oracle._pack(_triple_loop(2, a, b), 9) == oracle._pack((7, 5, 3, 0), 9)
 
 
 def test_naive_products_stay_the_kernel_reference():
