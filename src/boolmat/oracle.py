@@ -8,8 +8,12 @@ Naive is not wasteful, though: the atoms of a matrix are found by a
 depth-first walk over column selections that does not extend a prefix whose
 meet is already zero (no selection through it can meet to anything else),
 so every nonzero meet is still read off the entries as the definition
-states; and ``A b == b`` is decided row by row, up to the first row that
-differs.
+states.
+
+DESCENT's witness search, STOINV's invariant vectors and ATOMS' rebuilt
+entries ask every candidate at once, each in a lane under a guard bit
+(``_zero_lanes``). Samplers draw with ``_below``: ``randrange``'s
+``getrandbits`` calls without its frames, so seeded runs draw the same.
 
 A product is computed word-parallel (SIMD within a register): the whole
 matrix sits in one int, entry (i, j) in a lane of w bits, and for each inner
@@ -40,8 +44,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, permutations, product
-from operator import or_
+from itertools import chain, combinations, permutations, product
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .algebra import Algebra, BoolmatError, PreconditionError
@@ -135,11 +138,6 @@ def _iter_unitary_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
     return _iter_permutation_masks(n, k, list(permutations(range(n))))
 
 
-def _unit_vector_masks(n: int, k: int) -> list[tuple[int, ...]]:
-    full = (1 << k) - 1
-    return [v for v in _iter_vector_masks(n, k) if _or_all(v) == full]
-
-
 def _iter_orthonormal_sets(
     n: int, k: int, budget: int, *, stochastic_only: bool = False
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -151,7 +149,7 @@ def _iter_orthonormal_sets(
     if stochastic_only:
         units = list(_iter_stochastic_masks(n, k))
     else:
-        units = _unit_vector_masks(n, k)
+        units = [v for v in _iter_vector_masks(n, k) if _or_all(v) == (1 << k) - 1]
     visited = 0
 
     def extend(start: int, chosen: list[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -195,17 +193,54 @@ def _inner(a: Sequence[int], b: Sequence[int]) -> int:
     return acc
 
 
-def _is_orthovector(v: Sequence[int]) -> bool:
-    seen = 0
-    for m in v:
-        if m & seen:
-            return False
-        seen |= m
-    return True
+def _fold(x: int, w: int, n: int) -> int:
+    """The OR of the ``n`` lanes of ``w`` bits of ``x``, halving the lanes each step."""
+    while n > 1:
+        n = n + 1 >> 1
+        x |= x >> w * n
+    return x & (1 << w) - 1
 
 
-def _is_stochastic_vec(v: Sequence[int], full: int) -> bool:
-    return _is_orthovector(v) and _or_all(v) == full
+def _dot(x: int, y: int, w: int, n: int) -> int:
+    """The inner product of two packed vectors."""
+    return _fold(x & y, w, n)
+
+
+def _zero_lanes(y: int, ones: int, w: int) -> int:
+    """The guard bit of every zero lane of ``y``: lanes of ``w + 1`` bits,
+    a 1 at the bottom of each in ``ones``, ``y``'s guards (top bits) clear.
+    With every guard set, subtracting ``ones`` borrows a lane's guard
+    exactly when the lane is zero, and no borrow leaves its lane."""
+    guards = ones << w
+    return guards & ~((y | guards) - ones)
+
+
+def _lane_search(words: Sequence[int], w: int) -> Callable[[int, int], bool]:
+    """Whether ``c & mask == target`` for some ``c`` of ``words`` (each
+    below ``2**w``), asked of every word at once in one zero-lane test."""
+    packed, ones = _pack(words, w + 1), _pack([1] * len(words), w + 1)
+    return lambda mask, target: _zero_lanes(packed & mask * ones ^ target * ones, ones, w) != 0
+
+
+def _fixer(n: int, w: int, vectors: Sequence[Sequence[int]]) -> Callable[[int], bool]:
+    """Whether the packed matrix ``a`` (``w``-bit lanes) has ``A v == v``
+    for some ``v`` of ``vectors``. Each ``v`` has a lane of ``n*n*w + 1``
+    bits holding ``v`` in every row; ANDed with a copy of ``a`` it holds
+    ``a_ij & v_j``, and ORing each row onto column 0 leaves ``(A v)_i``
+    there, to compare with ``v`` placed in column 0."""
+    size = n * n * w
+    ones = _pack([1] * len(vectors), size + 1)
+    rows = _pack([_pack(v, w) * _spread(n, n * w) for v in vectors], size + 1)
+    column = _pack([_pack(v, n * w) for v in vectors], size + 1)
+    column0 = _pack([(1 << w) - 1] * n, n * w) * ones
+
+    def fixes_some(a: int) -> bool:
+        x = y = a * ones & rows
+        for s in range(w, n * w, w):
+            y |= x >> s
+        return _zero_lanes(y & column0 ^ column, ones, size) != 0
+
+    return fixes_some
 
 
 def _pack(v: Sequence[int], w: int) -> int:
@@ -218,11 +253,6 @@ def _pack(v: Sequence[int], w: int) -> int:
     for m in reversed(v):
         acc = acc << w | m
     return acc
-
-
-def _unpack(word: int, w: int, count: int) -> tuple[int, ...]:
-    lane = (1 << w) - 1
-    return tuple(word >> w * i & lane for i in range(count))
 
 
 @cache
@@ -265,25 +295,8 @@ def _wordmul(n: int, w: int, x: int, tiles: Sequence[int]) -> int:
     return out
 
 
-def _matmul(n: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """The product of two row-major mask tuples, through :func:`_wordmul`."""
-    w = max(max(a, default=0).bit_length(), max(b, default=0).bit_length(), 1)
-    return _unpack(_wordmul(n, w, _pack(a, w), _row_tiles(n, w, _pack(b, w))), w, n * n)
-
-
 def _matvec(n: int, a: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(_or_all(a[i * n + j] & v[j] for j in range(n)) for i in range(n))
-
-
-def _fixes(n: int, a: Sequence[int], v: Sequence[int]) -> bool:
-    """Whether ``A v == v``, row by row up to the first row that differs."""
-    for i in range(n):
-        acc = 0
-        for j in range(n):
-            acc |= a[i * n + j] & v[j]
-        if acc != v[i]:
-            return False
-    return True
 
 
 def _transpose(n: int, a: Sequence[int]) -> tuple[int, ...]:
@@ -291,14 +304,11 @@ def _transpose(n: int, a: Sequence[int]) -> tuple[int, ...]:
 
 
 def _identity_masks(n: int, full: int) -> tuple[int, ...]:
-    out = [0] * (n * n)
-    for i in range(n):
-        out[i * n + i] = full
-    return tuple(out)
+    return tuple(0 if i % (n + 1) else full for i in range(n * n))
 
 
 def _trace(n: int, a: Sequence[int]) -> int:
-    return _or_all(a[i * n + i] for i in range(n))
+    return _or_all(a[:: n + 1])
 
 
 def _is_generating(vectors: Sequence[Sequence[int]], n: int, k: int) -> bool:
@@ -319,13 +329,7 @@ def _is_generating(vectors: Sequence[Sequence[int]], n: int, k: int) -> bool:
 
 
 def _is_orthonormal_family(vectors: Sequence[Sequence[int]], full: int) -> bool:
-    for i, v in enumerate(vectors):
-        if _or_all(v) != full:
-            return False
-        for w in vectors[i + 1 :]:
-            if _inner(v, w):
-                return False
-    return True
+    return all(_or_all(v) == full for v in vectors) and not any(_inner(v, w) for v, w in combinations(vectors, 2))
 
 
 @cache
@@ -476,27 +480,37 @@ def _stochastic_then_unitary(n: int, k: int, budget: int) -> Iterable[Any]:
 # --- one-object samplers (rng, alg, n), each drawing what its source yields ---
 
 
+def _below(rng: random.Random, m: int) -> int:
+    """``rng.randrange(m)`` for ``m >= 1``: ``Random._randbelow``'s loop,
+    with the same ``getrandbits`` calls and so the same draw and state."""
+    k = m.bit_length()
+    r = rng.getrandbits(k)
+    while r >= m:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _sample_norm(rng: random.Random, alg: Algebra, n: int) -> Any:
-    k = alg.atom_count
-    a = tuple(rng.getrandbits(k) for _ in range(n))
-    b = tuple(rng.getrandbits(k) for _ in range(n))
-    return a, b, rng.getrandbits(k)
+    widths = (alg.atom_count,) * n
+    return tuple(map(rng.getrandbits, widths)), tuple(map(rng.getrandbits, widths)), rng.getrandbits(alg.atom_count)
 
 
 def _sample_stochastic_pair(rng: random.Random, alg: Algebra, n: int) -> Any:
     """Two independent stochastic vectors, orthogonal or not: each atom takes
     one slot in each."""
-    a = [0] * n
-    b = [0] * n
+    a, b = [0] * n, [0] * n
     for bit in range(alg.atom_count):
-        a[rng.randrange(n)] |= 1 << bit
-        b[rng.randrange(n)] |= 1 << bit
+        a[_below(rng, n)] |= 1 << bit
+        b[_below(rng, n)] |= 1 << bit
     return tuple(a), tuple(b)
 
 
 def _random_permutation(rng: random.Random, n: int) -> list[int]:
+    """``rng.shuffle(list(range(n)))``: the same Fisher-Yates swaps and draws."""
     perm = list(range(n))
-    rng.shuffle(perm)
+    for i in range(n - 1, 0, -1):
+        j = _below(rng, i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
     return perm
 
 
@@ -519,16 +533,16 @@ def _random_involution(rng: random.Random, n: int) -> list[int]:
     while remaining:
         size = len(remaining)
         x = remaining.pop()
-        if size == 1 or rng.randrange(counts[size]) < counts[size - 1]:
+        if size == 1 or _below(rng, counts[size]) < counts[size - 1]:
             continue
-        y = remaining.pop(rng.randrange(len(remaining)))
+        y = remaining.pop(_below(rng, size - 1))
         perm[x], perm[y] = y, x
     return perm
 
 
 def _sample_short_family(rng: random.Random, alg: Algebra, n: int) -> Any:
     """The first m < n columns of a uniform unitary, for a uniform m."""
-    m = rng.randrange(1, n)
+    m = 1 + _below(rng, n - 1)
     columns = [[0] * n for _ in range(m)]
     for bit in range(alg.atom_count):
         perm = _random_permutation(rng, n)
@@ -538,7 +552,7 @@ def _sample_short_family(rng: random.Random, alg: Algebra, n: int) -> Any:
 
 
 def _sample_stochastic_matrix(rng: random.Random, alg: Algebra, n: int) -> Any:
-    return _matrix_masks(n, [[rng.randrange(n) for _ in range(n)] for _ in range(alg.atom_count)])
+    return _matrix_masks(n, [[_below(rng, n) for _ in range(n)] for _ in range(alg.atom_count)])
 
 
 def _sample_symmetric_stochastic(rng: random.Random, alg: Algebra, n: int) -> Any:
@@ -547,7 +561,7 @@ def _sample_symmetric_stochastic(rng: random.Random, alg: Algebra, n: int) -> An
 
 def _sample_power(rng: random.Random, alg: Algebra, n: int) -> Any:
     """A stochastic matrix or a unitary, chosen by a fair coin."""
-    if rng.randrange(2):
+    if _below(rng, 2):
         return True, _matrix_masks(n, [_random_permutation(rng, n) for _ in range(alg.atom_count)])
     return False, _sample_stochastic_matrix(rng, alg, n)
 
@@ -556,25 +570,26 @@ def _sample_power(rng: random.Random, alg: Algebra, n: int) -> Any:
 
 
 def _norm_laws(n: int, k: int) -> Callable[[Any], str | None]:
-    """Norm laws and the inner-product axioms at one (a, b, c) triple."""
+    """Norm laws and the inner-product axioms at one (a, b, c) triple, on
+    vectors packed k bits per slot: an orthovector has its norm's popcount."""
     alg = _numbered_algebra(k)
-    zero = (0,) * n
+    spread = _spread(n, k)
 
     def check(obj: Any) -> str | None:
         a, b, c = obj
-        na, nb, ab = _or_all(a), _or_all(b), _inner(a, b)
-        ca = tuple(map(c.__and__, a))
-        cb = tuple(map(c.__and__, b))
-        equal_orthovectors = _is_orthovector(a) and _is_orthovector(b) and na == nb
+        pa, pb, pc = _pack(a, k), _pack(b, k), c * spread
+        na, nb, ab = _fold(pa, k, n), _fold(pb, k, n), _dot(pa, pb, k, n)
+        ca, cb = pc & pa, pc & pb
+        equal_orthovectors = pa.bit_count() == na.bit_count() and pb.bit_count() == nb.bit_count() and na == nb
         for law, holds in (
-            ("definiteness", (_inner(a, a) == 0) == (a == zero)),
-            ("symmetry", _inner(b, a) == ab),
-            ("norm of sum", _or_all(map(or_, a, b)) == na | nb),
+            ("definiteness", (_dot(pa, pa, k, n) == 0) == (pa == 0)),
+            ("symmetry", _dot(pb, pa, k, n) == ab),
+            ("norm of sum", _fold(pa | pb, k, n) == na | nb),
             ("norm bound", not (ab & ~(na & nb))),
-            ("orthovector equality law", not equal_orthovectors or (ab == na & nb) == (a == b)),
-            ("scaled norm", _or_all(ca) == c & na),
-            ("scalar slide", _inner(ca, b) == c & ab == _inner(a, cb)),
-            ("bilinearity", _inner(tuple(map(or_, ca, b)), b) == (c & ab) | nb),
+            ("orthovector equality law", not equal_orthovectors or (ab == na & nb) == (pa == pb)),
+            ("scaled norm", _fold(ca, k, n) == c & na),
+            ("scalar slide", _dot(ca, pb, k, n) == c & ab == _dot(pa, cb, k, n)),
+            ("bilinearity", _dot(ca | pb, pb, k, n) == (c & ab) | nb),
         ):
             if not holds:
                 return f"{law} fails at c={c}, a={_fmt_vec(a, alg)}, b={_fmt_vec(b, alg)}"
@@ -589,30 +604,32 @@ def _descent(n: int, k: int) -> Callable[[Any], str | None]:
     explicit construction must be such a c.
 
     Vectors below the last slot are packed into one int each, so a candidate
-    c is tested on all slots at once.
+    c is tested on all slots at once, and every short stochastic c in one
+    zero-lane test.
     """
     alg = _numbered_algebra(k)
     full = alg._full
-    short = [_pack(c, k) for c in _iter_stochastic_masks(n - 1, k)]
+    search = _lane_search([_pack(c, k) for c in _iter_stochastic_masks(n - 1, k)], k * (n - 1))
     full_head = _pack((full,) * (n - 1), k)
 
     def check(obj: Any) -> str | None:
         a, b = obj
         orthogonal = _inner(a, b) == 0
-        if orthogonal:
-            c = tuple((b[n - 1] & a[i]) | b[i] for i in range(n - 1))
-            if not _is_stochastic_vec(c, full):
-                return f"a={_fmt_vec(a, alg)} b={_fmt_vec(b, alg)}: constructed c not stochastic"
-            candidates = [_pack(c, k)]
         # c[i] & ~a[i] never meets a[i], so only pairs that meet in the last
         # slot alone can have a witness; the search covers exactly those.
-        elif _inner(a, b[: n - 1]) == 0:
-            candidates = short
-        else:
+        if not orthogonal and _inner(a, b[: n - 1]) != 0:
             return None
         head = _pack(b[: n - 1], k)
         outside_a = _pack(a[: n - 1], k) ^ full_head
-        if any(c & outside_a == head for c in candidates) == orthogonal:
+        if orthogonal:
+            c = tuple((b[n - 1] & a[i]) | b[i] for i in range(n - 1))
+            # Stochastic: c joins to one, and no atom is in two slots.
+            if _or_all(c) != full or sum(m.bit_count() for m in c) != k:
+                return f"a={_fmt_vec(a, alg)} b={_fmt_vec(b, alg)}: constructed c not stochastic"
+            found = _pack(c, k) & outside_a == head
+        else:
+            found = search(outside_a, head)
+        if found == orthogonal:
             return None
         return f"a={_fmt_vec(a, alg)} b={_fmt_vec(b, alg)}: orthogonal={orthogonal}, witness={not orthogonal}"
 
@@ -698,12 +715,12 @@ def _inverse(n: int, k: int) -> Callable[[Any], str | None]:
     alg = _numbered_algebra(k)
     full = alg._full
     vectors = list(_iter_vector_masks(n, k))
-    ident = _identity_masks(n, full)
+    ident = _pack(_identity_masks(n, full), k)
 
     def check(flat: Any) -> str | None:
-        at = _transpose(n, flat)
+        a, at = _pack(flat, k), _pack(_transpose(n, flat), k)
         bijective = len({_matvec(n, flat, v) for v in vectors}) == len(vectors)
-        unitary = _matmul(n, flat, at) == ident and _matmul(n, at, flat) == ident
+        unitary = _wordmul(n, k, a, _row_tiles(n, k, at)) == ident == _wordmul(n, k, at, _row_tiles(n, k, a))
         cols = [tuple(flat[i * n + j] for i in range(n)) for j in range(n)]
         rows = [tuple(flat[i * n + j] for j in range(n)) for i in range(n)]
         cols_basis = _is_orthonormal_family(cols, full) and _is_generating(cols, n, k)
@@ -721,11 +738,10 @@ def _inverse(n: int, k: int) -> Callable[[Any], str | None]:
 def _stoinv(n: int, k: int) -> Callable[[Any], str | None]:
     """Invariant stochastic vector exists exactly when the trace is one."""
     alg = _numbered_algebra(k)
-    stoch_vecs = list(_iter_stochastic_masks(n, k))
+    fixes_some = _fixer(n, k, list(_iter_stochastic_masks(n, k)))
 
     def check(a: Any) -> str | None:
-        has_invariant = any(_fixes(n, a, b) for b in stoch_vecs)
-        if has_invariant != (_trace(n, a) == alg._full):
+        if fixes_some(_pack(a, k)) != (_trace(n, a) == alg._full):
             return _fmt_mat(n, a, alg)
         return None
 
@@ -747,30 +763,32 @@ def _unitreduce(n: int, k: int) -> Callable[[Any], str | None]:
     block form, as bits over conjugator indices, and a family reduces
     exactly when its members' sets meet. Conjugators are packed, with B's
     row tiles, once per run, and each unitary's row tiles once, when it is
-    first met.
+    first met. The memo also keeps the unitary's packed diagonal, so a
+    family's joint trace is the fold of the AND of its members' diagonals.
     """
     alg = _numbered_algebra(k)
     full = alg._full
     conjugators = [
         (_pack(_transpose(n, b), k), _row_tiles(n, k, _pack(b, k))) for b in _iter_unitary_masks(n, k)
     ]
-    reducers: dict[tuple[int, ...], int] = {}
+    reducers: dict[tuple[int, ...], tuple[int, int]] = {}
 
-    def reducing(m: tuple[int, ...]) -> int:
-        bits = reducers.get(m)
-        if bits is None:
-            tiles = _row_tiles(n, k, _pack(m, k))
-            bits = 0
-            for c, (bt, b_tiles) in enumerate(conjugators):
-                if _block_form(n, _wordmul(n, k, _wordmul(n, k, bt, tiles), b_tiles), full):
-                    bits |= 1 << c
-            reducers[m] = bits
-        return bits
+    def reducing(m: tuple[int, ...]) -> tuple[int, int]:
+        tiles = _row_tiles(n, k, _pack(m, k))
+        bits = 0
+        for c, (bt, b_tiles) in enumerate(conjugators):
+            if _block_form(n, _wordmul(n, k, _wordmul(n, k, bt, tiles), b_tiles), full):
+                bits |= 1 << c
+        found = reducers[m] = bits, _pack(m[:: n + 1], k)
+        return found
 
     def check(mats: Any) -> str | None:
-        reducible = _and_all(map(reducing, mats)) != 0
-        joint_trace = _or_all(_and_all(m[i * n + i] for m in mats) & full for i in range(n))
-        if reducible != (joint_trace == full):
+        bits = diagonal = -1
+        for m in mats:
+            reducers_of_m, diagonal_of_m = reducers.get(m) or reducing(m)
+            bits &= reducers_of_m
+            diagonal &= diagonal_of_m
+        if (bits != 0) != (_fold(diagonal, k, n) == full):
             return ", ".join(_fmt_mat(n, m, alg) for m in mats)
         return None
 
@@ -789,20 +807,24 @@ def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
     alg = _numbered_algebra(k)
     full = alg._full
 
+    ones = _spread(n * n, k + 1)
+
     def problem(a: Sequence[int]) -> str | None:
-        atoms = _atoms_of(n, a, full)
-        joined = 0
-        for idx, (m, _) in enumerate(atoms):
-            if any(m & m2 for m2, _ in atoms[:idx]):
+        # ``a`` in lanes of k + 1 bits: the lanes that m * ones & ~word
+        # leaves zero are the entries m lies below, and each gets a copy of m.
+        word = _pack(a, k + 1)
+        joined = rebuilt = 0
+        for m, _ in _atoms_of(n, a, full):
+            if m & joined:
                 return "overlapping atoms"
             joined |= m
+            rebuilt |= (_zero_lanes(m * ones & ~word, ones, k) >> k) * m
         if joined != full:
             return "atoms do not cover one"
-        for i in range(n):
-            for j in range(n):
-                rebuilt = _or_all(m for m, _ in atoms if m & ~a[i * n + j] == 0)
-                if rebuilt != a[i * n + j]:
-                    return f"entry ({i},{j}) is not the join of its atoms"
+        if rebuilt != word:
+            differ = rebuilt ^ word
+            i, j = divmod(((differ & -differ).bit_length() - 1) // (k + 1), n)
+            return f"entry ({i},{j}) is not the join of its atoms"
         return None
 
     def check(a: Any) -> str | None:
@@ -914,6 +936,8 @@ def _lookup(theorem: str, n: int, k: int) -> Theorem:
         raise PreconditionError(
             f"unknown theorem {theorem!r}; registered: {', '.join(sorted(THEOREMS))}"
         ) from None
+    if not (isinstance(n, int) and isinstance(k, int)):
+        raise PreconditionError(f"n and k must be ints, got {n!r} and {k!r}")
     if n < 1 or k < 1:
         raise PreconditionError("n and k must be at least 1")
     entry.require(n)
@@ -957,6 +981,8 @@ def sample_check(theorem: str, n: int, k: int, samples: int, seed: int = 0) -> V
     entry = _lookup(theorem, n, k)
     if entry.sampler is None:
         raise PreconditionError(f"{theorem} supports exhaustive checking only")
+    if not isinstance(samples, int):
+        raise PreconditionError(f"the sample count must be an int, got {samples!r}")
     if samples < 1:
         raise PreconditionError(f"need at least one sample, got {samples}")
     rng = random.Random(seed)

@@ -14,11 +14,23 @@ from hypothesis import strategies as st
 from boolmat import _kernel, apply, identity, make_algebra, mul
 from boolmat._kernel import pure
 from boolmat import rand as br
-from boolmat.oracle import _matmul as naive_matmul
 from boolmat.oracle import _matvec as naive_matvec
 
 REPO = Path(__file__).resolve().parent.parent
 MODULE = "boolmat._kernel._packed"
+
+
+def naive_matmul(n, a, b):
+    """``OR_t (a_it & b_tj)`` in every entry: the product as defined, one
+    literal loop per index."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = 0
+            for t in range(n):
+                acc |= a[i * n + t] & b[t * n + j]
+            out.append(acc)
+    return tuple(out)
 
 
 @pytest.fixture(scope="session")

@@ -39,6 +39,21 @@ def test_spec_validation():
         brute_check("ODDINV", 0, 2)
 
 
+@pytest.mark.parametrize("n,k", [(2.0, 2), (2, 2.0), ("2", 2), (2, None)])
+def test_non_int_dimensions_rejected(n, k):
+    """Caught before any comparison: ``"2" < 1`` would raise TypeError."""
+    with pytest.raises(PreconditionError, match="n and k must be ints"):
+        brute_check("STOINV", n, k)
+    with pytest.raises(PreconditionError, match="n and k must be ints"):
+        sample_check("STOINV", n, k, samples=3)
+
+
+@pytest.mark.parametrize("samples", [2.0, "2", None])
+def test_non_int_sample_counts_rejected(samples):
+    with pytest.raises(PreconditionError, match="sample count must be an int"):
+        sample_check("STOINV", 2, 2, samples)
+
+
 def _involutions(n):
     return sum(
         math.factorial(n) // (math.factorial(j) * 2**j * math.factorial(n - 2 * j))
@@ -273,6 +288,55 @@ def test_samplers_draw_what_the_random_generators_draw(theorem):
                 assert mine.getstate() == theirs.getstate(), (k, n, seed)
 
 
+def test_draw_helper_is_randrange():
+    for seed in (0, 1, 2, 99, 2**40 + 7):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for m in range(1, 301):
+            assert oracle._below(mine, m) == theirs.randrange(m), (seed, m)
+            assert mine.getstate() == theirs.getstate(), (seed, m)
+
+
+def test_inline_shuffle_is_rng_shuffle():
+    for seed in range(40):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for n in range(10):
+            perm = list(range(n))
+            theirs.shuffle(perm)
+            assert oracle._random_permutation(mine, n) == perm, (seed, n)
+            assert mine.getstate() == theirs.getstate(), (seed, n)
+
+
+def _randrange_stochastic_pair(rng, alg, n):
+    a, b = [0] * n, [0] * n
+    for bit in range(alg.atom_count):
+        a[rng.randrange(n)] |= 1 << bit
+        b[rng.randrange(n)] |= 1 << bit
+    return tuple(a), tuple(b)
+
+
+def _literal_norm_triple(rng, alg, n):
+    k = alg.atom_count
+    a = tuple(rng.getrandbits(k) for _ in range(n))
+    b = tuple(rng.getrandbits(k) for _ in range(n))
+    return a, b, rng.getrandbits(k)
+
+
+@pytest.mark.parametrize("theorem,reference", [
+    ("DESCENT", _randrange_stochastic_pair), ("NORM", _literal_norm_triple),
+])
+def test_samplers_without_a_rand_twin_draw_their_literal_forms(theorem, reference):
+    """DESCENT's and NORM's samplers have no ``rand`` twin, so they are
+    pinned here."""
+    sampler = THEOREMS[theorem].sampler
+    for k in range(1, 6):
+        alg = make_algebra([str(i + 1) for i in range(k)])
+        for n in range(2, 7):
+            for seed in range(100):
+                mine, theirs = random.Random(seed), random.Random(seed)
+                assert sampler(mine, alg, n) == reference(theirs, alg, n), (k, n, seed)
+                assert mine.getstate() == theirs.getstate(), (k, n, seed)
+
+
 def test_sampled_incomplete_runs_the_generating_check(monkeypatch):
     monkeypatch.setattr(oracle, "_is_generating", lambda vectors, n, k: False)
     verdict = sample_check("INCOMPLETE", 4, 2, 20)
@@ -389,7 +453,7 @@ def _direct_unitreduce(n, k):
 
     def check(mats):
         reducible = any(
-            all(oracle._block_form(n, oracle._pack(oracle._matmul(n, bt, oracle._matmul(n, m, b)), k), full) for m in mats)
+            all(oracle._block_form(n, oracle._pack(_triple_loop(n, bt, _triple_loop(n, m, b)), k), full) for m in mats)
             for b, bt in conjugators
         )
         joint_trace = oracle._or_all(oracle._and_all(m[i * n + i] for m in mats) & full for i in range(n))
@@ -404,7 +468,7 @@ def _scrambled_block_form(n, d, full):
     """A fixed stand-in for the block-form test that holds for about a third
     of all products, so reducibility stops following the joint trace. It
     reads the packed product's lanes, as wide as ``full``."""
-    lanes = oracle._unpack(d, full.bit_length(), n * n)
+    lanes = _unpack(d, full.bit_length(), n * n)
     return sum((i + 1) * x for i, x in enumerate(lanes)) % 3 == 0
 
 
@@ -479,7 +543,7 @@ def _unmemoised_period_exponent(n, a):
     horizon = (n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))
     powers = [tuple(a)]
     for _ in range(horizon):
-        powers.append(oracle._matmul(n, powers[-1], a))
+        powers.append(_triple_loop(n, powers[-1], a))
     for p in range(1, horizon + 1):
         for e in range(1, horizon - p + 2):
             if powers[e - 1 + p] == powers[e - 1]:
@@ -496,7 +560,7 @@ def _unmemoised_power(n, k):
     def naive_power(a, e):
         cur = ident if e == 0 else tuple(a)
         for _ in range(e - 1):
-            cur = oracle._matmul(n, cur, a)
+            cur = _triple_loop(n, cur, a)
         return cur
 
     def check(obj):
@@ -506,7 +570,7 @@ def _unmemoised_power(n, k):
         low = naive_power(a, n - 1)
         high = low
         for _ in range(lcm):
-            high = oracle._matmul(n, high, a)
+            high = _triple_loop(n, high, a)
         return None if high == low else oracle._fmt_mat(n, a, alg)
 
     return check
@@ -562,7 +626,7 @@ def test_power_walk_costs_one_product_per_distinct_power(monkeypatch):
     for n, k, a in objects:
         powers = [oracle._identity_masks(n, (1 << k) - 1)]
         for _ in range((n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))):
-            powers.append(oracle._matmul(n, powers[-1], a))
+            powers.append(_triple_loop(n, powers[-1], a))
         # A**1 .. A**horizon are the powers the exponent search multiplies.
         # POWER's walks start at A as well and stop before the horizon, so
         # they multiply no power the search does not.
@@ -608,8 +672,13 @@ def _word_product_dropping_last_term(n, w, x, tiles):
     return out
 
 
+def _unpack(word, w, count):
+    lane = (1 << w) - 1
+    return tuple(word >> w * i & lane for i in range(count))
+
+
 def _transposed_word_product(n, w, x, tiles):
-    lanes = oracle._unpack(_REFERENCE_WORDMUL(n, w, x, tiles), w, n * n)
+    lanes = _unpack(_REFERENCE_WORDMUL(n, w, x, tiles), w, n * n)
     return oracle._pack(oracle._transpose(n, lanes), w)
 
 
@@ -625,12 +694,15 @@ def _triple_loop(n, a, b, terms=None):
     )
 
 
+_REFERENCE_TRIPLE_LOOP = _triple_loop
+
+
 def _product_dropping_last_term(n, a, b):
-    return _triple_loop(n, a, b, n - 1)
+    return _REFERENCE_TRIPLE_LOOP(n, a, b, n - 1)
 
 
 def _transposed_product(n, a, b):
-    return oracle._transpose(n, _triple_loop(n, a, b))
+    return oracle._transpose(n, _REFERENCE_TRIPLE_LOOP(n, a, b))
 
 
 @pytest.mark.parametrize("wrong_word,wrong", [
@@ -644,7 +716,7 @@ def test_power_theorems_fail_under_a_wrong_product(monkeypatch, wrong_word, wron
     the counterexample, that the one-product-per-step loops give under the
     same mistake made on mask tuples."""
     monkeypatch.setattr(oracle, "_wordmul", wrong_word)
-    monkeypatch.setattr(oracle, "_matmul", wrong)
+    monkeypatch.setitem(globals(), "_triple_loop", wrong)
     check = fresh(n, k)
     objects = THEOREMS[theorem].source(n, k, DEFAULT_BUDGET)
     first = next((i, c) for i, obj in enumerate(objects, start=1) if (c := check(obj)) is not None)
@@ -662,7 +734,7 @@ def test_word_product_matches_the_triple_loop_on_general_matrices():
         a = tuple(rng.getrandbits(rng.randrange(w + 1)) for _ in range(n * n))
         b = tuple(rng.getrandbits(rng.randrange(w + 1)) for _ in range(n * n))
         word = oracle._wordmul(n, w, oracle._pack(a, w), oracle._row_tiles(n, w, oracle._pack(b, w)))
-        assert oracle._unpack(word, w, n * n) == _triple_loop(n, a, b), (n, w, a, b)
+        assert _unpack(word, w, n * n) == _triple_loop(n, a, b), (n, w, a, b)
         assert word >> w * n * n == 0
     # Three-bit masks in nine-bit lanes: the top six bits of each lane stay clear.
     a, b = (5, 7, 0, 3), (6, 1, 7, 4)
@@ -670,10 +742,27 @@ def test_word_product_matches_the_triple_loop_on_general_matrices():
     assert word == oracle._pack(_triple_loop(2, a, b), 9) == oracle._pack((7, 5, 3, 0), 9)
 
 
+def test_lane_folds_are_the_joins_of_the_lanes():
+    """``_fold`` halves the lane count each step, so odd counts and single
+    lanes are where a wrong step would lose a lane."""
+    rng = random.Random(5119)
+    for _ in range(2000):
+        n, w = rng.randrange(10), rng.randrange(1, 7)
+        a = tuple(rng.getrandbits(w) for _ in range(n))
+        b = tuple(rng.getrandbits(w) for _ in range(n))
+        pa, pb = oracle._pack(a, w), oracle._pack(b, w)
+        assert oracle._fold(pa, w, n) == _or_all(a), (n, w, a)
+        assert oracle._dot(pa, pb, w, n) == oracle._inner(a, b), (n, w, a, b)
+
+
+def _word_product(n, w, a, b):
+    return _unpack(oracle._wordmul(n, w, oracle._pack(a, w), oracle._row_tiles(n, w, oracle._pack(b, w))), w, n * n)
+
+
 def test_naive_products_stay_the_kernel_reference():
-    assert oracle._matmul(0, (), ()) == ()
+    assert _word_product(0, 1, (), ()) == ()
     assert oracle._matvec(0, (), ()) == ()
-    assert oracle._matmul(2, (1, 2, 0, 3), (3, 0, 1, 2)) == (1, 2, 1, 2)
+    assert _word_product(2, 2, (1, 2, 0, 3), (3, 0, 1, 2)) == (1, 2, 1, 2)
     assert oracle._matvec(2, (1, 2, 0, 3), (3, 1)) == (1, 1)
     rng = random.Random(3301)
     for n in range(1, 5):
@@ -684,7 +773,7 @@ def test_naive_products_stay_the_kernel_reference():
                 expected = 0
                 for t in range(n):
                     expected |= a[i * n + t] & b[t * n + j]
-                assert oracle._matmul(n, a, b)[i * n + j] == expected
+                assert _word_product(n, 5, a, b)[i * n + j] == expected
 
 
 # --- ATOMS and STOINV against their unpruned forms ---
@@ -815,14 +904,27 @@ def test_atoms_fails_like_its_reference_when_the_last_atom_is_dropped(monkeypatc
     assert (verdict.checked, verdict.counterexample) == first
 
 
-def test_stoinv_fails_like_its_reference_when_only_the_first_row_is_compared(monkeypatch):
-    def fixes_the_first_row(n, a, v):
-        return oracle._matvec(n, a, v)[0] == v[0]
+def _fixer_comparing_rows(rows):
+    """A ``_fixer`` that compares only the rows ``rows(n)`` of ``A v`` with
+    ``v``: every other row of the matrix is the identity's, whose row of
+    ``A v`` is ``v``'s own entry."""
+    fixer = oracle._fixer
 
+    def planted(n, w, vectors):
+        fixes_some = fixer(n, w, vectors)
+        lane = (1 << w) - 1
+        kept = oracle._pack([lane if i in rows(n) else 0 for i in range(n) for _ in range(n)], w)
+        identity = oracle._pack(oracle._identity_masks(n, lane), w)
+        return lambda a: fixes_some(a & kept | identity & ~kept)
+
+    return planted
+
+
+def test_stoinv_fails_like_its_reference_when_only_the_first_row_is_compared(monkeypatch):
     def matvec_copying_all_but_the_first_row(n, a, v):
         return oracle._matvec(n, a, v)[:1] + tuple(v[1:])
 
-    monkeypatch.setattr(oracle, "_fixes", fixes_the_first_row)
+    monkeypatch.setattr(oracle, "_fixer", _fixer_comparing_rows(lambda n: {0}))
     monkeypatch.setitem(globals(), "_matvec", matvec_copying_all_but_the_first_row)
     first = _first_reference_failure("STOINV", _stoinv, 3, 2)
     verdict = brute_check("STOINV", 3, 2)
@@ -834,7 +936,7 @@ def test_stoinv_fails_like_its_reference_when_only_the_first_row_is_compared(mon
 def test_stoinv_needs_no_last_row_on_stochastic_input(monkeypatch):
     """A b is stochastic when A and b are, so its last row is the complement
     of the others: comparing all rows but the last decides A b == b."""
-    monkeypatch.setattr(oracle, "_fixes", lambda n, a, v: oracle._matvec(n, a, v)[:-1] == tuple(v[:-1]))
+    monkeypatch.setattr(oracle, "_fixer", _fixer_comparing_rows(lambda n: range(n - 1)))
     assert brute_check("STOINV", 3, 2).passed
     assert sample_check("STOINV", 4, 3, samples=200, seed=9).passed
 
@@ -849,7 +951,7 @@ def _merge_first_two_atoms(atoms_of):
 
 @pytest.mark.parametrize("theorem,n,k,helper,plant,checked,counterexample", [
     pytest.param(
-        "NORM", 2, 1, "_inner", lambda inner: lambda a, b: inner(a[:-1], b[:-1]),
+        "NORM", 2, 1, "_dot", lambda dot: lambda x, y, w, n: dot(x, y & (1 << w * (n - 1)) - 1, w, n),
         3, "bilinearity fails at c=0, a=({},{}), b=({},*)", id="NORM",
     ),
     pytest.param(
@@ -918,9 +1020,36 @@ def test_invariance_helper_matches_the_product():
         v = tuple(rng.getrandbits(k) for _ in range(n))
         if rng.randrange(2):
             v = oracle._matvec(n, a, v)
-        fixed = oracle._fixes(n, a, v)
+        fixed = oracle._fixer(n, k, [v])(oracle._pack(a, k))
         assert fixed == (oracle._matvec(n, a, v) == v)
         seen.add(fixed)
+    assert seen == {True, False}
+
+
+def _descent_pairs():
+    """(n, k, a, b): every stochastic pair at (3,2) and (4,2), then 2,000
+    sampled at (5,4)."""
+    for n, k in ((3, 2), (4, 2)):
+        for a, b in oracle._stochastic_pairs(n, k, DEFAULT_BUDGET):
+            yield n, k, a, b
+    rng, alg = random.Random(8123), make_algebra(["1", "2", "3", "4"])
+    for _ in range(2000):
+        yield (5, 4, *oracle._sample_stochastic_pair(rng, alg, 5))
+
+
+def test_one_word_witness_search_is_the_any_loop():
+    searches = {}
+    seen = set()
+    for n, k, a, b in _descent_pairs():
+        if (n, k) not in searches:
+            short = [oracle._pack(c, k) for c in _iter_stochastic_masks(n - 1, k)]
+            searches[n, k] = short, oracle._lane_search(short, k * (n - 1))
+        short, search = searches[n, k]
+        head = oracle._pack(b[: n - 1], k)
+        outside_a = oracle._pack(a[: n - 1], k) ^ oracle._pack(((1 << k) - 1,) * (n - 1), k)
+        found = search(outside_a, head)
+        assert found == any(c & outside_a == head for c in short), (n, k, a, b)
+        seen.add(found)
     assert seen == {True, False}
 
 
