@@ -12,8 +12,11 @@ states.
 
 DESCENT's witness search, STOINV's invariant vectors and ATOMS' rebuilt
 entries ask every candidate at once, each in a lane under a guard bit
-(``_zero_lanes``). Samplers draw with ``_below``: ``randrange``'s
-``getrandbits`` calls without its frames, so seeded runs draw the same.
+(``_zero_lanes``). Stochastic matrices, unitaries, symmetric stochastic
+matrices and orthonormal columns are sampled by ``_draw``, the stdlib-only
+module whose draws ``rand`` wraps too, so each kind of object is drawn from
+an rng in one place, with ``randrange``'s and ``shuffle``'s ``getrandbits``
+calls but not their frames.
 
 A product is computed word-parallel (SIMD within a register): the whole
 matrix sits in one int, entry (i, j) in a lane of w bits, and for each inner
@@ -47,6 +50,7 @@ from functools import cache
 from itertools import chain, combinations, permutations, product
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from ._draw import below, matrix_masks, orthonormal_columns, stochastic_matrix, symmetric_stochastic, unitary
 from .algebra import Algebra, BoolmatError, PreconditionError
 from .bvec import BVec
 
@@ -120,18 +124,9 @@ def _iter_stochastic_matrix_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
         yield tuple(chain.from_iterable(zip(*chosen)))
 
 
-def _matrix_masks(n: int, maps: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    """The matrix whose atom ``bit`` moves column j to row ``maps[bit][j]``."""
-    masks = [0] * (n * n)
-    for bit, col_to_row in enumerate(maps):
-        for j, i in enumerate(col_to_row):
-            masks[i * n + j] |= 1 << bit
-    return tuple(masks)
-
-
 def _iter_permutation_masks(n: int, k: int, perms: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
     """Matrices whose every atom moves columns to rows by one of ``perms``."""
-    return (_matrix_masks(n, assign) for assign in product(perms, repeat=k))
+    return (matrix_masks(n, assign) for assign in product(perms, repeat=k))
 
 
 def _iter_unitary_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -345,9 +340,9 @@ def _block_form(n: int, d: int, full: int) -> bool:
     return d & _cross(n, full.bit_length()) == full
 
 
-def _atoms_of(n: int, a: Sequence[int], full: int) -> list[tuple[int, tuple[int, ...]]]:
-    """All nonzero column-selection meets with their selections, in the
-    lexicographic order of the selections.
+def _atoms_of(n: int, a: Sequence[int], full: int) -> list[int]:
+    """All nonzero column-selection meets, in the lexicographic order of the
+    selections.
 
     A selection picks one row per column; its meet is the meet of the picked
     entries. The walk is depth first over the columns and carries the meet
@@ -357,15 +352,15 @@ def _atoms_of(n: int, a: Sequence[int], full: int) -> list[tuple[int, tuple[int,
     """
     out = []
 
-    def walk(j: int, m: int, selection: tuple[int, ...]) -> None:
+    def walk(j: int, m: int) -> None:
         if j == n:
-            out.append((m, selection))
+            out.append(m)
             return
         for i in range(n):
             if meet := m & a[i * n + j]:
-                walk(j + 1, meet, selection + (i,))
+                walk(j + 1, meet)
 
-    walk(0, full, ())
+    walk(0, full)
     return out
 
 
@@ -480,16 +475,6 @@ def _stochastic_then_unitary(n: int, k: int, budget: int) -> Iterable[Any]:
 # --- one-object samplers (rng, alg, n), each drawing what its source yields ---
 
 
-def _below(rng: random.Random, m: int) -> int:
-    """``rng.randrange(m)`` for ``m >= 1``: ``Random._randbelow``'s loop,
-    with the same ``getrandbits`` calls and so the same draw and state."""
-    k = m.bit_length()
-    r = rng.getrandbits(k)
-    while r >= m:
-        r = rng.getrandbits(k)
-    return r
-
-
 def _sample_norm(rng: random.Random, alg: Algebra, n: int) -> Any:
     widths = (alg.atom_count,) * n
     return tuple(map(rng.getrandbits, widths)), tuple(map(rng.getrandbits, widths)), rng.getrandbits(alg.atom_count)
@@ -500,70 +485,19 @@ def _sample_stochastic_pair(rng: random.Random, alg: Algebra, n: int) -> Any:
     one slot in each."""
     a, b = [0] * n, [0] * n
     for bit in range(alg.atom_count):
-        a[_below(rng, n)] |= 1 << bit
-        b[_below(rng, n)] |= 1 << bit
+        a[below(rng, n)] |= 1 << bit
+        b[below(rng, n)] |= 1 << bit
     return tuple(a), tuple(b)
-
-
-def _random_permutation(rng: random.Random, n: int) -> list[int]:
-    """``rng.shuffle(list(range(n)))``: the same Fisher-Yates swaps and draws."""
-    perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = _below(rng, i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
-
-
-@cache
-def _involution_counts(n: int) -> tuple[int, ...]:
-    """The number of involutions of range(i), for i = 0..n."""
-    counts = [1, 1]
-    for i in range(2, n + 1):
-        counts.append(counts[i - 1] + (i - 1) * counts[i - 2])
-    return tuple(counts)
-
-
-def _random_involution(rng: random.Random, n: int) -> list[int]:
-    """A uniform involution of range(n): the last unpaired point stays fixed
-    with probability ``counts[size - 1] / counts[size]``, else pairs with a
-    uniform partner."""
-    counts = _involution_counts(n)
-    perm = list(range(n))
-    remaining = list(range(n))
-    while remaining:
-        size = len(remaining)
-        x = remaining.pop()
-        if size == 1 or _below(rng, counts[size]) < counts[size - 1]:
-            continue
-        y = remaining.pop(_below(rng, size - 1))
-        perm[x], perm[y] = y, x
-    return perm
 
 
 def _sample_short_family(rng: random.Random, alg: Algebra, n: int) -> Any:
     """The first m < n columns of a uniform unitary, for a uniform m."""
-    m = 1 + _below(rng, n - 1)
-    columns = [[0] * n for _ in range(m)]
-    for bit in range(alg.atom_count):
-        perm = _random_permutation(rng, n)
-        for j in range(m):
-            columns[j][perm[j]] |= 1 << bit
-    return tuple(map(tuple, columns))
-
-
-def _sample_stochastic_matrix(rng: random.Random, alg: Algebra, n: int) -> Any:
-    return _matrix_masks(n, [[_below(rng, n) for _ in range(n)] for _ in range(alg.atom_count)])
-
-
-def _sample_symmetric_stochastic(rng: random.Random, alg: Algebra, n: int) -> Any:
-    return _matrix_masks(n, [_random_involution(rng, n) for _ in range(alg.atom_count)])
+    return orthonormal_columns(rng, alg, n, 1 + below(rng, n - 1))
 
 
 def _sample_power(rng: random.Random, alg: Algebra, n: int) -> Any:
     """A stochastic matrix or a unitary, chosen by a fair coin."""
-    if _below(rng, 2):
-        return True, _matrix_masks(n, [_random_permutation(rng, n) for _ in range(alg.atom_count)])
-    return False, _sample_stochastic_matrix(rng, alg, n)
+    return (True, unitary(rng, alg, n)) if below(rng, 2) else (False, stochastic_matrix(rng, alg, n))
 
 
 # --- predicates (n, k) -> (object -> counterexample | None) ---
@@ -814,7 +748,7 @@ def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
         # leaves zero are the entries m lies below, and each gets a copy of m.
         word = _pack(a, k + 1)
         joined = rebuilt = 0
-        for m, _ in _atoms_of(n, a, full):
+        for m in _atoms_of(n, a, full):
             if m & joined:
                 return "overlapping atoms"
             joined |= m
@@ -918,14 +852,14 @@ THEOREMS: dict[str, Theorem] = {
         require=_dimension_at_least_two,
     ),
     "INVERSE": Theorem(_all_matrices, _inverse),
-    "STOINV": Theorem(_stochastic_matrices, _stoinv, _sample_stochastic_matrix),
+    "STOINV": Theorem(_stochastic_matrices, _stoinv, stochastic_matrix),
     "ODDINV": Theorem(
-        _symmetric_stochastic_matrices, _oddinv, _sample_symmetric_stochastic, require=_odd_dimension
+        _symmetric_stochastic_matrices, _oddinv, symmetric_stochastic, require=_odd_dimension
     ),
     "UNITREDUCE": Theorem(_unitary_families, _unitreduce),
-    "ATOMS": Theorem(_stochastic_matrices, _atoms, _sample_stochastic_matrix),
+    "ATOMS": Theorem(_stochastic_matrices, _atoms, stochastic_matrix),
     "POWER": Theorem(_stochastic_then_unitary, _power, _sample_power),
-    "PERIOD_DIVIDES": Theorem(_stochastic_matrices, _period_divides, _sample_stochastic_matrix),
+    "PERIOD_DIVIDES": Theorem(_stochastic_matrices, _period_divides, stochastic_matrix),
 }
 
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from boolmat import Algebra, BMatrix, parse_vector
@@ -28,3 +30,18 @@ def mat(alg, src):
     for line in src.strip().splitlines():
         rows.append([alg.parse(tok) for tok in line.split()])
     return BMatrix.of(rows)
+
+
+def selection_meets(n, a, full):
+    """Every nonzero meet of one entry per column of the row-major masks
+    ``a``, with its selection (the row picked in each column), in the
+    lexicographic order of the selections: the atoms of a stochastic matrix
+    by their definition, every selection met in full."""
+    out = []
+    for selection in product(range(n), repeat=n):
+        m = full
+        for j, i in enumerate(selection):
+            m &= a[i * n + j]
+        if m:
+            out.append((m, selection))
+    return out

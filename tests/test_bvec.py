@@ -301,6 +301,13 @@ def test_canonical_basis_is_basis(p3):
     assert is_basis(basis)
 
 
+def test_empty_family_is_orthonormal_but_no_basis():
+    # The empty family is vacuously orthonormal, but it spans nothing, and
+    # without a vector there is no dimension to be a basis of.
+    assert is_orthonormal_set([]) is True
+    assert is_basis([]) is False
+
+
 def test_orthogonal_but_not_orthonormal_is_not_basis(p2):
     family = [vec(p2, "({1},{})"), vec(p2, "({2},{})"), vec(p2, "({},*)")]
     for i, v in enumerate(family):

@@ -26,13 +26,12 @@ from boolmat import _kernel, chains
 from boolmat import rand as br
 from boolmat.chains import _transitivity_witness
 from boolmat.oracle import (
-    _atoms_of,
     _brute_period_exponent,
     _iter_stochastic_matrix_masks,
     _matvec,
 )
 
-from conftest import mat, vec
+from conftest import mat, selection_meets, vec
 
 
 def _reachable_sites_by_iteration(n, a, full, from_site):
@@ -141,7 +140,7 @@ def test_atoms_match_brute_force_on_every_stochastic_matrix(n, k):
     alg = make_algebra([str(i) for i in range(1, k + 1)])
     count = 0
     for masks in _iter_stochastic_matrix_masks(n, k):
-        assert _atoms_as_selections(BMatrix(n, n, masks, alg)) == _atoms_of(n, masks, alg._full)
+        assert _atoms_as_selections(BMatrix(n, n, masks, alg)) == selection_meets(n, masks, alg._full)
         count += 1
     assert count == n ** (n * k)
 
@@ -151,11 +150,11 @@ def test_atoms_match_brute_force_on_seeded_matrices(k):
     rng = random.Random(3000 + k)
     alg = make_algebra([str(i) for i in range(1, k + 1)])
     empty = BMatrix(0, 0, (), alg)
-    assert _atoms_as_selections(empty) == _atoms_of(0, (), alg._full) == [(alg._full, ())]
+    assert _atoms_as_selections(empty) == selection_meets(0, (), alg._full) == [(alg._full, ())]
     for _ in range(40):
         n = rng.randrange(1, 6)
         a = br.random_stochastic_matrix(rng, alg, n)
-        assert _atoms_as_selections(a) == _atoms_of(n, a.masks, alg._full)
+        assert _atoms_as_selections(a) == selection_meets(n, a.masks, alg._full)
 
 
 def test_atom_action_drives_dynamics():

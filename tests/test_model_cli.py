@@ -559,6 +559,25 @@ def test_check_porcelain(capsys):
     ]
 
 
+def test_check_exits_one_on_a_non_stochastic_matrix(tmp_path, capsys):
+    path = tmp_path / "mixed.bm"
+    path.write_text("atoms: 1 2\nmatrix I 2x2\n* {}\n{} *\nmatrix N 2x2\n* *\n* {}\n")
+    rc, out, _ = run_cli(["check", str(path)], capsys)
+    assert rc == 1
+    assert out.splitlines() == [
+        "I: 2x2, stochastic yes, unitary yes",
+        "N: 2x2, stochastic no, unitary no",
+    ]
+
+
+def test_check_refuses_a_model_without_matrices(tmp_path, capsys):
+    path = tmp_path / "vector.bm"
+    path.write_text("atoms: 1\nvector v 1\n*\n")
+    rc, out, err = run_cli(["check", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: the model contains no matrices\n"
+
+
 def test_invariant_porcelain(capsys):
     rc, out, _ = run_cli(["invariant", "--porcelain", P5, "A"], capsys)
     assert rc == 0
@@ -750,6 +769,20 @@ def test_reach_human_report_verbatim(capsys):
     assert "  mutual: 1<->2, 2<->3" in lines
 
 
+def test_reach_human_report_of_a_transitive_relation(tmp_path, capsys):
+    path = tmp_path / "identity.bm"
+    path.write_text("atoms: 1 2\nmatrix I 2x2\n* {}\n{} *\n")
+    rc, out, _ = run_cli(["reach", str(path)], capsys)
+    assert rc == 0
+    assert out.splitlines() == [
+        "I: sites 1..2, exponent 1, period 1",
+        "  arrows: 1->1, 2->2",
+        "  mutual: none",
+        "  arrow relation transitive: yes",
+        "  mutual relation is an equivalence",
+    ]
+
+
 def test_powers_porcelain(capsys):
     rc, out, _ = run_cli(["powers", "--porcelain", S6, "A"], capsys)
     assert rc == 0
@@ -929,7 +962,7 @@ def test_importing_the_library_and_cli_leaves_the_oracle_unloaded():
     src = os.path.dirname(os.path.dirname(boolmat.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = (
-        "import sys, boolmat, boolmat.cli\n"
+        "import sys, boolmat, boolmat.cli, boolmat.rand\n"
         "print('boolmat.oracle' in sys.modules)\n"
         "from boolmat.oracle import brute_check\n"
         "names = ['BudgetExceededError', 'Verdict', 'brute_check', 'sample_check']\n"

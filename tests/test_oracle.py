@@ -9,7 +9,7 @@ from typing import Any, Callable, Sequence
 import pytest
 
 from boolmat import BMatrix, BVec, PreconditionError, make_algebra
-from boolmat import oracle
+from boolmat import _draw, oracle
 from boolmat import rand as br
 from boolmat.oracle import (
     DEFAULT_BUDGET,
@@ -24,6 +24,8 @@ from boolmat.oracle import (
     brute_check,
     sample_check,
 )
+
+from conftest import selection_meets
 
 
 def test_spec_validation():
@@ -259,51 +261,63 @@ def test_sampler_draws_from_the_exhaustive_object_space(theorem):
         assert {unitary for unitary, _ in drawn} == {False, True}
 
 
-# Each sampler's draw through ``rand``'s generators: the sampler must make
-# the same rng calls and build the same masks, so seeded verdicts do not
-# depend on which of the two drew the objects.
-RAND_DRAWS = {
-    "STOINV": lambda rng, alg, n: br.random_stochastic_matrix(rng, alg, n).masks,
-    "ODDINV": lambda rng, alg, n: br.random_symmetric_stochastic(rng, alg, n).masks,
-    "POWER": lambda rng, alg, n: (
-        (True, br.random_unitary(rng, alg, n).masks)
-        if rng.randrange(2)
-        else (False, br.random_stochastic_matrix(rng, alg, n).masks)
-    ),
-    "INCOMPLETE": lambda rng, alg, n: tuple(
-        v.masks for v in br.random_stochastic_orthonormal_set(rng, alg, n, rng.randrange(1, n))
-    ),
-}
+# The literal ``randrange``/``shuffle`` forms the draws were first written
+# in. Each sampler, and each ``rand`` generator through its masks, must make
+# the same rng calls and build the same masks, so seeded verdicts, golden
+# files and benchmark models do not depend on how the draws are written.
 
 
-@pytest.mark.parametrize("theorem", sorted(RAND_DRAWS))
-def test_samplers_draw_what_the_random_generators_draw(theorem):
-    sampler, reference = THEOREMS[theorem].sampler, RAND_DRAWS[theorem]
-    for k in range(1, 5):
-        alg = make_algebra([str(i + 1) for i in range(k)])
-        for n in range(2, 6):
-            for seed in range(300):
-                mine, theirs = random.Random(seed), random.Random(seed)
-                assert sampler(mine, alg, n) == reference(theirs, alg, n), (k, n, seed)
-                assert mine.getstate() == theirs.getstate(), (k, n, seed)
+def _literal_matrix(n, maps):
+    masks = [0] * (n * n)
+    for bit, col_to_row in enumerate(maps):
+        for j, i in enumerate(col_to_row):
+            masks[i * n + j] |= 1 << bit
+    return tuple(masks)
 
 
-def test_draw_helper_is_randrange():
-    for seed in (0, 1, 2, 99, 2**40 + 7):
-        mine, theirs = random.Random(seed), random.Random(seed)
-        for m in range(1, 301):
-            assert oracle._below(mine, m) == theirs.randrange(m), (seed, m)
-            assert mine.getstate() == theirs.getstate(), (seed, m)
+def _literal_stochastic_matrix(rng, alg, n):
+    return _literal_matrix(n, [[rng.randrange(n) for _ in range(n)] for _ in range(alg.atom_count)])
 
 
-def test_inline_shuffle_is_rng_shuffle():
-    for seed in range(40):
-        mine, theirs = random.Random(seed), random.Random(seed)
-        for n in range(10):
-            perm = list(range(n))
-            theirs.shuffle(perm)
-            assert oracle._random_permutation(mine, n) == perm, (seed, n)
-            assert mine.getstate() == theirs.getstate(), (seed, n)
+def _literal_unitary(rng, alg, n):
+    assigns = []
+    for _ in range(alg.atom_count):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assigns.append(perm)
+    return _literal_matrix(n, assigns)
+
+
+def _literal_involution(rng, n):
+    counts = [1, 1]
+    for i in range(2, n + 1):
+        counts.append(counts[i - 1] + (i - 1) * counts[i - 2])
+    perm = list(range(n))
+    remaining = list(range(n))
+    while remaining:
+        size = len(remaining)
+        x = remaining.pop()
+        if size == 1 or rng.randrange(counts[size]) < counts[size - 1]:
+            continue
+        y = remaining.pop(rng.randrange(len(remaining)))
+        perm[x], perm[y] = y, x
+    return perm
+
+
+def _literal_symmetric_stochastic(rng, alg, n):
+    return _literal_matrix(n, [_literal_involution(rng, n) for _ in range(alg.atom_count)])
+
+
+def _literal_short_family(rng, alg, n):
+    m = rng.randrange(1, n)
+    u = _literal_unitary(rng, alg, n)
+    return tuple(tuple(u[i * n + j] for i in range(n)) for j in range(m))
+
+
+def _literal_power(rng, alg, n):
+    if rng.randrange(2):
+        return True, _literal_unitary(rng, alg, n)
+    return False, _literal_stochastic_matrix(rng, alg, n)
 
 
 def _randrange_stochastic_pair(rng, alg, n):
@@ -321,20 +335,59 @@ def _literal_norm_triple(rng, alg, n):
     return a, b, rng.getrandbits(k)
 
 
-@pytest.mark.parametrize("theorem,reference", [
-    ("DESCENT", _randrange_stochastic_pair), ("NORM", _literal_norm_triple),
+def _draws(atoms, sizes, seeds, cases):
+    return [pytest.param(draw, reference, atoms, sizes, seeds, id=name) for name, draw, reference in cases]
+
+
+def _masks(generator):
+    return lambda rng, alg, n: generator(rng, alg, n).masks
+
+
+DRAWS = _draws(range(1, 5), range(2, 6), range(300), [
+    ("STOINV", THEOREMS["STOINV"].sampler, _literal_stochastic_matrix),
+    ("ODDINV", THEOREMS["ODDINV"].sampler, _literal_symmetric_stochastic),
+    ("POWER", THEOREMS["POWER"].sampler, _literal_power),
+    ("INCOMPLETE", THEOREMS["INCOMPLETE"].sampler, _literal_short_family),
+    ("rand-stochastic", _masks(br.random_stochastic_matrix), _literal_stochastic_matrix),
+    ("rand-unitary", _masks(br.random_unitary), _literal_unitary),
+    ("rand-symmetric", _masks(br.random_symmetric_stochastic), _literal_symmetric_stochastic),
+    ("rand-involution", lambda rng, alg, n: br.random_involution(rng, n), lambda rng, alg, n: _literal_involution(rng, n)),
+    ("rand-orthonormal", lambda rng, alg, n: tuple(
+        v.masks for v in br.random_stochastic_orthonormal_set(rng, alg, n, rng.randrange(1, n))
+    ), _literal_short_family),
+]) + _draws(range(1, 6), range(2, 7), range(100), [
+    ("DESCENT", THEOREMS["DESCENT"].sampler, _randrange_stochastic_pair),
+    ("NORM", THEOREMS["NORM"].sampler, _literal_norm_triple),
 ])
-def test_samplers_without_a_rand_twin_draw_their_literal_forms(theorem, reference):
-    """DESCENT's and NORM's samplers have no ``rand`` twin, so they are
-    pinned here."""
-    sampler = THEOREMS[theorem].sampler
-    for k in range(1, 6):
+
+
+@pytest.mark.parametrize("draw,reference,atoms,sizes,seeds", DRAWS)
+def test_samplers_draw_what_the_random_generators_draw(draw, reference, atoms, sizes, seeds):
+    for k in atoms:
         alg = make_algebra([str(i + 1) for i in range(k)])
-        for n in range(2, 7):
-            for seed in range(100):
+        for n in sizes:
+            for seed in seeds:
                 mine, theirs = random.Random(seed), random.Random(seed)
-                assert sampler(mine, alg, n) == reference(theirs, alg, n), (k, n, seed)
+                assert draw(mine, alg, n) == reference(theirs, alg, n), (k, n, seed)
                 assert mine.getstate() == theirs.getstate(), (k, n, seed)
+
+
+def test_draw_helper_is_randrange():
+    for seed in (0, 1, 2, 99, 2**40 + 7):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for m in range(1, 301):
+            assert _draw.below(mine, m) == theirs.randrange(m), (seed, m)
+            assert mine.getstate() == theirs.getstate(), (seed, m)
+
+
+def test_inline_shuffle_is_rng_shuffle():
+    for seed in range(40):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for n in range(10):
+            perm = list(range(n))
+            theirs.shuffle(perm)
+            assert _draw.permutation(mine, n) == perm, (seed, n)
+            assert mine.getstate() == theirs.getstate(), (seed, n)
 
 
 def test_sampled_incomplete_runs_the_generating_check(monkeypatch):
@@ -777,21 +830,10 @@ def test_naive_products_stay_the_kernel_reference():
 
 
 # --- ATOMS and STOINV against their unpruned forms ---
-# The three functions below are the plain definitions the oracle started
-# from, kept verbatim: every selection met in full, one matrix-vector
-# product per atom and column, and a whole A b compared with b.
-
-
-def _atoms_of(n: int, a: Sequence[int], full: int) -> list[tuple[int, tuple[int, ...]]]:
-    """All nonzero column-selection meets with their selections; no pruning."""
-    out = []
-    for selection in product(range(n), repeat=n):
-        m = full
-        for j, i in enumerate(selection):
-            m &= a[i * n + j]
-        if m:
-            out.append((m, selection))
-    return out
+# The two functions below, with conftest's ``selection_meets``, are the
+# plain definitions the oracle started from: every selection met in full,
+# one matrix-vector product per atom and column, and a whole A b compared
+# with b.
 
 
 def _stoinv(n: int, k: int) -> Callable[[Any], str | None]:
@@ -814,7 +856,7 @@ def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
     full = alg._full
 
     def problem(a: Sequence[int]) -> str | None:
-        atoms = _atoms_of(n, a, full)
+        atoms = selection_meets(n, a, full)
         joined = 0
         for idx, (m, _) in enumerate(atoms):
             if any(m & m2 for m2, _ in atoms[:idx]):
@@ -859,7 +901,7 @@ def test_pruned_atom_walk_lists_what_the_full_loop_lists():
     lengths = set()
     for n, k, a in objects:
         got = oracle._atoms_of(n, a, (1 << k) - 1)
-        assert got == _atoms_of(n, a, (1 << k) - 1), (n, k, a)
+        assert got == [m for m, _ in selection_meets(n, a, (1 << k) - 1)], (n, k, a)
         lengths.add(len(got))
     assert 0 in lengths and max(lengths) > 8
 
@@ -895,9 +937,9 @@ def _first_reference_failure(theorem, reference, n, k):
 
 
 def test_atoms_fails_like_its_reference_when_the_last_atom_is_dropped(monkeypatch):
-    pruned, full_loop = oracle._atoms_of, _atoms_of
+    pruned, full_loop = oracle._atoms_of, selection_meets
     monkeypatch.setattr(oracle, "_atoms_of", lambda n, a, full: pruned(n, a, full)[:-1])
-    monkeypatch.setitem(globals(), "_atoms_of", lambda n, a, full: full_loop(n, a, full)[:-1])
+    monkeypatch.setitem(globals(), "selection_meets", lambda n, a, full: full_loop(n, a, full)[:-1])
     first = _first_reference_failure("ATOMS", _atoms, 3, 2)
     verdict = brute_check("ATOMS", 3, 2)
     assert not verdict.passed
@@ -944,7 +986,7 @@ def test_stoinv_needs_no_last_row_on_stochastic_input(monkeypatch):
 def _merge_first_two_atoms(atoms_of):
     def merged(n, a, full):
         atoms = atoms_of(n, a, full)
-        return [(atoms[0][0] | atoms[1][0], atoms[0][1]), *atoms[2:]] if len(atoms) > 1 else atoms
+        return [atoms[0] | atoms[1], *atoms[2:]] if len(atoms) > 1 else atoms
 
     return merged
 
@@ -1056,9 +1098,24 @@ def test_one_word_witness_search_is_the_any_loop():
 # --- the oracle stays independent of what it checks ---
 
 
+def _boolmat_imports(module):
+    """The ``boolmat`` modules that ``module`` imports from, by name."""
+    found = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names if alias.name.split(".")[0] == "boolmat"}
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "boolmat"):
+            found.add(node.module or "")
+    return found
+
+
 def test_oracle_imports_nothing_it_checks():
     """No kernel, bmatrix, chains or rand import; from bvec only ``BVec``,
-    and that only to format counterexamples."""
+    and that only to format counterexamples. Besides ``algebra`` and
+    ``bvec`` it imports only ``_draw``, which imports nothing of
+    ``boolmat``: the draws ``rand`` shares with the oracle stay stdlib."""
+    assert _boolmat_imports(oracle) == {"_draw", "algebra", "bvec"}
+    assert _boolmat_imports(_draw) == set()
     tree = ast.parse(inspect.getsource(oracle))
     imported = []
     for node in ast.walk(tree):
