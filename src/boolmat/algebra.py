@@ -163,6 +163,24 @@ class Algebra:
             return self.from_atoms(parts).mask  # raises for the first unknown name
         return mask
 
+    def literal(self, mask: int) -> str:
+        """The element literal of ``mask``: ``*`` for one, else the names of
+        its atoms in braces, in name order.
+
+        Only bits below ``k`` name atoms: a negative mask lists the atoms its
+        two's-complement bits set, and bits from ``k`` up are ignored.
+        """
+        if mask == self._full:
+            return "*"
+        names = self.atom_names
+        bits = mask & self._full
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(names[low.bit_length() - 1])
+            bits ^= low
+        return "{" + ",".join(out) + "}"
+
     def __repr__(self) -> str:
         return f"Algebra({list(self.atom_names)!r})"
 
@@ -228,10 +246,7 @@ class Elem:
         )
 
     def __str__(self) -> str:
-        mask, alg = self.mask, self.algebra
-        if mask == alg._full:
-            return "*"
-        return "{" + ",".join([n for i, n in enumerate(alg.atom_names) if mask >> i & 1]) + "}"
+        return self.algebra.literal(self.mask)
 
     def __repr__(self) -> str:
         return f"Elem({str(self)} over {self.algebra.atom_names})"

@@ -24,7 +24,7 @@ from .algebra import (
     PreconditionError,
     ShapeError,
 )
-from .bvec import BVec, _atom_slots, disjoint_refinement
+from .bvec import BVec, _atom_slots, _is_partition, disjoint_refinement
 
 __all__ = [
     "BMatrix",
@@ -153,10 +153,8 @@ class BMatrix:
         return self.rows == self.cols
 
     def __str__(self) -> str:
-        lines = []
-        for i in range(self.rows):
-            lines.append(" ".join(str(self[i, j]) for j in range(self.cols)))
-        return "\n".join(lines)
+        literal, masks, cols = self.algebra.literal, self.masks, self.cols
+        return "\n".join(" ".join(map(literal, masks[i * cols : (i + 1) * cols])) for i in range(self.rows))
 
     def __repr__(self) -> str:
         return f"BMatrix({self.rows}x{self.cols} over {self.algebra.atom_names})"
@@ -213,17 +211,8 @@ def is_stochastic_matrix(a: BMatrix) -> bool:
     """Is every column a stochastic vector? (Square matrices only.)"""
     if not a.is_square():
         raise ShapeError("stochastic matrices are square transition matrices")
-    full = a.algebra._full
-    for j in range(a.cols):
-        seen = 0
-        for i in range(a.rows):
-            m = a.masks[i * a.cols + j]
-            if m & seen:
-                return False
-            seen |= m
-        if seen != full:
-            return False
-    return True
+    n, masks, full = a.cols, a.masks, a.algebra._full
+    return all(_is_partition(masks[j::n], full) for j in range(n))
 
 
 def is_unitary(a: BMatrix) -> bool:
@@ -231,11 +220,14 @@ def is_unitary(a: BMatrix) -> bool:
 
     ``A A* = I`` says every row of A joins to one and every column's
     entries are pairwise disjoint; ``A* A = I`` says the same with rows and
-    columns swapped. Together they say that A and A* are both stochastic,
-    so no product is needed. A non-square matrix is never unitary: each
-    atom slice would be a permutation matrix.
+    columns swapped. Together they say that every column and every row of A
+    is stochastic, so no product and no adjoint is needed. A non-square
+    matrix is never unitary: each atom slice would be a permutation matrix.
     """
-    return a.is_square() and is_stochastic_matrix(a) and is_stochastic_matrix(adjoint(a))
+    if not a.is_square():
+        return False
+    n, masks, full = a.rows, a.masks, a.algebra._full
+    return is_stochastic_matrix(a) and all(_is_partition(masks[i * n : (i + 1) * n], full) for i in range(n))
 
 
 def invert(a: BMatrix) -> BMatrix:

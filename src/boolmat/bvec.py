@@ -134,13 +134,24 @@ class BVec:
 
     def is_stochastic(self) -> bool:
         """Orthovector whose entries join to one."""
-        return self.is_orthovector() and self.is_unit()
+        return _is_partition(self.masks, self.algebra._full)
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(e) for e in self.entries()) + ")"
+        return "(" + ",".join(map(self.algebra.literal, self.masks)) + ")"
 
     def __repr__(self) -> str:
         return f"BVec{str(self)}"
+
+
+def _is_partition(masks: Sequence[int], full: int) -> bool:
+    """Are the masks pairwise disjoint with join ``full``? This is the test
+    for a stochastic vector, and for each column or row of a matrix."""
+    seen = 0
+    for m in masks:
+        if m & seen:
+            return False
+        seen |= m
+    return seen == full
 
 
 def _check_pair(a: BVec, b: BVec) -> None:

@@ -333,14 +333,15 @@ def _transitivity_witness(relation: set[tuple[int, int]]) -> tuple[int, int, int
     "First" is the order of a double loop over the sorted pairs: (x, y)
     ascending, then z ascending among the successors of y.
     """
-    succ: dict[int, list[int]] = {}
-    for x, y in sorted(relation):
-        succ.setdefault(x, []).append(y)
-    for x, ys in succ.items():
-        for y in ys:
-            for z in succ.get(y, ()):
-                if (x, z) not in relation:
-                    return x, y, z
+    succ: dict[int, set[int]] = {}
+    for x, y in relation:
+        succ.setdefault(x, set()).add(y)
+    for x in sorted(succ):
+        xs = succ[x]
+        for y in sorted(xs):
+            ys = succ.get(y)
+            if ys is not None and not ys <= xs:
+                return x, y, min(ys - xs)
     return None
 
 

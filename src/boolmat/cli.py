@@ -260,9 +260,10 @@ def _cmd_verify(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every
-    :func:`main` call; parsing leaves it unchanged."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own subparser by name, built
+    once per process and shared by every :func:`main` call; parsing leaves
+    them unchanged."""
     parser = argparse.ArgumentParser(
         prog="boolmat",
         description="Boolean-algebra linear algebra: stochastic and unitary matrices, "
@@ -272,13 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--porcelain", action="store_true", help="stable key=value output")
 
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
-    def model_cmd(name: str, help_text: str, func, names_help: str = "matrix names (default: all)"):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("file", help="model file path")
-        p.add_argument("names", nargs="*", help=names_help)
+    def command(name: str, help_text: str, func) -> argparse.ArgumentParser:
+        p = commands[name] = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(func=func)
         return p
+
+    def model_cmd(name: str, help_text: str, func, names_help: str = "matrix names (default: all)"):
+        p = command(name, help_text, func)
+        p.add_argument("file", help="model file path")
+        p.add_argument("names", nargs="*", help=names_help)
 
     model_cmd("check", "report stochastic/unitary verdicts per matrix", _cmd_check)
     model_cmd("invariant", "common invariant stochastic vector of the matrices", _cmd_invariant)
@@ -294,20 +299,25 @@ def build_parser() -> argparse.ArgumentParser:
         names_help="vector names (default: all)",
     )
 
-    v = sub.add_parser("verify", parents=[common], help="run a brute-force theorem check")
+    v = command("verify", "run a brute-force theorem check", _cmd_verify)
     v.add_argument("--theorem", required=True, help="registered theorem id, e.g. POWER")
     v.add_argument("--n", type=int, required=True, help="vector length / matrix size")
     v.add_argument("--atoms", type=int, required=True, help="atom count k")
     v.add_argument("--budget", type=int, help="object budget for exhaustive runs")
     v.add_argument("--samples", type=int, help="use randomized sampling with this many draws (at least 1)")
     v.add_argument("--seed", type=int, default=0, help="seed for sampled runs")
-    v.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, commands
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser()
+    # A known command goes straight to its own subparser, which parses what
+    # the top-level parser would have handed it; the top-level parser handles
+    # the rest (no argument, an unknown command, --help).
+    command = commands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         return args.func(args)
     except ModelSyntaxError as exc:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .algebra import Algebra, BoolmatError, Elem, PreconditionError
+from .algebra import Algebra, BoolmatError, PreconditionError
 from .bmatrix import BMatrix
 from .bvec import BVec
 
@@ -171,14 +171,9 @@ def parse_model(text: str) -> ModelFile:
 
 def element_rows(mat: BMatrix) -> list[list[str]]:
     """Entry literals of ``mat``, row by row; each distinct mask is printed once."""
-    texts: dict[int, str] = {}
-    alg = mat.algebra
-    cells = []
-    for mask in mat.masks:
-        text = texts.get(mask)
-        if text is None:
-            text = texts[mask] = str(Elem(mask, alg))
-        cells.append(text)
+    literal = mat.algebra.literal
+    texts = {mask: literal(mask) for mask in set(mat.masks)}
+    cells = [texts[mask] for mask in mat.masks]
     cols = mat.cols
     return [cells[i * cols : (i + 1) * cols] for i in range(mat.rows)]
 
@@ -206,5 +201,5 @@ def format_model(model: ModelFile) -> str:
         else:
             vec = model.vectors[name]
             out.append(f"vector {name} {len(vec)}")
-            out.append(" ".join(str(e) for e in vec.entries()))
+            out.append(" ".join(map(vec.algebra.literal, vec.masks)))
     return "\n".join(out) + "\n"

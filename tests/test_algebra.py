@@ -1,11 +1,13 @@
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boolmat import Algebra, AlgebraMismatchError, PreconditionError
-from boolmat.algebra import make_algebra
+from boolmat import Algebra, AlgebraMismatchError, BMatrix, BVec, PreconditionError
+from boolmat.algebra import Elem, make_algebra
+from boolmat.model import element_rows
 
 
 def test_make_algebra():
@@ -175,3 +177,36 @@ def test_laws_hold_on_wide_algebra(x, y, z):
 
 
 _WIDE = make_algebra([f"a{i}" for i in range(70)])
+
+
+def _reference_literal(mask, alg):
+    """An element literal by its definition: one, or every atom name whose
+    bit is set, in name order."""
+    if mask == alg._full:
+        return "*"
+    return "{" + ",".join([n for i, n in enumerate(alg.atom_names) if mask >> i & 1]) + "}"
+
+
+def _literal_cases():
+    rng = random.Random(25)
+    for k in (*range(1, 9), 64, 96):
+        # Names out of sorted order, so a literal must follow the bit order.
+        alg = make_algebra([f"x{rng.randrange(10**6)}_{i}" for i in reversed(range(k))])
+        full = alg._full
+        masks = list(range(full + 1)) if k <= 8 else [0, full] + [rng.getrandbits(k) for _ in range(300)]
+        wild = [-1, -2, -full, -full - 1, full + 1, full + 2, (full + 1) * 5 + 3, -rng.getrandbits(k + 8)]
+        yield alg, masks, wild
+
+
+def test_literals_match_the_reference_formula():
+    for alg, masks, wild in _literal_cases():
+        for m in masks + wild:
+            assert str(Elem(m, alg)) == alg.literal(m) == _reference_literal(m, alg), (alg, m)
+        for n in (1, 3, 8):
+            for start in range(0, len(masks) - n + 1, 7 * n):
+                chunk = masks[start : start + n]
+                ref = [_reference_literal(m, alg) for m in chunk]
+                assert str(BVec(tuple(chunk), alg)) == "(" + ",".join(ref) + ")"
+                grid = BMatrix(n, n, tuple((chunk * n)[: n * n]), alg)
+                assert element_rows(grid) == [[_reference_literal(m, alg) for m in row] for row in (
+                    grid.masks[i * n : (i + 1) * n] for i in range(n))]

@@ -311,6 +311,23 @@ def test_stochastic_requires_square(p3):
         is_stochastic_matrix(BMatrix(1, 2, (0, 0), p3))
 
 
+def test_unitary_is_false_on_a_non_square_matrix(p3):
+    assert is_unitary(BMatrix(1, 2, (p3._full, 0), p3)) is False
+    assert is_unitary(BMatrix(2, 0, (), p3)) is False
+
+
+def test_matrix_str_and_repr(p3):
+    a = mat(p3, """
+        {1} {2,3} {}
+        *   {}    {3}
+    """)
+    assert str(a) == "{1} {2,3} {}\n* {} {3}"
+    assert repr(a) == "BMatrix(2x3 over ('1', '2', '3'))"
+    assert str(BMatrix(0, 0, (), p3)) == ""
+    assert repr(BMatrix(0, 0, (), p3)) == "BMatrix(0x0 over ('1', '2', '3'))"
+    assert str(BMatrix(2, 0, (), p3)) == "\n"
+
+
 def test_stochastic_definition_equivalence():
     # columns-stochastic is the same as A*A >= I and AA* <= I
     alg = make_algebra(["1", "2"])

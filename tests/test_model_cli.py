@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import boolmat
 from boolmat import is_unitary, mul
 from boolmat.algebra import Algebra, Elem, PreconditionError
-from boolmat.cli import fixture_path, main
+from boolmat.cli import build_parser, fixture_path, main
 from boolmat.model import ModelFile, ModelSyntaxError, format_model, parse_model
 
 from conftest import vec
@@ -725,14 +725,43 @@ def test_family_commands_check_the_joint_trace_first(tmp_path, capsys, model, co
 
 
 def test_reduce_unitary_scans_each_member_only_in_is_unitary(monkeypatch):
-    """``is_unitary`` scans a member and its adjoint; nothing scans again."""
+    """``is_unitary`` scans each member's columns and rows once and builds no
+    adjoint; nothing scans again, and the diagonal meet runs once."""
+    bmatrix = boolmat.bmatrix
     mats = list(parse_model(read(P5)).matrices.values())
-    scans = _count_calls(monkeypatch, boolmat.bmatrix, "is_stochastic_matrix")
-    meets = _count_calls(monkeypatch, boolmat.bmatrix, "_diagonal_meet")
+    scans, inside = [], [False]
+    real_scan, real_unitary = bmatrix._is_partition, bmatrix.is_unitary
+
+    def scan(masks, full):
+        scans.append((inside[0], tuple(masks)))
+        return real_scan(masks, full)
+
+    def unitary(a):
+        inside[0] = True
+        try:
+            return real_unitary(a)
+        finally:
+            inside[0] = False
+
+    def adjoint(a):
+        raise AssertionError("an adjoint was built")
+
+    monkeypatch.setattr(bmatrix, "_is_partition", scan)
+    monkeypatch.setattr(bmatrix, "is_unitary", unitary)
+    monkeypatch.setattr(bmatrix, "adjoint", adjoint)
+    meets = _count_calls(monkeypatch, bmatrix, "_diagonal_meet")
     for family in ([mats[0]], mats):
-        scans[0] = meets[0] = 0
+        scans.clear()
+        meets[0] = 0
         boolmat.reduce_unitary(family)
-        assert (scans[0], meets[0]) == (2 * len(family), 1)
+        expected = [
+            (True, line)
+            for m in family
+            for line in [m.masks[j :: m.cols] for j in range(m.cols)]
+            + [m.masks[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
+        ]
+        assert sorted(scans) == sorted(expected)
+        assert meets[0] == 1
 
 
 def test_period_porcelain(capsys):
@@ -886,6 +915,57 @@ def test_verify_outside_preconditions_is_a_usage_error(extra, capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+COMMANDS = ("check", "invariant", "reduce", "powers", "period", "atoms", "reach", "basis-extend", "verify")
+
+
+def _exit(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+def test_unrecognized_option_after_a_command_is_reported_by_that_command(capsys):
+    rc, out, err = _exit(["check", P5, "--bogus"], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: boolmat check ")
+    assert "boolmat check: error: unrecognized arguments: --bogus" in err
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"], ["--porcelain", "check", P5]], ids=["none", "unknown", "option-first"])
+def test_a_missing_or_unknown_command_is_a_top_level_usage_error(argv, capsys):
+    rc, out, err = _exit(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: boolmat [-h]")
+    assert "boolmat: error:" in err
+
+
+def test_help_lists_every_command(capsys):
+    rc, out, err = _exit(["--help"], capsys)
+    assert (rc, err) == (0, "")
+    assert out.startswith("usage: boolmat [-h]")
+    assert set(build_parser()[1]) == set(COMMANDS)
+    for name in COMMANDS:
+        assert f"    {name} " in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", P5],
+        ["reduce", "--porcelain", P5, "A", "B"],
+        ["basis-extend", P5, "b", "--porcelain"],
+        ["verify", "--theorem", "POWER", "--n", "2", "--atoms", "3", "--samples", "4", "--seed", "9"],
+        ["verify", "--porcelain", "--atoms=2", "--n=3", "--theorem=NORM", "--budget", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_command_parses_as_it_would_through_the_top_level_parser(argv):
+    parser, commands = build_parser()
+    direct = vars(commands[argv[0]].parse_args(argv[1:]))
+    assert vars(parser.parse_args(argv)) == {"command": argv[0], **direct}
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
