@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Algebra",
@@ -20,6 +20,7 @@ __all__ = [
     "ShapeError",
     "PreconditionError",
     "NotInvertibleError",
+    "make_algebra",
 ]
 
 
@@ -125,11 +126,6 @@ class Algebra:
                 bad = low if low < 0 else high
                 raise PreconditionError(f"mask {bad:#x} outside algebra with {self.atom_count} atoms")
 
-    def elems(self) -> Iterator[Elem]:
-        """All ``2**k`` elements, in increasing mask order."""
-        for mask in range(self._full + 1):
-            yield Elem(mask, self)
-
     def parse(self, text: str) -> Elem:
         """Parse an element literal: ``{}``, ``{a,b}`` or ``*``.
 
@@ -225,9 +221,6 @@ class Elem:
         self._check(other)
         return self.mask & ~other.mask == 0
 
-    def __ge__(self, other: Elem) -> bool:
-        return other.__le__(self)
-
     def __bool__(self) -> bool:
         return self.mask != 0
 
@@ -238,12 +231,6 @@ class Elem:
     @property
     def is_one(self) -> bool:
         return self.mask == self.algebra._full
-
-    def atom_names(self) -> tuple[str, ...]:
-        """Names of the atoms below this element, in name order."""
-        return tuple(
-            n for i, n in enumerate(self.algebra.atom_names) if self.mask >> i & 1
-        )
 
     def __str__(self) -> str:
         return self.algebra.literal(self.mask)

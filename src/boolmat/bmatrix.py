@@ -129,12 +129,6 @@ class BMatrix:
             raise ShapeError(f"column {j} out of range for {self.rows}x{self.cols}")
         return BVec(tuple(self.masks[i * self.cols + j] for i in range(self.rows)), self.algebra)
 
-    def row_list(self) -> list[BVec]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def column_list(self) -> list[BVec]:
-        return [self.column(j) for j in range(self.cols)]
-
     @staticmethod
     def from_columns(columns: Sequence[BVec]) -> BMatrix:
         if not columns:
@@ -341,15 +335,6 @@ class Reduction:
     conjugator: BMatrix
     core: BMatrix
     fixed_count: int
-
-    def block(self) -> BMatrix:
-        """The middle factor ``diag(I_m, C)``, materialized."""
-        return block_diag(self.conjugator.algebra, self.fixed_count, self.core)
-
-    def reconstruct(self) -> BMatrix:
-        """Recompute the original matrix ``B . diag(I_m, C) . B*``."""
-        b = self.conjugator
-        return mul(b, mul(self.block(), adjoint(b)))
 
 
 def block_diag(algebra: Algebra, fixed: int, core: BMatrix) -> BMatrix:

@@ -12,7 +12,7 @@ Everything here is pure and immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import (
     Algebra,
@@ -100,8 +100,9 @@ class BVec:
             raise ShapeError(f"index {i} out of range for a length-{len(self.masks)} vector")
         return Elem(self.masks[i], self.algebra)
 
-    def entries(self) -> list[Elem]:
-        return [Elem(m, self.algebra) for m in self.masks]
+    def __iter__(self) -> Iterator[Elem]:
+        alg = self.algebra
+        return (Elem(m, alg) for m in self.masks)
 
     def __add__(self, other: BVec) -> BVec:
         _check_pair(self, other)

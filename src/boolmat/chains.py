@@ -101,17 +101,6 @@ class MatrixAtoms:
     def __len__(self) -> int:
         return len(self.atom_masks)
 
-    def _check_column(self, col: int) -> None:
-        if not 0 <= col < self.matrix.cols:
-            raise ShapeError(f"column {col} out of range for {self.matrix.rows}x{self.matrix.cols}")
-
-    def selector(self, atom_index: int, col: int) -> int:
-        """Row receiving the given atom from column ``col`` (0-based)."""
-        if not 0 <= atom_index < len(self.atom_masks):
-            raise ShapeError(f"atom index {atom_index} out of range for {len(self.atom_masks)} atoms")
-        self._check_column(col)
-        return self.selectors[atom_index][col]
-
     def power(self, s: int) -> BMatrix:
         """``A**s`` for any s >= 0, built from the atom functions alone.
 
@@ -135,7 +124,8 @@ class MatrixAtoms:
         functions: ``A**s`` has a nonzero entry (i, col) exactly when some
         atom's function sends col to i in s steps.
         """
-        self._check_column(col)
+        if not 0 <= col < self.matrix.cols:
+            raise ShapeError(f"column {col} out of range for {self.matrix.rows}x{self.matrix.cols}")
         hit: set[int] = set()
         for f in self.selectors:
             orbit: set[int] = set()

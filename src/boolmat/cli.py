@@ -260,7 +260,7 @@ def _cmd_verify(args) -> int:
 
 
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each command's own subparser by name, built
     once per process and shared by every :func:`main` call; parsing leaves
     them unchanged."""
@@ -312,7 +312,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = build_parser()
+    parser, commands = _build_parser()
     # A known command goes straight to its own subparser, which parses what
     # the top-level parser would have handed it; the top-level parser handles
     # the rest (no argument, an unknown command, --help).

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from boolmat import Algebra, BMatrix, parse_vector
+from boolmat import Algebra, BMatrix, adjoint, block_diag, mul, parse_vector
 
 
 @pytest.fixture
@@ -30,6 +30,25 @@ def mat(alg, src):
     for line in src.strip().splitlines():
         rows.append([alg.parse(tok) for tok in line.split()])
     return BMatrix.of(rows)
+
+
+def all_elems(alg):
+    """Every element of ``alg``, in increasing mask order."""
+    return [alg.from_mask(m) for m in range(1 << alg.atom_count)]
+
+
+def columns(m):
+    return [m.column(j) for j in range(m.cols)]
+
+
+def rows(m):
+    return [m.row(i) for i in range(m.rows)]
+
+
+def reconstruct(red):
+    """``B . diag(I_m, C) . B*``: the matrix a reduction was taken of."""
+    b = red.conjugator
+    return mul(b, mul(block_diag(b.algebra, red.fixed_count, red.core), adjoint(b)))
 
 
 def selection_meets(n, a, full):

@@ -9,6 +9,8 @@ from boolmat import Algebra, AlgebraMismatchError, BMatrix, BVec, PreconditionEr
 from boolmat.algebra import Elem, make_algebra
 from boolmat.model import element_rows
 
+from conftest import all_elems
+
 
 def test_make_algebra():
     alg = make_algebra(["1", "2", "3"])
@@ -87,7 +89,7 @@ def test_operator_sugar(p3):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_lattice_laws_exhaustive(k):
     alg = make_algebra([str(i) for i in range(1, k + 1)])
-    elems = list(alg.elems())
+    elems = all_elems(alg)
     assert len(elems) == 2**k
     for a in elems:
         assert ~~a == a
@@ -96,7 +98,7 @@ def test_lattice_laws_exhaustive(k):
             assert ~(a & b) == ~a | ~b
             assert a & (a | b) == a
             assert a | (a & b) == a
-            assert (a <= b) == (a & b == a) == (a | b == b)
+            assert (a <= b) == (a & b == a) == (a | b == b) == (b >= a)
 
 
 def test_atoms_partition_one():
@@ -114,7 +116,7 @@ def test_atoms_partition_one():
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_parse_format_roundtrip_exhaustive(k):
     alg = make_algebra([str(i) for i in range(1, k + 1)])
-    for x in alg.elems():
+    for x in all_elems(alg):
         assert alg.parse(str(x)) == x
 
 
@@ -140,6 +142,13 @@ def test_algebra_mismatch():
     b = make_algebra(["1", "2"])
     with pytest.raises(AlgebraMismatchError):
         a.one & b.one
+    # ``>=`` is the reflected ``<=``, and it checks the algebras the same way.
+    for x, y in ((a.one, b.zero), (b.zero, a.one)):
+        with pytest.raises(AlgebraMismatchError) as le:
+            y <= x
+        with pytest.raises(AlgebraMismatchError) as ge:
+            x >= y
+        assert str(ge.value) == str(le.value)
 
 
 def test_from_atoms_and_masks(p3):
@@ -155,6 +164,14 @@ def test_atom_accessors(p3):
     assert p3.atom(0) == p3.parse("{1}")
     with pytest.raises(PreconditionError):
         p3.atom(3)
+
+
+def test_reprs_and_truth_values(p3):
+    assert repr(p3) == "Algebra(['1', '2', '3'])"
+    assert repr(p3.parse("{1,3}")) == "Elem({1,3} over ('1', '2', '3'))"
+    assert repr(p3.one) == "Elem(* over ('1', '2', '3'))"
+    assert repr(BVec((1, 6, 0), p3)) == "BVec({1},{2,3},{})"
+    assert [bool(p3.from_mask(m)) for m in range(8)] == [False] + [True] * 7
 
 
 def test_algebra_not_picklable(p3):

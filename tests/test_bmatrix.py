@@ -39,7 +39,7 @@ from boolmat.algebra import Elem
 from boolmat.bvec import inner
 from boolmat.chains import power_profile, relation_report
 
-from conftest import mat, vec
+from conftest import columns, mat, reconstruct, rows, vec
 
 
 def all_square_matrices(alg, n):
@@ -99,6 +99,12 @@ def test_dimension_mismatch(p3):
         apply(identity(p3, 2), vec(p3, "({1},{2},{3})"))
 
 
+def test_product_of_matrices_over_two_algebras_rejected(p2, p3):
+    # identity(p2, 2) has masks that fit p3, but it is not a p3 matrix.
+    with pytest.raises(AlgebraMismatchError, match="matrices from different algebras"):
+        mul(identity(p3, 2), identity(p2, 2))
+
+
 def test_rows_and_columns_reject_indices_outside_the_matrix(p3):
     a = BMatrix(3, 3, (1, 2, 3, 4, 5, 6, 7, 0, 0), p3)
     assert a.column(2) == vec(p3, "({1,2},{2,3},{})")
@@ -113,8 +119,8 @@ def test_rows_and_columns_reject_indices_outside_the_matrix(p3):
         for bad in (-1, m.rows):
             with pytest.raises(ShapeError, match=f"row {bad} out of range"):
                 m.row(bad)
-        assert [v.masks for v in m.row_list()] == [m.masks[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
-        assert [v.masks for v in m.column_list()] == [m.masks[j :: m.cols] for j in range(m.cols)]
+        assert [v.masks for v in rows(m)] == [m.masks[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
+        assert [v.masks for v in columns(m)] == [m.masks[j :: m.cols] for j in range(m.cols)]
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -248,9 +254,9 @@ def test_adjoint_rows_are_dual_basis(p3):
         {2} {}    {1,3}
         {3} {1,2} {}
     """)
-    assert is_basis(u.column_list())
-    assert is_basis(adjoint(u).column_list())
-    assert adjoint(u).column_list() == u.row_list()
+    assert is_basis(columns(u))
+    assert is_basis(columns(adjoint(u)))
+    assert columns(adjoint(u)) == rows(u)
 
 
 def test_matrix_leq(p3):
@@ -365,7 +371,7 @@ def test_unitary_iff_rows_and_columns_bases():
     pool += [random_any_matrix(rng, alg, 3) for _ in range(20)]
     for a in pool:
         unit = is_unitary(a)
-        assert unit == (is_basis(a.column_list()) and is_basis(a.row_list()))
+        assert unit == (is_basis(columns(a)) and is_basis(rows(a)))
         if unit:
             assert mul(a, invert(a)) == identity(alg, 3)
 
@@ -588,9 +594,9 @@ def test_families_sharing_an_invariant_are_fixed_and_reduced():
             assert _naive_product(n, n, 1, a.masks, b.masks) == b.masks
         unitaries = [a for a in family if is_unitary(a)]
         for a in unitaries:
-            assert reduce_by_orthogonal_set(a, [b]).reconstruct() == a
+            assert reconstruct(reduce_by_orthogonal_set(a, [b])) == a
         if len(unitaries) == len(family):
-            assert [red.reconstruct() for red in reduce_unitary(family)] == family
+            assert [reconstruct(red) for red in reduce_unitary(family)] == family
 
 
 # --- reflections ---
@@ -638,7 +644,7 @@ def test_reduce_identity(p3):
     red = reductions[0]
     assert red.fixed_count == 1
     assert red.core == identity(p3, 3)
-    assert red.reconstruct() == identity(p3, 4)
+    assert reconstruct(red) == identity(p3, 4)
 
 
 def test_reduce_refuses_stochastic_non_unitary(p3):
@@ -689,7 +695,7 @@ def test_reduce_simultaneous_family():
     conj = reductions[0].conjugator
     for m, red in zip(mats, reductions):
         assert red.conjugator == conj
-        assert red.reconstruct() == m
+        assert reconstruct(red) == m
 
 
 def test_reduction_block_materialization(p3):
@@ -725,7 +731,7 @@ def test_reduce_by_orthogonal_set_single_agrees(p5):
     assert single.fixed_count == 1
     assert single.conjugator == family.conjugator
     assert single.core == family.core
-    assert single.reconstruct() == a
+    assert reconstruct(single) == a
 
 
 def test_reduce_by_orthogonal_set_full(p3):
@@ -734,7 +740,7 @@ def test_reduce_by_orthogonal_set_full(p3):
     red = reduce_by_orthogonal_set(u, invariants)
     assert red.fixed_count == 3
     assert red.core.rows == 0
-    assert red.reconstruct() == u
+    assert reconstruct(red) == u
 
 
 def test_reduce_by_orthogonal_set_roundtrip():
@@ -748,7 +754,7 @@ def test_reduce_by_orthogonal_set_roundtrip():
         red = reduce_by_orthogonal_set(a, invariants)
         assert red.fixed_count >= 2
         assert is_unitary(red.conjugator)
-        assert red.reconstruct() == a
+        assert reconstruct(red) == a
 
 
 def test_reduce_by_orthogonal_set_validations(p3):

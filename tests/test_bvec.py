@@ -34,7 +34,7 @@ from boolmat import (
 from boolmat import rand as br
 from boolmat.bvec import _atom_slots, _complete_slots
 
-from conftest import vec
+from conftest import all_elems, columns, vec
 
 
 def all_vectors(alg, n):
@@ -73,10 +73,18 @@ def test_zero_length_rejected(p3):
 
 def test_entries_reject_indices_outside_the_vector(p3):
     v = vec(p3, "({1},{2},{})")
-    assert [v[i] for i in range(3)] == v.entries()
+    assert [v[i] for i in range(3)] == list(v)
     for i in (-1, len(v)):
         with pytest.raises(ShapeError):
             v[i]
+
+
+def test_iterating_a_vector_yields_its_entries(p3):
+    v = vec(p3, "({1},{2,3},{})")
+    assert list(v) == [p3.parse("{1}"), p3.parse("{2,3}"), p3.zero]
+    assert [str(e) for e in v] == ["{1}", "{2,3}", "{}"]
+    assert p3.parse("{2,3}") in v
+    assert p3.one not in v
 
 
 # --- inner product and norm ---
@@ -110,7 +118,7 @@ def test_inner_product_axioms_exhaustive(n, k):
         for b in vectors:
             assert inner(a, b) == inner(b, a)
             for c in vectors:
-                for alpha in alg.elems():
+                for alpha in all_elems(alg):
                     lhs = inner(add(scalar_mul(alpha, a), b), c)
                     assert lhs == (alpha & inner(a, c)) | inner(b, c)
                     assert inner(scalar_mul(alpha, a), c) == inner(a, scalar_mul(alpha, c))
@@ -126,7 +134,7 @@ def test_norm_laws_exhaustive(n, k):
             assert inner(a, b) <= norm(a) & norm(b)
             if a.is_orthovector() and b.is_orthovector() and norm(a) == norm(b):
                 assert (inner(a, b) == norm(a) & norm(b)) == (a == b)
-        for c in alg.elems():
+        for c in all_elems(alg):
             assert norm(scalar_mul(c, a)) == c & norm(a)
 
 
@@ -387,7 +395,7 @@ def test_is_basis_matches_the_duality_form_on_random_families():
         size = rng.choice([s for s in (n - 1, n, n + 1) if s >= 1])
         kind = rng.choice(["unitary", "unitary_but_one", *_FAMILY_DRAWS])
         if kind.startswith("unitary"):
-            family = br.random_unitary(rng, alg, n).column_list()[:size]
+            family = columns(br.random_unitary(rng, alg, n))[:size]
             family += [br.random_stochastic_vector(rng, alg, n) for _ in range(size - n)]
             if kind == "unitary_but_one":
                 family[rng.randrange(size)] = _unit_vector(rng, alg, n)

@@ -75,8 +75,7 @@ def test_lcm_upto():
 def test_atoms_of_identity(p2):
     atoms = matrix_atoms(identity(p2, 2))
     assert atoms.atoms == [p2.one]
-    assert atoms.selector(0, 0) == 0
-    assert atoms.selector(0, 1) == 1
+    assert atoms.selectors == ((0, 1),)
 
 
 def test_atoms_of_final_example(final_example, p3):
@@ -84,18 +83,13 @@ def test_atoms_of_final_example(final_example, p3):
     assert sorted(str(a) for a in atoms.atoms) == ["{1}", "{2}", "{3}"]
 
 
-def test_atoms_reject_columns_and_atoms_outside_the_matrix(final_example):
+def test_atoms_reject_columns_outside_the_matrix(final_example):
     atoms = matrix_atoms(final_example)
     assert atoms.selectors == ((0, 1, 2), (0, 2, 2), (1, 0, 1))
     assert [atoms.reached(j) for j in range(3)] == [{0, 1}, {0, 1, 2}, {0, 1, 2}]
-    assert atoms.selector(2, 2) == 1
     for bad in (-1, 3):
         with pytest.raises(ShapeError, match=f"column {bad} out of range"):
             atoms.reached(bad)
-        with pytest.raises(ShapeError, match=f"column {bad} out of range"):
-            atoms.selector(0, bad)
-        with pytest.raises(ShapeError, match=f"atom index {bad} out of range"):
-            atoms.selector(bad, 0)
 
 
 def test_atoms_reject_non_stochastic(p2):
@@ -166,7 +160,7 @@ def test_atom_action_drives_dynamics():
         atoms = matrix_atoms(a)
         for idx, w in enumerate(atoms.atoms):
             for j in range(n):
-                target = atoms.selector(idx, j)
+                target = atoms.selectors[idx][j]
                 assert w <= a[target, j]
                 moved = apply(a, scalar_mul(w, delta(alg, n, j)))
                 assert moved == scalar_mul(w, delta(alg, n, target))

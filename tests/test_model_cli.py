@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import boolmat
 from boolmat import is_unitary, mul
 from boolmat.algebra import Algebra, Elem, PreconditionError
-from boolmat.cli import build_parser, fixture_path, main
+from boolmat.cli import _build_parser, fixture_path, main
 from boolmat.model import ModelFile, ModelSyntaxError, format_model, parse_model
 
 from conftest import vec
@@ -946,7 +946,7 @@ def test_help_lists_every_command(capsys):
     rc, out, err = _exit(["--help"], capsys)
     assert (rc, err) == (0, "")
     assert out.startswith("usage: boolmat [-h]")
-    assert set(build_parser()[1]) == set(COMMANDS)
+    assert set(_build_parser()[1]) == set(COMMANDS)
     for name in COMMANDS:
         assert f"    {name} " in out
 
@@ -963,7 +963,7 @@ def test_help_lists_every_command(capsys):
     ids=lambda argv: argv[0],
 )
 def test_a_command_parses_as_it_would_through_the_top_level_parser(argv):
-    parser, commands = build_parser()
+    parser, commands = _build_parser()
     direct = vars(commands[argv[0]].parse_args(argv[1:]))
     assert vars(parser.parse_args(argv)) == {"command": argv[0], **direct}
 
@@ -995,6 +995,25 @@ def test_unknown_matrix_name(capsys):
     rc, _, err = run_cli(["period", S6, "Z"], capsys)
     assert rc == 2
     assert "no matrix named" in err
+
+
+def test_unknown_vector_name(p3):
+    model = ModelFile(algebra=p3, vectors={"a": vec(p3, "({1},{2,3})"), "b": vec(p3, "(*,{})")})
+    assert model.vector("b") == vec(p3, "(*,{})")
+    with pytest.raises(PreconditionError, match="^no vector named 'c'; have: a, b$"):
+        model.vector("c")
+    with pytest.raises(PreconditionError, match="^no vector named 'a'; have: none$"):
+        ModelFile(algebra=p3).vector("a")
+
+
+def test_module_entry_point_runs():
+    src = os.path.dirname(os.path.dirname(boolmat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "boolmat.cli", "check", "--porcelain", P5], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "A.unitary=1" in proc.stdout.splitlines()
 
 
 def test_console_script_runs():
