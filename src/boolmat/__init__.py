@@ -10,69 +10,11 @@ scale, and :mod:`boolmat.cli` exposes the whole thing on files of named
 matrices and vectors.
 """
 
-from .algebra import (
-    Algebra,
-    AlgebraMismatchError,
-    BoolmatError,
-    Elem,
-    NotInvertibleError,
-    PreconditionError,
-    ShapeError,
-    make_algebra,
-)
-from .bvec import (
-    BVec,
-    add,
-    canonical_basis,
-    coordinates,
-    cyclic_basis,
-    delta,
-    descent,
-    disjoint_refinement,
-    disjointify,
-    extend_to_basis,
-    inner,
-    is_basis,
-    is_orthonormal_set,
-    lift,
-    norm,
-    orthogonal,
-    parse_vector,
-    scalar_mul,
-    zero_vec,
-)
-from .bmatrix import (
-    BMatrix,
-    Reduction,
-    adjoint,
-    apply,
-    block_diag,
-    find_invariant_stochastic,
-    identity,
-    invert,
-    is_stochastic_matrix,
-    is_unitary,
-    joint_trace,
-    matrix_leq,
-    mul,
-    power,
-    reduce_by_orthogonal_set,
-    reduce_unitary,
-    reflection_from,
-    trace,
-)
-from .chains import (
-    MatrixAtoms,
-    PowerProfile,
-    ReachReport,
-    lcm_upto,
-    matrix_atoms,
-    power_profile,
-    reachable,
-    relation_report,
-    verify_power_theorem,
-)
-from .model import ModelFile, ModelSyntaxError, format_model, parse_model
+from .algebra import *
+from .bvec import *
+from .bmatrix import *
+from .chains import *
+from .model import *
 
 __version__ = "0.1.0"
 

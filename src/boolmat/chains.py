@@ -317,20 +317,18 @@ class ReachReport:
     equivalence_witness: str | None
 
 
-def _transitivity_witness(relation: set[tuple[int, int]]) -> tuple[int, int, int] | None:
-    """The first (x, y, z) with x->y and y->z but not x->z, or None.
+def _transitivity_witness(succ: dict[int, set[int]]) -> tuple[int, int, int] | None:
+    """The first (x, y, z) with x->y and y->z but not x->z, or None, for the
+    relation in which ``succ`` maps every site to its set of successors.
 
     "First" is the order of a double loop over the sorted pairs: (x, y)
     ascending, then z ascending among the successors of y.
     """
-    succ: dict[int, set[int]] = {}
-    for x, y in relation:
-        succ.setdefault(x, set()).add(y)
     for x in sorted(succ):
         xs = succ[x]
         for y in sorted(xs):
-            ys = succ.get(y)
-            if ys is not None and not ys <= xs:
+            ys = succ[y]
+            if not ys <= xs:
                 return x, y, min(ys - xs)
     return None
 
@@ -341,19 +339,20 @@ def relation_report(a: BMatrix) -> ReachReport:
     n = a.rows
     profile, atoms = _profile(a)
     if atoms is not None:
-        succ = [atoms.reached(j) for j in range(n)]
+        reached = [atoms.reached(j) for j in range(n)]
     else:
-        succ = [{i for m in profile.powers for i in range(n) if m.masks[i * n + j]} for j in range(n)]
-    arrows = {(j + 1, i + 1) for j in range(n) for i in succ[j]}
-    mutual = {(i, j) for (i, j) in arrows if i < j and (j, i) in arrows}
-    witness = _transitivity_witness(arrows)
+        reached = [{i for m in profile.powers for i in range(n) if m.masks[i * n + j]} for j in range(n)]
+    succ = {j + 1: {i + 1 for i in rows} for j, rows in enumerate(reached)}
+    sym = {x: {y for y in ys if x in succ[y]} for x, ys in succ.items()}
+    arrows = {(x, y) for x, ys in succ.items() for y in ys}
+    mutual = {(x, y) for x, ys in sym.items() for y in ys if x < y}
+    witness = _transitivity_witness(succ)
 
     eq_witness = None
-    lonely = next((i for i in range(1, n + 1) if (i, i) not in arrows), None)
+    lonely = next((x for x, ys in succ.items() if x not in ys), None)
     if lonely is not None:
         eq_witness = f"not reflexive: {lonely} does not return to itself"
     else:
-        sym = {(i, j) for (i, j) in arrows if (j, i) in arrows}
         sym_witness = _transitivity_witness(sym)
         if sym_witness is not None:
             x, y, z = sym_witness

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
-from importlib import resources
 from typing import Iterable, Sequence
 
 from . import chains
@@ -32,7 +32,7 @@ __all__ = ["main", "fixture_path"]
 
 def fixture_path(name: str) -> str:
     """Absolute path of a bundled example model file."""
-    return str(resources.files("boolmat").joinpath("fixtures", name))
+    return os.path.join(os.path.dirname(__file__), "fixtures", name)
 
 
 def _load(path: str) -> ModelFile:
@@ -62,8 +62,7 @@ def _emit_matrix(prefix: str, mat: BMatrix, porcelain: bool) -> None:
             print("  " + line)
 
 
-def _cmd_check(args) -> int:
-    model = _load(args.file)
+def _cmd_check(args, model: ModelFile) -> int:
     bad = 0
     for name, mat in _pick_matrices(model, args.names):
         stoch = mat.is_square() and is_stochastic_matrix(mat)
@@ -81,8 +80,7 @@ def _cmd_check(args) -> int:
     return 1 if bad else 0
 
 
-def _cmd_invariant(args) -> int:
-    model = _load(args.file)
+def _cmd_invariant(args, model: ModelFile) -> int:
     picked = _pick_matrices(model, args.names)
     mats = [m for _, m in picked]
     joint = joint_trace(mats)
@@ -99,8 +97,7 @@ def _cmd_invariant(args) -> int:
     return 0 if vec is not None else 1
 
 
-def _cmd_reduce(args) -> int:
-    model = _load(args.file)
+def _cmd_reduce(args, model: ModelFile) -> int:
     picked = _pick_matrices(model, args.names)
     mats = [m for _, m in picked]
     joint = joint_trace(mats)
@@ -138,8 +135,7 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _cmd_powers(args) -> int:
-    model = _load(args.file)
+def _cmd_powers(args, model: ModelFile) -> int:
     failures = 0
     for name, mat in _pick_matrices(model, args.names):
         n = mat.rows
@@ -155,8 +151,7 @@ def _cmd_powers(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_period(args) -> int:
-    model = _load(args.file)
+def _cmd_period(args, model: ModelFile) -> int:
     for name, mat in _pick_matrices(model, args.names):
         profile = chains.power_profile(mat)
         if args.porcelain:
@@ -171,8 +166,7 @@ def _cmd_period(args) -> int:
     return 0
 
 
-def _cmd_atoms(args) -> int:
-    model = _load(args.file)
+def _cmd_atoms(args, model: ModelFile) -> int:
     for name, mat in _pick_matrices(model, args.names):
         atoms = chains.matrix_atoms(mat)
         if args.porcelain:
@@ -188,8 +182,7 @@ def _fmt_pairs(pairs: Iterable[tuple[int, int]], arrow: str) -> str:
     return ", ".join(f"{a}{arrow}{b}" for a, b in sorted(pairs))
 
 
-def _cmd_reach(args) -> int:
-    model = _load(args.file)
+def _cmd_reach(args, model: ModelFile) -> int:
     for name, mat in _pick_matrices(model, args.names):
         report = chains.relation_report(mat)
         if args.porcelain:
@@ -217,8 +210,7 @@ def _cmd_reach(args) -> int:
     return 0
 
 
-def _cmd_basis_extend(args) -> int:
-    model = _load(args.file)
+def _cmd_basis_extend(args, model: ModelFile) -> int:
     if args.names:
         vectors = [model.vector(n) for n in args.names]
     else:
@@ -281,7 +273,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         return p
 
     def model_cmd(name: str, help_text: str, func, names_help: str = "matrix names (default: all)"):
-        p = command(name, help_text, func)
+        p = command(name, help_text, lambda args: func(args, _load(args.file)))
         p.add_argument("file", help="model file path")
         p.add_argument("names", nargs="*", help=names_help)
 

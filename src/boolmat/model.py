@@ -53,24 +53,23 @@ class ModelFile:
     order: list[tuple[str, str]] = field(default_factory=list)
 
     def matrix(self, name: str) -> BMatrix:
-        try:
-            return self.matrices[name]
-        except KeyError:
-            raise PreconditionError(
-                f"no matrix named {name!r}; have: {', '.join(self.matrices) or 'none'}"
-            ) from None
+        return _named("matrix", self.matrices, name)
 
     def vector(self, name: str) -> BVec:
-        try:
-            return self.vectors[name]
-        except KeyError:
-            raise PreconditionError(
-                f"no vector named {name!r}; have: {', '.join(self.vectors) or 'none'}"
-            ) from None
+        return _named("vector", self.vectors, name)
+
+
+def _named(kind: str, table: dict, name: str):
+    try:
+        return table[name]
+    except KeyError:
+        raise PreconditionError(
+            f"no {kind} named {name!r}; have: {', '.join(table) or 'none'}"
+        ) from None
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-_SHAPE_RE = re.compile(r"(\d+)x(\d+)$")
+_SHAPE_RE = re.compile(r"([0-9]+)x([0-9]+)$")
 _TOKEN_RE = re.compile(r"\S+")
 
 # One meaningful line: 1-based number, raw text, tokens before any comment.
@@ -142,7 +141,7 @@ def parse_model(text: str) -> ModelFile:
             if rows < 1 or cols < 1:
                 raise _error(line, 2, "matrix dimensions must be positive")
         else:
-            if not shape.isdigit() or int(shape) < 1:
+            if not (shape.isascii() and shape.isdigit()) or int(shape) < 1:
                 raise _error(line, 2, f"bad vector length {shape!r}")
             rows, cols = 1, int(shape)
         block = meaningful[pos : pos + rows]

@@ -36,7 +36,8 @@ Each exhaustive source guards its budget before it streams anything. Where
 the object count has a closed form it is computed up front from the spaces
 the source combines (``2**(k*n)`` vectors, ``n**k`` stochastic vectors,
 ``n**(k*n)`` stochastic matrices, ``factorial(n)**k`` unitaries); the
-search over orthonormal families counts node visits instead. Either way a
+search over orthonormal families refuses more candidate vectors than the
+budget, since each is a family alone, then counts node visits. Either way a
 run past the budget is refused rather than silently truncated, because a
 truncated exhaustive check is not exhaustive.
 """
@@ -50,7 +51,15 @@ from functools import cache
 from itertools import chain, combinations, permutations, product
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from ._draw import below, matrix_masks, orthonormal_columns, stochastic_matrix, symmetric_stochastic, unitary
+from ._draw import (
+    _involution_counts,
+    below,
+    matrix_masks,
+    orthonormal_columns,
+    stochastic_matrix,
+    symmetric_stochastic,
+    unitary,
+)
 from .algebra import Algebra, BoolmatError, PreconditionError
 from .bvec import BVec
 
@@ -133,18 +142,33 @@ def _iter_unitary_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
     return _iter_permutation_masks(n, k, list(permutations(range(n))))
 
 
+def _unit_masks(n: int, k: int) -> list[tuple[int, ...]]:
+    """Every unit vector (entries join to one), sorted as the vectors of
+    ``_iter_vector_masks``: each atom sits in a nonempty set of slots."""
+    units = []
+    for slot_sets in product(range(1, 1 << n), repeat=k):
+        masks = [0] * n
+        for bit, slots in enumerate(slot_sets):
+            for i in range(n):
+                if slots >> i & 1:
+                    masks[i] |= 1 << bit
+        units.append(tuple(masks))
+    return sorted(units)
+
+
 def _iter_orthonormal_sets(
     n: int, k: int, budget: int, *, stochastic_only: bool = False
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All nonempty orthonormal families, DFS over an indexed vector list.
 
     Yields index-increasing tuples, so each family appears exactly once.
-    Node visits count against the budget.
+    Node visits count against the budget. Every candidate alone is a
+    family, so more candidates than the budget is refused before any is
+    listed.
     """
-    if stochastic_only:
-        units = list(_iter_stochastic_masks(n, k))
-    else:
-        units = [v for v in _iter_vector_masks(n, k) if _or_all(v) == (1 << k) - 1]
+    if (n**k if stochastic_only else ((1 << n) - 1) ** k) > budget:
+        raise BudgetExceededError(None, budget)
+    units = list(_iter_stochastic_masks(n, k)) if stochastic_only else _unit_masks(n, k)
     visited = 0
 
     def extend(start: int, chosen: list[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -161,7 +185,29 @@ def _iter_orthonormal_sets(
             yield from extend(idx + 1, chosen)
             chosen.pop()
 
-    yield from extend(0, [])
+    return extend(0, [])
+
+
+def _involutions(n: int) -> list[tuple[int, ...]]:
+    """Every involution of range(n), in the order of ``permutations(range(n))``:
+    each unpaired point, lowest first, stays fixed or pairs with a higher one."""
+    found: list[tuple[int, ...]] = []
+    p: list[int | None] = [None] * n
+
+    def fill(i: int) -> None:
+        while i < n and p[i] is not None:
+            i += 1
+        if i == n:
+            found.append(tuple(p))
+            return
+        for j in range(i, n):
+            if p[j] is None:
+                p[i], p[j] = j, i
+                fill(i + 1)
+                p[i] = p[j] = None
+
+    fill(0)
+    return found
 
 
 # --- naive mask arithmetic (independent of the kernels and of bvec/bmatrix) ---
@@ -451,9 +497,8 @@ def _stochastic_matrices(n: int, k: int, budget: int) -> Iterable[Any]:
 
 
 def _symmetric_stochastic_matrices(n: int, k: int, budget: int) -> Iterable[Any]:
-    involutions = [p for p in permutations(range(n)) if all(p[p[i]] == i for i in range(n))]
-    _require_budget(len(involutions) ** k, budget)
-    return _iter_permutation_masks(n, k, involutions)
+    _require_budget(_involution_counts(n)[n] ** k, budget)
+    return _iter_permutation_masks(n, k, _involutions(n))
 
 
 def _unitary_families(n: int, k: int, budget: int) -> Iterable[Any]:

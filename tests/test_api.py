@@ -1,7 +1,8 @@
 """The declared public surface and the README's ``## API`` list agree.
 
 The surface is every ``__all__`` entry of the modules below, plus the
-public attributes and dataclass fields of each class declared there. The
+public attributes and dataclass fields of each class declared there, and
+the operators and other dunder methods written in its body. The
 README lists it one bullet per member, under a ``### `module``` heading, so
 adding a public member without documenting it (or deleting one and leaving
 its line) fails here.
@@ -23,6 +24,17 @@ def _public(name):
     return not name.startswith("_")
 
 
+def _written_dunder(name, value, path):
+    """A dunder method defined in the class body, not one ``dataclass`` made."""
+    return (
+        name.startswith("__")
+        and name.endswith("__")
+        and name not in ("__init__", "__post_init__")
+        and inspect.isfunction(value)
+        and value.__code__.co_filename == path
+    )
+
+
 def declared_surface():
     names = set()
     for mod in MODULES:
@@ -30,7 +42,8 @@ def declared_surface():
             obj = getattr(mod, name)
             names.add(f"{mod.__name__}.{name}")
             if inspect.isclass(obj):
-                members = set(filter(_public, vars(obj)))
+                path = inspect.getfile(mod)
+                members = {m for m, v in vars(obj).items() if _public(m) or _written_dunder(m, v, path)}
                 if dataclasses.is_dataclass(obj):
                     # A field with a default (or none at all) is not in vars.
                     members |= {f.name for f in dataclasses.fields(obj)}
@@ -69,6 +82,8 @@ def test_every_public_definition_is_declared():
 def test_package_exports_come_from_declared_names():
     owners = {name: mod for mod in MODULES for name in mod.__all__}
     exported = {n for n, v in vars(boolmat).items() if _public(n) and not inspect.ismodule(v)}
+    library = (algebra, bvec, bmatrix, chains, model)
+    assert exported == {name for mod in library for name in mod.__all__}
     for name in exported | boolmat._ORACLE_NAMES:
         assert name in owners, name
         assert getattr(boolmat, name) is getattr(owners[name], name), name

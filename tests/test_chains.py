@@ -480,7 +480,8 @@ def test_transitivity_witness_is_the_first_in_sorted_order():
                     break
             if expected:
                 break
-        assert _transitivity_witness(relation) == expected
+        succ = {x: {y for (x2, y) in relation if x2 == x} for x in range(1, n + 1)}
+        assert _transitivity_witness(succ) == expected
 
 
 def test_stochastic_dynamics_make_no_matrix_product(monkeypatch, final_example):

@@ -122,6 +122,9 @@ SYNTAX_ERRORS = [
     ("atoms: 1\nmatrix A 1\n", 2, 10, "bad shape '1', expected like 3x4"),
     ("atoms: 1\nmatrix A 0x1\n", 2, 10, "matrix dimensions must be positive"),
     ("atoms: 1\nvector v -1\n", 2, 10, "bad vector length '-1'"),
+    # only ASCII digits give a size: int() reads '\u0662' as 2 and rejects '\u00b2'
+    ("atoms: 1\nmatrix A \u0662x\u0662\n* *\n* *\n", 2, 10, "bad shape '\u0662x\u0662', expected like 3x4"),
+    ("atoms: 1\nvector v \u00b2\n*\n", 2, 10, "bad vector length '\u00b2'"),
     # '#' inside a token does not start a comment: the token is a bad literal
     ("atoms: 1 2\nvector v 2\n{2} {1}#x\n", 3, 5,
      "bad element literal '{1}#x' (expected '{...}' or '*')"),
@@ -240,7 +243,7 @@ def _reference_algebra_parse(self, text):
 
 
 _REF_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-_REF_SHAPE_RE = re.compile(r"(\d+)x(\d+)$")
+_REF_SHAPE_RE = re.compile(r"([0-9]+)x([0-9]+)$")
 _REF_TOKEN_RE = re.compile(r"\S+")
 
 
@@ -331,7 +334,7 @@ def _reference_parse_model(text):
                 masks.extend(parse_elements(cols, f"matrix {name}"))
             model.matrices[name] = boolmat.BMatrix(rows, cols, tuple(masks), algebra)
         else:
-            if not shape.isdigit() or int(shape) < 1:
+            if not (shape.isascii() and shape.isdigit()) or int(shape) < 1:
                 raise _reference_error(line, 2, f"bad vector length {shape!r}")
             length = int(shape)
             model.vectors[name] = boolmat.BVec(tuple(parse_elements(length, f"vector {name}")), algebra)
@@ -976,6 +979,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 3, col 5" in err
 
 
+def test_non_ascii_vector_length_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.bm"
+    path.write_text("atoms: 1 2\nmatrix A 1x1\n*\nvector b \u00b2\n", encoding="utf-8")
+    rc, out, err = run_cli(["check", str(path)], capsys)
+    assert (rc, out, err) == (2, "", "parse error: line 4, col 10: bad vector length '\u00b2'\n")
+
+
 def test_missing_file_exit_code(capsys):
     rc, _, err = run_cli(["check", "/nonexistent/path.bm"], capsys)
     assert rc == 2
@@ -1071,6 +1081,18 @@ def test_importing_the_library_and_cli_leaves_the_oracle_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True", "True", "False"]
+
+
+def test_importing_the_cli_leaves_importlib_resources_unloaded():
+    # -S skips site, whose .pth files may load importlib.resources themselves.
+    src = os.path.dirname(os.path.dirname(boolmat.__file__))
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import boolmat.cli\n"
+        "print('importlib.resources' in sys.modules, boolmat.cli.fixture_path('s6_final.bm'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", S6]
 
 
 def test_lazy_oracle_names_are_public_oracle_names():

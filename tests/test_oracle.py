@@ -3,7 +3,7 @@ import dataclasses
 import inspect
 import math
 import random
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from typing import Any, Callable, Sequence
 
 import pytest
@@ -156,6 +156,44 @@ def test_budget_refusal_reports_required_size():
     with pytest.raises(BudgetExceededError) as err:
         brute_check("DUALITY", 3, 2, budget=10)
     assert err.value.required is None
+
+
+@pytest.mark.parametrize(
+    "theorem, n, k",
+    [
+        ("DUALITY", 4, 5),
+        ("DIMENSION", 3, 6),
+        ("DIMCOR2", 3, 6),
+        ("BASIS_UPBOUND", 6, 7),
+        ("INCOMPLETE", 9, 7),
+        ("ODDINV", 11, 1),
+    ],
+)
+def test_exhaustive_sources_refuse_before_listing_a_candidate(monkeypatch, theorem, n, k):
+    """Past the budget, a run is refused before any candidate vector or
+    permutation is listed and before the predicate builds its tables."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a candidate was listed")
+
+    for name in ("_iter_vector_masks", "_iter_stochastic_masks", "_unit_masks", "_involutions", "permutations"):
+        monkeypatch.setattr(oracle, name, forbidden)
+    with pytest.raises(BudgetExceededError) as err:
+        brute_check(theorem, n, k, budget=10)
+    assert err.value.required == (35696 if theorem == "ODDINV" else None)
+
+
+def test_direct_listings_match_the_filtered_ones():
+    """Unit vectors and involutions are built, not filtered from every
+    vector or permutation, and come in the same order as the filter's."""
+    for n in range(1, 8):
+        assert oracle._involutions(n) == [
+            p for p in permutations(range(n)) if all(p[p[i]] == i for i in range(n))
+        ]
+    for n, k in product(range(1, 5), range(1, 4)):
+        assert oracle._unit_masks(n, k) == [
+            v for v in oracle._iter_vector_masks(n, k) if _or_all(v) == (1 << k) - 1
+        ]
 
 
 def test_power_budget_counts_stochastic_matrices_and_unitaries():
