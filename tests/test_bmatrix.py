@@ -8,6 +8,7 @@ import pytest
 from boolmat import (
     AlgebraMismatchError,
     BMatrix,
+    BoolmatError,
     BVec,
     NotInvertibleError,
     PreconditionError,
@@ -942,3 +943,68 @@ def test_even_symmetric_counterexample_family():
         assert adjoint(swap) == swap
         assert trace(swap).is_zero
         assert find_invariant_stochastic([swap]) is None
+
+
+# --- rejections no other test reaches ---
+
+_P = make_algebra(["1", "2"])
+_Q = make_algebra(["1", "2"])  # same names, another algebra
+_WIDE = BMatrix(1, 2, (0, 0), _P)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: BMatrix(-1, 0, (), _P), ShapeError, "negative matrix dimensions"),
+        (lambda: BMatrix(2, 2, (0,), _P), ShapeError, "2x2 matrix needs 4 entries, got 1"),
+        (lambda: BMatrix.of([[_P.one, _P.one], [_P.one]]), ShapeError, "ragged rows"),
+        (lambda: BMatrix.of([[_P.one, _Q.one]]), AlgebraMismatchError, "matrix entries from different algebras"),
+        (lambda: BMatrix.of([[]]), ShapeError, "cannot infer algebra from an empty grid"),
+        (lambda: identity(_P, 2)[2, 0], ShapeError, "index (2, 0) out of range for 2x2"),
+        (lambda: BMatrix.from_columns([]), ShapeError, "need at least one column"),
+        (
+            lambda: BMatrix.from_columns([delta(_P, 2, 0), delta(_Q, 2, 0)]),
+            AlgebraMismatchError,
+            "columns from different algebras",
+        ),
+        (
+            lambda: BMatrix.from_columns([delta(_P, 2, 0), delta(_P, 3, 0)]),
+            ShapeError,
+            "columns of different lengths",
+        ),
+        (
+            lambda: apply(identity(_P, 2), delta(_Q, 2, 0)),
+            AlgebraMismatchError,
+            "matrix and vector from different algebras",
+        ),
+        (lambda: apply(BMatrix(0, 2, (), _P), delta(_P, 2, 0)), ShapeError, "result would be a length-0 vector"),
+        (lambda: matrix_leq(identity(_P, 2), identity(_P, 3)), ShapeError, "order compares equal shapes only"),
+        (lambda: trace(_WIDE), ShapeError, "trace of a non-square matrix"),
+        (lambda: joint_trace([]), PreconditionError, "joint trace of an empty family"),
+        (lambda: find_invariant_stochastic([]), PreconditionError, "empty family"),
+        (
+            lambda: find_invariant_stochastic([identity(_P, 2), identity(_P, 3)]),
+            ShapeError,
+            "family members must have equal sizes",
+        ),
+        (lambda: block_diag(_P, 1, _WIDE), ShapeError, "core must be square"),
+        (
+            lambda: reduce_by_orthogonal_set(BMatrix(2, 2, (0,) * 4, _P), [delta(_P, 2, 0)]),
+            PreconditionError,
+            "reduce_by_orthogonal_set needs a unitary matrix",
+        ),
+        (
+            lambda: reduce_by_orthogonal_set(identity(_P, 2), [delta(_P, 3, 0)]),
+            ShapeError,
+            "invariant vectors must live in the matrix's space",
+        ),
+        (lambda: power(_WIDE, 2), ShapeError, "powers of a non-square matrix"),
+        (lambda: power(identity(_P, 2), -1), PreconditionError, "negative powers are not defined"),
+    ],
+)
+def test_rejection_type_and_message(call, error, message):
+    """Each ``raise`` that the other tests never run, with its exact type and text."""
+    with pytest.raises(BoolmatError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

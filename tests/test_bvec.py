@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from boolmat import (
     AlgebraMismatchError,
+    BoolmatError,
     BVec,
     PreconditionError,
     ShapeError,
@@ -581,3 +582,30 @@ def test_vector_parse_errors(p3):
         parse_vector(p3, "{1},{2}")
     with pytest.raises(ShapeError):
         parse_vector(p3, "()")
+
+
+# --- rejections no other test reaches ---
+
+_P = make_algebra(["1", "2"])
+_Q = make_algebra(["1", "2"])  # same names, another algebra
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: BVec.of([]), ShapeError, "vectors of length 0 are not supported"),
+        (lambda: BVec.of([_P.one, _Q.one]), AlgebraMismatchError, "vector entries come from different algebras"),
+        (lambda: scalar_mul(_Q.one, delta(_P, 2, 0)), AlgebraMismatchError, "scalar from a different algebra"),
+        (lambda: add(delta(_P, 2, 0), delta(_Q, 2, 0)), AlgebraMismatchError, "vectors from different algebras"),
+        (lambda: delta(_P, 2, 2), PreconditionError, "slot 2 out of range 0..1"),
+        (lambda: lift(delta(_P, 3, 0), delta(_Q, 2, 0)), AlgebraMismatchError, "vectors from different algebras"),
+        (lambda: lift(delta(_P, 3, 0), delta(_P, 3, 0)), ShapeError, "lift needs len(c) == len(a)-1, got 3 vs 3"),
+        (lambda: extend_to_basis([delta(_P, 2, 0)], n=3), ShapeError, "vectors have length 2, not n=3"),
+    ],
+)
+def test_rejection_type_and_message(call, error, message):
+    """Each ``raise`` that the other tests never run, with its exact type and text."""
+    with pytest.raises(BoolmatError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -550,3 +550,23 @@ def test_one_column_scan_decides_stochasticity_and_reads_the_atoms(monkeypatch):
             assert scans[0] == 1
     with pytest.raises(ShapeError):
         matrix_atoms(BMatrix(1, 2, (7, 7), alg))
+
+
+# --- rejections no other test reaches ---
+
+_P = make_algebra(["1", "2"])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: matrix_atoms(identity(_P, 2)).power(-1), "negative powers are not defined"),
+        (lambda: power_profile(BMatrix(1, 2, (0, 0), _P)), "power profile of a non-square matrix"),
+    ],
+)
+def test_rejection_type_and_message(call, message):
+    """Each ``raise`` that the other tests never run, with its exact type and text."""
+    with pytest.raises(PreconditionError) as info:
+        call()
+    assert type(info.value) is PreconditionError
+    assert str(info.value) == message
