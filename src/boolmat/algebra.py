@@ -8,7 +8,6 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -44,7 +43,6 @@ class NotInvertibleError(PreconditionError):
     """Inversion requested for a matrix that is not unitary."""
 
 
-_algebra_ids = itertools.count(1)
 _RESERVED = frozenset(" ,{}()*")  # characters no atom name may contain
 _MASK_TYPES = frozenset((int, bool))
 
@@ -56,7 +54,7 @@ class Algebra:
     with equal atom names. Mixing raises :class:`AlgebraMismatchError`.
     """
 
-    __slots__ = ("atom_names", "atom_count", "uid", "_index", "_full")
+    __slots__ = ("atom_names", "atom_count", "_index", "_full")
 
     def __init__(self, atom_names: Sequence[str]):
         names = tuple(atom_names)
@@ -75,7 +73,6 @@ class Algebra:
             raise PreconditionError("atom names must be free of whitespace and must not start with '#'")
         self.atom_names = names
         self.atom_count = len(names)
-        self.uid = next(_algebra_ids)
         self._index = index
         self._full = (1 << len(names)) - 1
 
@@ -198,9 +195,7 @@ class Elem:
 
     def _check(self, other: Elem) -> None:
         if self.algebra is not other.algebra:
-            raise AlgebraMismatchError(
-                f"elements from different algebras (uid {self.algebra.uid} vs {other.algebra.uid})"
-            )
+            raise AlgebraMismatchError("elements from different algebras")
 
     def __and__(self, other: Elem) -> Elem:
         self._check(other)

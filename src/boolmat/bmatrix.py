@@ -24,7 +24,7 @@ from .algebra import (
     PreconditionError,
     ShapeError,
 )
-from .bvec import BVec, _atom_slots, _is_partition, disjoint_refinement
+from .bvec import BVec, _atom_slots, _elem_masks, _is_partition, _join, disjoint_refinement, orthogonal
 
 __all__ = [
     "BMatrix",
@@ -95,23 +95,10 @@ class BMatrix:
         """Build from a rectangular grid of elements."""
         if not rows:
             raise ShapeError("an empty grid has no algebra; build 0x0 as BMatrix(0, 0, (), algebra)")
-        width = len(rows[0])
-        alg = None
-        masks: list[int] = []
-        for r in rows:
-            if len(r) != width:
-                raise ShapeError("ragged rows")
-            for e in r:
-                if not isinstance(e, Elem):
-                    raise PreconditionError(f"matrix entry {e!r} is not an Elem")
-                if alg is None:
-                    alg = e.algebra
-                if e.algebra is not alg:
-                    raise AlgebraMismatchError("matrix entries from different algebras")
-                masks.append(e.mask)
+        masks, alg = _elem_masks(rows, "matrix", "matrix entries from different algebras")
         if alg is None:
             raise ShapeError("cannot infer algebra from an empty grid")
-        return BMatrix(len(rows), width, tuple(masks), alg)
+        return BMatrix(len(rows), len(rows[0]), tuple(masks), alg)
 
     def __getitem__(self, ij: tuple[int, int]) -> Elem:
         i, j = ij
@@ -235,10 +222,7 @@ def trace(a: BMatrix) -> Elem:
     """Join of the diagonal."""
     if not a.is_square():
         raise ShapeError("trace of a non-square matrix")
-    acc = 0
-    for i in range(a.rows):
-        acc |= a.masks[i * a.cols + i]
-    return Elem(acc, a.algebra)
+    return Elem(_join(a.masks[:: a.cols + 1]), a.algebra)
 
 
 def joint_trace(matrices: Sequence[BMatrix]) -> Elem:
@@ -252,10 +236,7 @@ def joint_trace(matrices: Sequence[BMatrix]) -> Elem:
         _check_same_algebra(first, m)
         if (m.rows, m.cols) != (first.rows, first.cols):
             raise ShapeError("joint trace needs equal sizes")
-    acc = 0
-    for d in _diagonal_meet(matrices):
-        acc |= d
-    return Elem(acc, first.algebra)
+    return Elem(_join(_diagonal_meet(matrices)), first.algebra)
 
 
 def _diagonal_meet(matrices: Sequence[BMatrix]) -> list[int]:
@@ -419,7 +400,7 @@ def reduce_by_orthogonal_set(a: BMatrix, invariants: Sequence[BVec]) -> Reductio
             raise PreconditionError(f"{v} is not invariant under the matrix")
     for i, v in enumerate(invariants):
         for w in invariants[i + 1 :]:
-            if any(x & y for x, y in zip(v.masks, w.masks)):
+            if not orthogonal(v, w):
                 raise PreconditionError("invariant vectors must be mutually orthogonal")
 
     return _reduce_by_slots([a], invariants)[0]
@@ -437,14 +418,15 @@ def power(a: BMatrix, e: int) -> BMatrix:
     if not a.is_square():
         raise ShapeError("powers of a non-square matrix")
     _check_exponent(e)
-    if e < 0:
-        raise PreconditionError("negative powers are not defined")
     return _powers(a, (e,))[0]
 
 
 def _check_exponent(e: object) -> None:
+    """Reject an exponent that is not a non-negative int."""
     if not isinstance(e, int):
         raise PreconditionError(f"exponent {e!r} is not an int")
+    if e < 0:
+        raise PreconditionError("negative powers are not defined")
 
 
 def _powers(a: BMatrix, exponents: Sequence[int]) -> list[BMatrix]:

@@ -12,7 +12,9 @@ Everything here is pure and immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import reduce
+from operator import and_, or_
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     Algebra,
@@ -61,15 +63,8 @@ class BVec:
         """Build from elements, validating a shared algebra."""
         if not entries:
             raise ShapeError("vectors of length 0 are not supported")
-        alg = None
-        for e in entries:
-            if not isinstance(e, Elem):
-                raise PreconditionError(f"vector entry {e!r} is not an Elem")
-            if alg is None:
-                alg = e.algebra
-            if e.algebra is not alg:
-                raise AlgebraMismatchError("vector entries come from different algebras")
-        return BVec(tuple(e.mask for e in entries), alg)
+        masks, alg = _elem_masks((entries,), "vector", "vector entries come from different algebras")
+        return BVec(tuple(masks), alg)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "masks", tuple(self.masks))
@@ -115,19 +110,11 @@ class BVec:
 
     def norm(self) -> Elem:
         """Join of all entries; equals ``inner(a, a)``."""
-        acc = 0
-        for m in self.masks:
-            acc |= m
-        return Elem(acc, self.algebra)
+        return Elem(_join(self.masks), self.algebra)
 
     def is_orthovector(self) -> bool:
         """Are the entries pairwise disjoint?"""
-        seen = 0
-        for m in self.masks:
-            if m & seen:
-                return False
-            seen |= m
-        return True
+        return _is_partition(self.masks, _join(self.masks))
 
     def is_unit(self) -> bool:
         """Does the norm equal one?"""
@@ -142,6 +129,31 @@ class BVec:
 
     def __repr__(self) -> str:
         return f"BVec{str(self)}"
+
+
+def _elem_masks(rows: Sequence[Sequence[Elem]], what: str, mismatch: str) -> tuple[list[int], Algebra | None]:
+    """Row-major masks of a rectangular grid of elements, and their one
+    algebra (None when the grid has no entry)."""
+    width = len(rows[0])
+    alg = None
+    masks: list[int] = []
+    for r in rows:
+        if len(r) != width:
+            raise ShapeError("ragged rows")
+        for e in r:
+            if not isinstance(e, Elem):
+                raise PreconditionError(f"{what} entry {e!r} is not an Elem")
+            if alg is None:
+                alg = e.algebra
+            if e.algebra is not alg:
+                raise AlgebraMismatchError(mismatch)
+            masks.append(e.mask)
+    return masks, alg
+
+
+def _join(masks: Iterable[int]) -> int:
+    """The join of the masks; 0 for none."""
+    return reduce(or_, masks, 0)
 
 
 def _is_partition(masks: Sequence[int], full: int) -> bool:
@@ -175,10 +187,7 @@ def scalar_mul(c: Elem, a: BVec) -> BVec:
 def inner(a: BVec, b: BVec) -> Elem:
     """Algebra-valued inner product: join over i of ``a_i & b_i``."""
     _check_pair(a, b)
-    acc = 0
-    for x, y in zip(a.masks, b.masks):
-        acc |= x & y
-    return Elem(acc, a.algebra)
+    return Elem(_join(map(and_, a.masks, b.masks)), a.algebra)
 
 
 def norm(a: BVec) -> Elem:
@@ -269,10 +278,7 @@ def lift(a: BVec, c: BVec) -> BVec:
     _require_stochastic(a, "lift: a")
     _require_stochastic(c, "lift: c")
     out = [c.masks[i] & ~a.masks[i] for i in range(len(a) - 1)]
-    seen = 0
-    for m in out:
-        seen |= m
-    out.append(seen ^ a.algebra._full)
+    out.append(_join(out) ^ a.algebra._full)
     return BVec(tuple(out), a.algebra)
 
 

@@ -108,8 +108,6 @@ class MatrixAtoms:
         times, sends slot j to slot i.
         """
         _check_exponent(s)
-        if s < 0:
-            raise PreconditionError("negative powers are not defined")
         n = self.matrix.rows
         masks = [0] * (n * n)
         for w, f in zip(self.atom_masks, self.selectors):
@@ -200,9 +198,9 @@ class PowerProfile:
 
     def power_at(self, s: int) -> BMatrix:
         """``A**s`` for any s >= 1, resolved through the cycle."""
-        _check_exponent(s)
-        if s < 1:
+        if isinstance(s, int) and s < 1:
             raise PreconditionError("power_at needs s >= 1")
+        _check_exponent(s)
         if s < self.exponent + self.period:
             return self.powers[s - 1]
         wrapped = self.exponent + (s - self.exponent) % self.period

@@ -11,7 +11,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import chains
 from .algebra import BoolmatError, PreconditionError
@@ -44,13 +44,18 @@ def _load(path: str) -> ModelFile:
     return parse_model(text)
 
 
-def _pick_matrices(model: ModelFile, names: Sequence[str]) -> list[tuple[str, BMatrix]]:
+def _pick(model: ModelFile, names: Sequence[str], kind: str = "matrix") -> list[tuple[str, Any]]:
+    """``(name, value)`` for the named matrices (or vectors) of the model, or
+    for all of them when no name is given."""
+    if kind == "matrix":
+        lookup, table, plural = model.matrix, model.matrices, "matrices"
+    else:
+        lookup, table, plural = model.vector, model.vectors, "vectors"
     if names:
-        return [(n, model.matrix(n)) for n in names]
-    found = list(model.matrices.items())
-    if not found:
-        raise PreconditionError("the model contains no matrices")
-    return found
+        return [(n, lookup(n)) for n in names]
+    if not table:
+        raise PreconditionError(f"the model contains no {plural}")
+    return list(table.items())
 
 
 def _emit_matrix(prefix: str, mat: BMatrix, porcelain: bool) -> None:
@@ -64,7 +69,7 @@ def _emit_matrix(prefix: str, mat: BMatrix, porcelain: bool) -> None:
 
 def _cmd_check(args, model: ModelFile) -> int:
     bad = 0
-    for name, mat in _pick_matrices(model, args.names):
+    for name, mat in _pick(model, args.names):
         stoch = mat.is_square() and is_stochastic_matrix(mat)
         unit = is_unitary(mat)
         if args.porcelain:
@@ -81,7 +86,7 @@ def _cmd_check(args, model: ModelFile) -> int:
 
 
 def _cmd_invariant(args, model: ModelFile) -> int:
-    picked = _pick_matrices(model, args.names)
+    picked = _pick(model, args.names)
     mats = [m for _, m in picked]
     joint = joint_trace(mats)
     vec = find_invariant_stochastic(mats)
@@ -98,7 +103,7 @@ def _cmd_invariant(args, model: ModelFile) -> int:
 
 
 def _cmd_reduce(args, model: ModelFile) -> int:
-    picked = _pick_matrices(model, args.names)
+    picked = _pick(model, args.names)
     mats = [m for _, m in picked]
     joint = joint_trace(mats)
     reductions = reduce_unitary(mats)
@@ -137,7 +142,7 @@ def _cmd_reduce(args, model: ModelFile) -> int:
 
 def _cmd_powers(args, model: ModelFile) -> int:
     failures = 0
-    for name, mat in _pick_matrices(model, args.names):
+    for name, mat in _pick(model, args.names):
         n = mat.rows
         ok = chains.verify_power_theorem(mat)
         exponent = chains.lcm_upto(n) + n - 1
@@ -152,7 +157,7 @@ def _cmd_powers(args, model: ModelFile) -> int:
 
 
 def _cmd_period(args, model: ModelFile) -> int:
-    for name, mat in _pick_matrices(model, args.names):
+    for name, mat in _pick(model, args.names):
         profile = chains.power_profile(mat)
         if args.porcelain:
             print(f"{name}.exponent={profile.exponent}")
@@ -167,7 +172,7 @@ def _cmd_period(args, model: ModelFile) -> int:
 
 
 def _cmd_atoms(args, model: ModelFile) -> int:
-    for name, mat in _pick_matrices(model, args.names):
+    for name, mat in _pick(model, args.names):
         atoms = chains.matrix_atoms(mat)
         if args.porcelain:
             print(f"{name}.count={len(atoms)}")
@@ -183,7 +188,7 @@ def _fmt_pairs(pairs: Iterable[tuple[int, int]], arrow: str) -> str:
 
 
 def _cmd_reach(args, model: ModelFile) -> int:
-    for name, mat in _pick_matrices(model, args.names):
+    for name, mat in _pick(model, args.names):
         report = chains.relation_report(mat)
         if args.porcelain:
             print(f"{name}.sites={report.site_count}")
@@ -211,13 +216,7 @@ def _cmd_reach(args, model: ModelFile) -> int:
 
 
 def _cmd_basis_extend(args, model: ModelFile) -> int:
-    if args.names:
-        vectors = [model.vector(n) for n in args.names]
-    else:
-        vectors = list(model.vectors.values())
-        if not vectors:
-            raise PreconditionError("the model contains no vectors")
-    basis = extend_to_basis(vectors)
+    basis = extend_to_basis([v for _, v in _pick(model, args.names, "vector")])
     if args.porcelain:
         for i, v in enumerate(basis, start=1):
             print(f"basis.{i}={v}")

@@ -50,7 +50,6 @@ class ModelFile:
     algebra: Algebra
     matrices: dict[str, BMatrix] = field(default_factory=dict)
     vectors: dict[str, BVec] = field(default_factory=dict)
-    order: list[tuple[str, str]] = field(default_factory=list)
 
     def matrix(self, name: str) -> BMatrix:
         return _named("matrix", self.matrices, name)
@@ -164,7 +163,6 @@ def parse_model(text: str) -> ModelFile:
             model.matrices[name] = BMatrix._unchecked(rows, cols, tuple(masks), algebra)
         else:
             model.vectors[name] = BVec._unchecked(tuple(masks), algebra)
-        model.order.append((kind, name))
     return model
 
 
@@ -185,20 +183,15 @@ def matrix_lines(mat: BMatrix) -> list[str]:
 
 
 def format_model(model: ModelFile) -> str:
-    """Canonical text for a model; ``parse_model`` inverts it bit-exactly."""
+    """Canonical text for a model: the matrices, then the vectors, each in
+    dict order; ``parse_model`` inverts it bit-exactly."""
     out = ["atoms: " + " ".join(model.algebra.atom_names)]
-    for kind, name in model.order:
-        out.append("")
-        if kind == "matrix":
-            mat = model.matrices[name]
-            if not mat.rows or not mat.cols:
-                raise PreconditionError(
-                    f"matrix {name} is {mat.rows}x{mat.cols}; the model format has no empty matrices"
-                )
-            out.append(f"matrix {name} {mat.rows}x{mat.cols}")
-            out.extend(matrix_lines(mat))
-        else:
-            vec = model.vectors[name]
-            out.append(f"vector {name} {len(vec)}")
-            out.append(" ".join(map(vec.algebra.literal, vec.masks)))
+    for name, mat in model.matrices.items():
+        if not mat.rows or not mat.cols:
+            raise PreconditionError(
+                f"matrix {name} is {mat.rows}x{mat.cols}; the model format has no empty matrices"
+            )
+        out += ["", f"matrix {name} {mat.rows}x{mat.cols}", *matrix_lines(mat)]
+    for name, vec in model.vectors.items():
+        out += ["", f"vector {name} {len(vec)}", " ".join(map(vec.algebra.literal, vec.masks))]
     return "\n".join(out) + "\n"

@@ -61,7 +61,6 @@ from ._draw import (
     unitary,
 )
 from .algebra import Algebra, BoolmatError, PreconditionError
-from .bvec import BVec
 
 __all__ = [
     "Verdict",
@@ -450,7 +449,7 @@ def _brute_period_exponent(n: int, a: Sequence[int]) -> tuple[int, int]:
 
 
 def _fmt_vec(v: Sequence[int], alg: Algebra) -> str:
-    return str(BVec(tuple(v), alg))
+    return "(" + ",".join(map(alg.literal, v)) + ")"
 
 
 def _fmt_family(fam: Sequence[Sequence[int]], alg: Algebra) -> str:
@@ -458,9 +457,7 @@ def _fmt_family(fam: Sequence[Sequence[int]], alg: Algebra) -> str:
 
 
 def _fmt_mat(n: int, a: Sequence[int], alg: Algebra) -> str:
-    rows = "; ".join(
-        " ".join(str(alg.from_mask(a[i * n + j])) for j in range(n)) for i in range(n)
-    )
+    rows = "; ".join(" ".join(map(alg.literal, a[i * n : (i + 1) * n])) for i in range(n))
     return f"[{rows}]"
 
 

@@ -140,8 +140,9 @@ def test_parse_errors(p3):
 def test_algebra_mismatch():
     a = make_algebra(["1", "2"])
     b = make_algebra(["1", "2"])
-    with pytest.raises(AlgebraMismatchError):
+    with pytest.raises(AlgebraMismatchError) as info:
         a.one & b.one
+    assert str(info.value) == "elements from different algebras"
     # ``>=`` is the reflected ``<=``, and it checks the algebras the same way.
     for x, y in ((a.one, b.zero), (b.zero, a.one)):
         with pytest.raises(AlgebraMismatchError) as le:

@@ -89,11 +89,24 @@ def test_format_parse_roundtrip():
     model = parse_model(read(P5))
     again = parse_model(format_model(model))
     assert again.algebra.atom_names == model.algebra.atom_names
-    assert again.order == model.order
+    assert (list(again.matrices), list(again.vectors)) == (list(model.matrices), list(model.vectors))
     for name, m in model.matrices.items():
         assert again.matrices[name].masks == m.masks
     for name, v in model.vectors.items():
         assert again.vectors[name].masks == v.masks
+
+
+def test_format_writes_what_the_dicts_hold_after_parsing():
+    """A matrix added and a vector deleted after parsing show in the text:
+    ``format_model`` writes the matrices, then the vectors, in dict order."""
+    model = parse_model("atoms: x y\nvector v 1\n*\nmatrix A 1x1\n{x}\n")
+    model.matrices["Z"] = boolmat.identity(model.algebra, 2)
+    del model.vectors["v"]
+    text = format_model(model)
+    assert text == "atoms: x y\n\nmatrix A 1x1\n{x}\n\nmatrix Z 2x2\n*  {}\n{} *\n"
+    again = parse_model(text)
+    assert list(again.matrices) == ["A", "Z"] and not again.vectors
+    assert again.matrices["Z"].masks == model.matrices["Z"].masks
 
 
 def test_comments_and_blank_lines_ignored():
@@ -186,11 +199,9 @@ def models(draw):
             rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
             masks = draw(st.lists(mask, min_size=rows * cols, max_size=rows * cols))
             model.matrices[name] = boolmat.BMatrix(rows, cols, tuple(masks), alg)
-            model.order.append(("matrix", name))
         else:
             masks = draw(st.lists(mask, min_size=1, max_size=4))
             model.vectors[name] = boolmat.BVec(tuple(masks), alg)
-            model.order.append(("vector", name))
     return model
 
 
@@ -200,7 +211,6 @@ def test_format_model_rejects_empty_matrix(rows, cols):
     alg = boolmat.Algebra(["1", "2"])
     model = ModelFile(algebra=alg)
     model.matrices["A"] = boolmat.BMatrix(rows, cols, (), alg)
-    model.order.append(("matrix", "A"))
     with pytest.raises(PreconditionError, match="no empty matrices"):
         format_model(model)
 
@@ -210,7 +220,7 @@ def test_format_model_rejects_empty_matrix(rows, cols):
 def test_format_parse_roundtrip_random(model):
     again = parse_model(format_model(model))
     assert again.algebra.atom_names == model.algebra.atom_names
-    assert again.order == model.order
+    assert (list(again.matrices), list(again.vectors)) == (list(model.matrices), list(model.vectors))
     assert {n: (m.rows, m.cols, m.masks) for n, m in again.matrices.items()} == {
         n: (m.rows, m.cols, m.masks) for n, m in model.matrices.items()
     }
@@ -338,7 +348,6 @@ def _reference_parse_model(text):
                 raise _reference_error(line, 2, f"bad vector length {shape!r}")
             length = int(shape)
             model.vectors[name] = boolmat.BVec(tuple(parse_elements(length, f"vector {name}")), algebra)
-        model.order.append((kind, name))
     return model
 
 
@@ -351,7 +360,8 @@ def _outcome(parse, text):
     return (
         "model",
         model.algebra.atom_names,
-        model.order,
+        list(model.matrices),
+        list(model.vectors),
         {n: (m.rows, m.cols, m.masks) for n, m in model.matrices.items()},
         {n: v.masks for n, v in model.vectors.items()},
     )
@@ -424,11 +434,9 @@ def _base_texts(rng):
                 rows, cols = rng.randint(1, 5), rng.randint(1, 5)
                 masks = tuple(rng.randrange(alg._full + 1) for _ in range(rows * cols))
                 model.matrices[name] = boolmat.BMatrix(rows, cols, masks, alg)
-                model.order.append(("matrix", name))
             else:
                 masks = tuple(rng.randrange(alg._full + 1) for _ in range(rng.randint(1, 5)))
                 model.vectors[name] = boolmat.BVec(masks, alg)
-                model.order.append(("vector", name))
         texts.append(format_model(model))
     return texts
 
@@ -516,7 +524,6 @@ def test_every_accepted_atom_name_survives_format_and_parse(names):
         return
     model = ModelFile(algebra=alg)
     model.vectors["v"] = boolmat.BVec((alg._full,), alg)
-    model.order.append(("vector", "v"))
     assert parse_model(format_model(model)).algebra.atom_names == tuple(names)
 
 

@@ -1148,11 +1148,10 @@ def _boolmat_imports(module):
 
 
 def test_oracle_imports_nothing_it_checks():
-    """No kernel, bmatrix, chains or rand import; from bvec only ``BVec``,
-    and that only to format counterexamples. Besides ``algebra`` and
-    ``bvec`` it imports only ``_draw``, which imports nothing of
-    ``boolmat``: the draws ``rand`` shares with the oracle stay stdlib."""
-    assert _boolmat_imports(oracle) == {"_draw", "algebra", "bvec"}
+    """No kernel, bvec, bmatrix, chains or rand import. Besides ``algebra``
+    it imports only ``_draw``, which imports nothing of ``boolmat``: the
+    draws ``rand`` shares with the oracle stay stdlib."""
+    assert _boolmat_imports(oracle) == {"_draw", "algebra"}
     assert _boolmat_imports(_draw) == set()
     tree = ast.parse(inspect.getsource(oracle))
     imported = []
@@ -1161,18 +1160,7 @@ def test_oracle_imports_nothing_it_checks():
             imported += [(alias.name, None) for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             imported += [(node.module or "", alias.name) for alias in node.names]
-    assert ("bvec", "BVec") in imported
     for module, name in imported:
         parts = set(module.split(".")) | {name}
-        assert not parts & {"_kernel", "bmatrix", "chains", "rand", "_atom_slots"}, (module, name)
-        if "bvec" in parts:
-            assert (module, name) == ("bvec", "BVec")
-    users = {
-        func.name
-        for func in ast.walk(tree)
-        if isinstance(func, ast.FunctionDef)
-        for node in ast.walk(func)
-        if isinstance(node, ast.Name) and node.id == "BVec"
-    }
-    assert users == {"_fmt_vec"}
+        assert not parts & {"_kernel", "bvec", "bmatrix", "chains", "rand", "_atom_slots"}, (module, name)
     assert "_atom_slots" not in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
