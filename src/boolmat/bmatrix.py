@@ -36,6 +36,7 @@ __all__ = [
     "matrix_leq",
     "is_stochastic_matrix",
     "is_unitary",
+    "is_row_stochastic",
     "invert",
     "trace",
     "joint_trace",
@@ -205,10 +206,14 @@ def is_unitary(a: BMatrix) -> bool:
     is stochastic, so no product and no adjoint is needed. A non-square
     matrix is never unitary: each atom slice would be a permutation matrix.
     """
-    if not a.is_square():
-        return False
-    n, masks, full = a.rows, a.masks, a.algebra._full
-    return is_stochastic_matrix(a) and all(_is_partition(masks[i * n : (i + 1) * n], full) for i in range(n))
+    return a.is_square() and is_stochastic_matrix(a) and is_row_stochastic(a)
+
+
+def is_row_stochastic(a: BMatrix) -> bool:
+    """Is every row a stochastic vector? For a stochastic matrix, this is
+    the rest of :func:`is_unitary`."""
+    m, masks, full = a.cols, a.masks, a.algebra._full
+    return all(_is_partition(masks[i * m : (i + 1) * m], full) for i in range(a.rows))
 
 
 def invert(a: BMatrix) -> BMatrix:

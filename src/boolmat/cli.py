@@ -18,8 +18,8 @@ from .algebra import BoolmatError, PreconditionError
 from .bmatrix import (
     BMatrix,
     find_invariant_stochastic,
+    is_row_stochastic,
     is_stochastic_matrix,
-    is_unitary,
     joint_trace,
     reduce_unitary,
     trace,
@@ -71,7 +71,7 @@ def _cmd_check(args, model: ModelFile) -> int:
     bad = 0
     for name, mat in _pick(model, args.names):
         stoch = mat.is_square() and is_stochastic_matrix(mat)
-        unit = is_unitary(mat)
+        unit = stoch and is_row_stochastic(mat)
         if args.porcelain:
             print(f"{name}.stochastic={int(stoch)}")
             print(f"{name}.unitary={int(unit)}")

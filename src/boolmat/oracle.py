@@ -25,12 +25,16 @@ it along each row, and an AND with row t of the right factor copied into
 every row gives ``x_it & y_tj`` in every lane at once. The OR of those n
 words is, lane by lane, ``OR_t (x_it & y_tj)``: the definition of the
 product, reached by a different algorithm from the per-entry loops of the
-library's kernels, so the oracle does not share their mistakes.
+library's kernels, so the oracle does not share their mistakes. A chunk of
+matrices is one int too, a block of lanes per matrix under a zero guard
+lane, and one product multiplies every block.
 
-Each theorem is written once, as a predicate that maps one object to a
-counterexample or None. Exhaustive and sampled runs feed the same predicate,
-from the theorem's enumerator or from its seeded one-object sampler, through
-one shared loop; a run that checked no object never passes.
+Each theorem is written once, as a predicate that maps a chunk of objects
+to its first counterexample or None. Exhaustive and sampled runs feed it
+from the theorem's enumerator or its seeded one-object sampler, through one
+shared loop; a run that checked no object never passes. POWER,
+PERIOD_DIVIDES and NORM test the whole chunk in word operations; the other
+theorems check one object at a time, through ``_each``.
 
 Each exhaustive source guards its budget before it streams anything. Where
 the object count has a closed form it is computed up front from the spaces
@@ -39,7 +43,8 @@ the source combines (``2**(k*n)`` vectors, ``n**k`` stochastic vectors,
 search over orthonormal families refuses more candidate vectors than the
 budget, since each is a family alone, then counts node visits. Either way a
 run past the budget is refused rather than silently truncated, because a
-truncated exhaustive check is not exhaustive.
+truncated exhaustive check is not exhaustive. A predicate that lists every
+stochastic vector refuses past ``DEFAULT_BUDGET`` first, in sampled runs too.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ._draw import (
@@ -73,6 +78,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10_000_000
+_CHUNK = 256  # objects per predicate call, and the blocks a cached chunk mask covers
+_FirstFailure = Callable[[list], "tuple[int, str] | None"]
 
 
 class BudgetExceededError(BoolmatError):
@@ -234,11 +241,23 @@ def _inner(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def _fold(x: int, w: int, n: int) -> int:
-    """The OR of the ``n`` lanes of ``w`` bits of ``x``, halving the lanes each step."""
+    """The OR of the ``n`` lanes of ``w`` bits of ``x`` (of each block's, in a chunk), halving the lanes each step."""
+    firsts = _firsts(n, w)
     while n > 1:
         n = n + 1 >> 1
         x |= x >> w * n
-    return x & (1 << w) - 1
+    return x & firsts
+
+
+def _twice(x: int, w: int, n: int) -> int:
+    """The atoms in two or more of the ``n`` (a power of two) lanes of each
+    block: a carry-save fold, where each halving also keeps ``low & high``."""
+    firsts, twice = _firsts(n, w), 0
+    while n > 1:
+        n >>= 1
+        twice |= twice >> w * n | x & x >> w * n
+        x |= x >> w * n
+    return twice & firsts
 
 
 def _dot(x: int, y: int, w: int, n: int) -> int:
@@ -295,6 +314,22 @@ def _pack(v: Sequence[int], w: int) -> int:
     return acc
 
 
+def _pack_all(vectors: Sequence[Sequence[int]], stride: int, w: int) -> int:
+    """The equal-length ``vectors`` side by side in one int, a block of
+    ``stride`` lanes of ``w`` bits (whole bytes) each, the lanes past a
+    vector zero: linear in the word, where ``_pack``'s shift-and-OR is not."""
+    size = w >> 3
+    gap = bytes(size * (stride - len(vectors[0])))
+    blocks = map(bytes, vectors) if size == 1 else (b"".join(m.to_bytes(size, "little") for m in v) for v in vectors)
+    return int.from_bytes(gap.join(blocks), "little")
+
+
+@cache
+def _firsts(n: int, w: int) -> int:
+    """Lane 0 of each block of a chunk of vectors: ``n`` lanes up to a power of two, and a zero guard."""
+    return _spread(_CHUNK, ((1 << (n - 1).bit_length()) + 1) * w) * ((1 << w) - 1)
+
+
 @cache
 def _spread(n: int, w: int) -> int:
     """A 1 in each of ``n`` lanes of ``w`` bits: times a value that fits
@@ -303,20 +338,21 @@ def _spread(n: int, w: int) -> int:
 
 
 @cache
-def _columns(n: int, w: int) -> tuple[tuple[tuple[int, int], ...], int]:
+def _columns(n: int, w: int) -> tuple[tuple[tuple[int, int], ...], int, tuple[int, int]]:
     """For each t, the lanes of column t and the shift that moves them to
-    column 0; and the multiplier that copies column 0 along each row."""
-    lane = (1 << w) - 1
-    column0 = _pack([lane if j == 0 else 0 for _ in range(n) for j in range(n)], w)
-    return tuple((column0 << w * t, w * t) for t in range(n)), _spread(n, w)
+    column 0, and the multiplier that copies column 0 along each row; then
+    the lanes of row 0 and the multiplier that copies row 0 into every row.
+    Lanes repeat for every block of a chunk: ``n*n``, then a zero guard."""
+    blocks, lane = _spread(_CHUNK, (n * n + 1) * w), (1 << w) - 1
+    column0 = _pack([lane if j == 0 else 0 for _ in range(n) for j in range(n)], w) * blocks
+    rows = ((1 << w * n) - 1) * blocks, _spread(n, w * n)
+    return tuple((column0 << w * t, w * t) for t in range(n)), _spread(n, w), rows
 
 
 def _row_tiles(n: int, w: int, y: int) -> tuple[int, ...]:
-    """For each t, row t of the packed matrix ``y`` copied into every row."""
-    width = w * n
-    row = (1 << width) - 1
-    tile = _spread(n, width)
-    return tuple((y >> width * t & row) * tile for t in range(n))
+    """For each t, row t of each block of ``y`` copied into its every row."""
+    row, tile = _columns(n, w)[2]
+    return tuple((y >> w * n * t & row) * tile for t in range(n))
 
 
 def _wordmul(n: int, w: int, x: int, tiles: Sequence[int]) -> int:
@@ -326,9 +362,10 @@ def _wordmul(n: int, w: int, x: int, tiles: Sequence[int]) -> int:
     ``y`` in every row, so lane (i, j) holds ``x_it & y_tj``; the OR of the
     n terms is ``OR_t (x_it & y_tj)`` in every lane. Lanes never carry into
     each other: column t moves to column 0 before the copy, and each copy
-    lands in its own lane.
+    lands in its own lane. A chunk of matrices multiplies block by block,
+    each block by its own row tiles, in the same operations.
     """
-    columns, spread = _columns(n, w)
+    columns, spread, _ = _columns(n, w)
     out = 0
     for (column, shift), tile in zip(columns, tiles):
         out |= ((x & column) >> shift) * spread & tile
@@ -409,43 +446,42 @@ def _atoms_of(n: int, a: Sequence[int], full: int) -> list[int]:
     return out
 
 
-def _power_walk(n: int, w: int, a: int, top: int) -> list[int]:
-    """``A, A**2, ..., A**top`` for the packed ``a``: it starts at
-    ``A**1 = A`` and takes one right product with ``a`` per step.
-
-    ``a``'s row tiles are built once for the walk. Power sequences turn
-    periodic after a few steps, so a dict from each power met to its product
-    with ``a`` serves a power that comes back without multiplying it again:
-    at most one product per distinct power.
-    """
-    tiles = _row_tiles(n, w, a)
-    after: dict[int, int] = {}
-    walk = [a]
-    cur = a
+def _walk(n: int, w: int, x: int, top: int) -> list[int]:
+    """``X, X**2, ..., X**top`` for every block of ``x``, one right product with ``x`` per step."""
+    tiles = _row_tiles(n, w, x)
+    powers = [x]
     for _ in range(top - 1):
-        nxt = after.get(cur)
-        if nxt is None:
-            nxt = after[cur] = _wordmul(n, w, cur, tiles)
-        walk.append(nxt)
-        cur = nxt
-    return walk
+        powers.append(_wordmul(n, w, powers[-1], tiles))
+    return powers
 
 
-def _brute_period_exponent(n: int, a: Sequence[int]) -> tuple[int, int]:
-    """(exponent, period) straight from the definitions.
+def _repeats(n: int, w: int, x: int, ones: int) -> Iterator[tuple[int, int, int]]:
+    """``(e, p, guards)``: the blocks of ``x`` whose (exponent, period) is
+    ``(e, p)``, straight from the definitions.
 
     Horizon covers the worst case for any Boolean matrix; the period is the
     smallest p admitting any witness exponent, then the exponent is the
-    smallest witness for that p.
+    smallest witness for that p. Each ``(e, p)``, in that order, is one
+    zero-block test of ``X**(e+p) ^ X**e``; a block leaves at its first hit.
     """
     horizon = (n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))
-    w = max(a, default=0).bit_length() or 1
-    powers = _power_walk(n, w, _pack(a, w), horizon + 1)
+    size = (n * n + 1) * w - 1
+    powers = _walk(n, w, x, horizon + 1)
+    pending = ones << size
     for p in range(1, horizon + 1):
         for e in range(1, horizon - p + 2):
-            if powers[e - 1 + p] == powers[e - 1]:
-                return e, p
+            if hit := _zero_lanes(powers[e - 1 + p] ^ powers[e - 1], ones, size) & pending:
+                yield e, p, hit
+                pending ^= hit
+                if not pending:
+                    return
     raise AssertionError("no repeat within the guaranteed horizon")
+
+
+def _brute_period_exponent(n: int, a: Sequence[int]) -> tuple[int, int]:
+    """(exponent, period) of one matrix: a chunk of one."""
+    w = max(a, default=0).bit_length() or 1
+    return next(_repeats(n, w, _pack(a, w), 1))[:2]
 
 
 def _fmt_vec(v: Sequence[int], alg: Algebra) -> str:
@@ -542,36 +578,49 @@ def _sample_power(rng: random.Random, alg: Algebra, n: int) -> Any:
     return (True, unitary(rng, alg, n)) if below(rng, 2) else (False, stochastic_matrix(rng, alg, n))
 
 
-# --- predicates (n, k) -> (object -> counterexample | None) ---
+# --- predicates (n, k) -> (chunk -> (index, counterexample) | None), or through _each ---
 
 
-def _norm_laws(n: int, k: int) -> Callable[[Any], str | None]:
-    """Norm laws and the inner-product axioms at one (a, b, c) triple, on
-    vectors packed k bits per slot: an orthovector has its norm's popcount."""
+def _norm_laws(n: int, k: int) -> _FirstFailure:
+    """Norm laws and the inner-product axioms on a chunk of (a, b, c)
+    triples, each law one test of every triple's block of slots. A block is
+    a power of two of lanes, so a fold halves within it, and a zero guard
+    lane; an orthovector has no atom in two slots."""
     alg = _numbered_algebra(k)
-    spread = _spread(n, k)
+    w, lanes = 8 * (k + 7 >> 3), 1 << (n - 1).bit_length()
+    stride = (lanes + 1) * w
 
-    def check(obj: Any) -> str | None:
-        a, b, c = obj
-        pa, pb, pc = _pack(a, k), _pack(b, k), c * spread
-        na, nb, ab = _fold(pa, k, n), _fold(pb, k, n), _dot(pa, pb, k, n)
+    def first_failure(chunk: list[Any]) -> tuple[int, str] | None:
+        ones = _spread(len(chunk), stride)
+        guards = ones << stride - 1
+
+        def nonzero(y: int) -> int:
+            return guards ^ _zero_lanes(y, ones, stride - 1)
+
+        pa, pb, cs = (_pack_all(part, lanes + 1, w) for part in zip(*((a, b, (c,)) for a, b, c in chunk)))
+        pc = cs * _spread(n, w)
         ca, cb = pc & pa, pc & pb
-        equal_orthovectors = pa.bit_count() == na.bit_count() and pb.bit_count() == nb.bit_count() and na == nb
-        for law, holds in (
-            ("definiteness", (_dot(pa, pa, k, n) == 0) == (pa == 0)),
-            ("symmetry", _dot(pb, pa, k, n) == ab),
-            ("norm of sum", _fold(pa | pb, k, n) == na | nb),
-            ("norm bound", not (ab & ~(na & nb))),
-            ("orthovector equality law", not equal_orthovectors or (ab == na & nb) == (pa == pb)),
-            ("scaled norm", _fold(ca, k, n) == c & na),
-            ("scalar slide", _dot(ca, pb, k, n) == c & ab == _dot(pa, cb, k, n)),
-            ("bilinearity", _dot(ca | pb, pb, k, n) == (c & ab) | nb),
-        ):
-            if not holds:
-                return f"{law} fails at c={c}, a={_fmt_vec(a, alg)}, b={_fmt_vec(b, alg)}"
-        return None
+        na, nb, ab = _fold(pa, w, lanes), _fold(pb, w, lanes), _dot(pa, pb, w, lanes)
+        cab, equal_orthovectors = cs & ab, guards ^ nonzero(_twice(pa, w, lanes) | _twice(pb, w, lanes) | na ^ nb)
+        laws = (
+            ("definiteness", nonzero(_dot(pa, pa, w, lanes)) ^ nonzero(pa)),
+            ("symmetry", nonzero(_dot(pb, pa, w, lanes) ^ ab)),
+            ("norm of sum", nonzero(_fold(pa | pb, w, lanes) ^ (na | nb))),
+            ("norm bound", nonzero(ab & ~(na & nb))),
+            ("orthovector equality law", equal_orthovectors & (nonzero(ab ^ na & nb) ^ nonzero(pa ^ pb))),
+            ("scaled norm", nonzero(_fold(ca, w, lanes) ^ cs & na)),
+            ("scalar slide", nonzero(_dot(ca, pb, w, lanes) ^ cab | cab ^ _dot(pa, cb, w, lanes))),
+            ("bilinearity", nonzero(_dot(ca | pb, pb, w, lanes) ^ (cab | nb))),
+        )
+        failed = _or_all(fails for _, fails in laws)
+        if not failed:
+            return None
+        low = failed & -failed
+        i, law = (low.bit_length() - 1) // stride, next(law for law, fails in laws if fails & low)
+        a, b, c = chunk[i]
+        return i, f"{law} fails at c={c}, a={_fmt_vec(a, alg)}, b={_fmt_vec(b, alg)}"
 
-    return check
+    return first_failure
 
 
 def _descent(n: int, k: int) -> Callable[[Any], str | None]:
@@ -583,6 +632,7 @@ def _descent(n: int, k: int) -> Callable[[Any], str | None]:
     c is tested on all slots at once, and every short stochastic c in one
     zero-lane test.
     """
+    _require_budget((n - 1) ** k, DEFAULT_BUDGET)
     alg = _numbered_algebra(k)
     full = alg._full
     search = _lane_search([_pack(c, k) for c in _iter_stochastic_masks(n - 1, k)], k * (n - 1))
@@ -669,6 +719,7 @@ def _dimcor2(n: int, k: int) -> Callable[[Any], str | None]:
 
 def _incomplete(n: int, k: int) -> Callable[[Any], str | None]:
     """Every short stochastic orthonormal family completes to a basis."""
+    _require_budget(n**k, DEFAULT_BUDGET)
     alg = _numbered_algebra(k)
     stoch = [(v, _pack(v, k)) for v in _iter_stochastic_masks(n, k)]
 
@@ -713,6 +764,7 @@ def _inverse(n: int, k: int) -> Callable[[Any], str | None]:
 
 def _stoinv(n: int, k: int) -> Callable[[Any], str | None]:
     """Invariant stochastic vector exists exactly when the trace is one."""
+    _require_budget(n**k, DEFAULT_BUDGET)
     alg = _numbered_algebra(k)
     fixes_some = _fixer(n, k, list(_iter_stochastic_masks(n, k)))
 
@@ -810,36 +862,55 @@ def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
     return check
 
 
-def _power(n: int, k: int) -> Callable[[Any], str | None]:
-    """The stochastic power identity, and its unitary sharpening."""
+def _power(n: int, k: int) -> _FirstFailure:
+    """The stochastic power identity, and its unitary sharpening: one walk
+    to ``A**(n-1+lcm)`` for the whole chunk, then one zero-block test."""
     alg = _numbered_algebra(k)
-    lcm = math.lcm(*range(1, n + 1))
-    ident = _pack(_identity_masks(n, alg._full), k)
+    lcm, w = math.lcm(*range(1, n + 1)), 8 * (k + 7 >> 3)
+    stride = (n * n + 1) * w
 
-    def check(obj: Any) -> str | None:
-        unitary, a = obj
-        if unitary:
-            if _power_walk(n, k, _pack(a, k), lcm)[-1] != ident:
-                return f"unitary {_fmt_mat(n, a, alg)}"
+    def first_failure(chunk: list[Any]) -> tuple[int, str] | None:
+        ones = _spread(len(chunk), stride)
+        unitary = _pack_all([(u,) for u, _ in chunk], n * n + 1, w) * ((1 << n * n * w) - 1)
+        powers = [_pack(_identity_masks(n, alg._full), w) * ones, *_walk(n, w, _pack_all([a for _, a in chunk], n * n + 1, w), n - 1 + lcm)]
+        differ = (powers[-1] ^ powers[n - 1]) & ~unitary | (powers[lcm] ^ powers[0]) & unitary
+        failed = ones << stride - 1 ^ _zero_lanes(differ, ones, stride - 1)
+        if not failed:
             return None
-        powers = [ident, *_power_walk(n, k, _pack(a, k), n - 1 + lcm)]
-        return None if powers[-1] == powers[n - 1] else _fmt_mat(n, a, alg)
+        i = ((failed & -failed).bit_length() - 1) // stride
+        u, a = chunk[i]
+        return i, f"unitary {_fmt_mat(n, a, alg)}" if u else _fmt_mat(n, a, alg)
 
-    return check
+    return first_failure
 
 
-def _period_divides(n: int, k: int) -> Callable[[Any], str | None]:
-    """Stochastic exponent and period bounds, from definition-level search."""
+def _period_divides(n: int, k: int) -> _FirstFailure:
+    """Stochastic exponent and period bounds, from definition-level search
+    over the whole chunk."""
     alg = _numbered_algebra(k)
-    lcm = math.lcm(*range(1, n + 1))
+    lcm, w = math.lcm(*range(1, n + 1)), 8 * (k + 7 >> 3)
+    stride = (n * n + 1) * w
 
-    def check(a: Any) -> str | None:
-        e, p = _brute_period_exponent(n, a)
-        if lcm % p != 0 or e > max(n - 1, 1):
-            return f"e={e}, p={p} for {_fmt_mat(n, a, alg)}"
-        return None
+    def first_failure(chunk: list[Any]) -> tuple[int, str] | None:
+        ones = _spread(len(chunk), stride)
+        repeats = _repeats(n, w, _pack_all(chunk, n * n + 1, w), ones)
+        failed = min(((hit & -hit, e, p) for e, p, hit in repeats if lcm % p or e > max(n - 1, 1)), default=None)
+        if failed is None:
+            return None
+        i = (failed[0].bit_length() - 1) // stride
+        return i, f"e={failed[1]}, p={failed[2]} for {_fmt_mat(n, chunk[i], alg)}"
 
-    return check
+    return first_failure
+
+
+def _each(build: Callable[[int, int], Callable[[Any], str | None]]) -> Callable[[int, int], _FirstFailure]:
+    """The chunk predicate of a check written for one object at a time."""
+
+    def predicate(n: int, k: int) -> _FirstFailure:
+        check = build(n, k)
+        return lambda chunk: next(((i, c) for i, obj in enumerate(chunk) if (c := check(obj)) is not None), None)
+
+    return predicate
 
 
 # --- preconditions on the dimension ---
@@ -867,14 +938,15 @@ class Theorem:
     object of the exhaustive check; ``sampler(rng, alg, n)`` draws one object
     of the same shape, or is None for exhaustive-only theorems.
     ``predicate(n, k)`` builds the tables a run shares and returns the check
-    mapping one object to a counterexample or None. ``require(n)`` raises
+    mapping a chunk (a list of objects) to the first ``(index,
+    counterexample)`` in it, or None. ``require(n)`` raises
     :class:`PreconditionError` outside the statement's dimensions.
     ``witness(n, k)``, when set, marks the objects a pass must have met at
     least once; otherwise any object will do.
     """
 
     source: Callable[[int, int, int], Iterable[Any]]
-    predicate: Callable[[int, int], Callable[[Any], str | None]]
+    predicate: Callable[[int, int], _FirstFailure]
     sampler: Callable[[random.Random, Algebra, int], Any] | None = None
     require: Callable[[int], None] = _any_dimension
     witness: Callable[[int, int], Callable[[Any], bool]] | None = None
@@ -882,24 +954,24 @@ class Theorem:
 
 THEOREMS: dict[str, Theorem] = {
     "NORM": Theorem(_norm_triples, _norm_laws, _sample_norm),
-    "DUALITY": Theorem(_iter_orthonormal_sets, _duality),
+    "DUALITY": Theorem(_iter_orthonormal_sets, _each(_duality)),
     "DESCENT": Theorem(
-        _stochastic_pairs, _descent, _sample_stochastic_pair, require=_dimension_at_least_two
+        _stochastic_pairs, _each(_descent), _sample_stochastic_pair, require=_dimension_at_least_two
     ),
-    "BASIS_UPBOUND": Theorem(_stochastic_orthonormal_sets, _basis_upbound),
-    "DIMENSION": Theorem(_iter_orthonormal_sets, _dimension, witness=_generating),
-    "DIMCOR2": Theorem(_iter_orthonormal_sets, _dimcor2),
+    "BASIS_UPBOUND": Theorem(_stochastic_orthonormal_sets, _each(_basis_upbound)),
+    "DIMENSION": Theorem(_iter_orthonormal_sets, _each(_dimension), witness=_generating),
+    "DIMCOR2": Theorem(_iter_orthonormal_sets, _each(_dimcor2)),
     "INCOMPLETE": Theorem(
-        _short_stochastic_orthonormal_sets, _incomplete, _sample_short_family,
+        _short_stochastic_orthonormal_sets, _each(_incomplete), _sample_short_family,
         require=_dimension_at_least_two,
     ),
-    "INVERSE": Theorem(_all_matrices, _inverse),
-    "STOINV": Theorem(_stochastic_matrices, _stoinv, stochastic_matrix),
+    "INVERSE": Theorem(_all_matrices, _each(_inverse)),
+    "STOINV": Theorem(_stochastic_matrices, _each(_stoinv), stochastic_matrix),
     "ODDINV": Theorem(
-        _symmetric_stochastic_matrices, _oddinv, symmetric_stochastic, require=_odd_dimension
+        _symmetric_stochastic_matrices, _each(_oddinv), symmetric_stochastic, require=_odd_dimension
     ),
-    "UNITREDUCE": Theorem(_unitary_families, _unitreduce),
-    "ATOMS": Theorem(_stochastic_matrices, _atoms, stochastic_matrix),
+    "UNITREDUCE": Theorem(_unitary_families, _each(_unitreduce)),
+    "ATOMS": Theorem(_stochastic_matrices, _each(_atoms), stochastic_matrix),
     "POWER": Theorem(_stochastic_then_unitary, _power, _sample_power),
     "PERIOD_DIVIDES": Theorem(_stochastic_matrices, _period_divides, stochastic_matrix),
 }
@@ -920,19 +992,37 @@ def _lookup(theorem: str, n: int, k: int) -> Theorem:
     return entry
 
 
+def _chunks(objects: Iterable[Any]) -> Iterator[list[Any]]:
+    """``objects`` in lists of ``_CHUNK``; what a source streamed before it
+    refused its budget is still handed over, as one object at a time was."""
+    it = iter(objects)
+    while True:
+        chunk: list[Any] = []
+        try:
+            chunk.extend(islice(it, _CHUNK))
+        finally:
+            if chunk:
+                yield chunk
+        if len(chunk) < _CHUNK:
+            return
+
+
 def _run(theorem: str, entry: Theorem, n: int, k: int, objects: Iterable[Any], mode: str) -> Verdict:
-    """Apply the theorem's predicate to every object; stop at the first counterexample."""
-    check = entry.predicate(n, k)
+    """Apply the theorem's predicate to the objects a chunk at a time; stop
+    at the first counterexample."""
+    first_failure = entry.predicate(n, k)
     witness = entry.witness(n, k) if entry.witness else None
     checked = 0
-    witnessed = False
+    witnessed = witness is None
     counterexample = None
-    for obj in objects:
-        checked += 1
-        counterexample = check(obj)
-        if counterexample is not None:
+    for chunk in _chunks(objects):
+        found = first_failure(chunk)
+        if found is not None:
+            index, counterexample = found
+            checked += index + 1
             break
-        witnessed = witnessed or witness is None or witness(obj)
+        checked += len(chunk)
+        witnessed = witnessed or any(map(witness, chunk))
     else:
         if checked == 0:
             counterexample = "no objects checked"

@@ -21,6 +21,7 @@ from boolmat import (
     identity,
     invert,
     is_basis,
+    is_row_stochastic,
     is_stochastic_matrix,
     is_unitary,
     joint_trace,
@@ -321,6 +322,31 @@ def test_stochastic_requires_square(p3):
 def test_unitary_is_false_on_a_non_square_matrix(p3):
     assert is_unitary(BMatrix(1, 2, (p3._full, 0), p3)) is False
     assert is_unitary(BMatrix(2, 0, (), p3)) is False
+
+
+def test_row_stochastic_is_the_adjoint_stochastic():
+    """Every row a stochastic vector, for any shape; on square matrices the
+    adjoint's columns, and with the columns it is unitarity."""
+    rng = random.Random(3109)
+    seen = set()
+    for _ in range(3000):
+        k = rng.randrange(1, 4)
+        alg = make_algebra([str(i) for i in range(1, k + 1)])
+        n, m = rng.randrange(0, 4), rng.randrange(0, 4)
+        if rng.randrange(2):
+            a = adjoint(br.random_stochastic_matrix(rng, alg, n)) if n else BMatrix(0, 0, (), alg)
+        else:
+            a = BMatrix(n, m, tuple(rng.randrange(alg._full + 1) for _ in range(n * m)), alg)
+        rows_stochastic = is_row_stochastic(a)
+        lines = [a.masks[i * a.cols : (i + 1) * a.cols] for i in range(a.rows)]
+        assert rows_stochastic == all(
+            reduce(or_, line, 0) == alg._full and sum(map(int.bit_count, line)) == k for line in lines
+        ), (a.rows, a.cols, a.masks)
+        if a.is_square():
+            assert rows_stochastic == is_stochastic_matrix(adjoint(a))
+            assert is_unitary(a) == (is_stochastic_matrix(a) and rows_stochastic)
+        seen.add((a.is_square(), rows_stochastic))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_matrix_str_and_repr(p3):

@@ -774,6 +774,16 @@ def test_reduce_unitary_scans_each_member_only_in_is_unitary(monkeypatch):
         assert meets[0] == 1
 
 
+def test_check_scans_each_column_and_row_once(monkeypatch, capsys):
+    """``check`` decides unitarity from the column scan its stochastic
+    verdict made, plus one scan of the rows: 10 scans for each of the three
+    5x5 unitaries of ``paper_s5.bm``, where two separate verdicts took 15."""
+    scans = _count_calls(monkeypatch, boolmat.bmatrix, "_is_partition")
+    rc, out, _ = run_cli(["check", "--porcelain", P5], capsys)
+    assert (rc, out.count(".unitary=1")) == (0, 3)
+    assert scans[0] == 30
+
+
 def test_period_porcelain(capsys):
     rc, out, _ = run_cli(["period", "--porcelain", S6, "A"], capsys)
     assert rc == 0

@@ -3,7 +3,7 @@ import dataclasses
 import inspect
 import math
 import random
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, islice, permutations, product
 from typing import Any, Callable, Sequence
 
 import pytest
@@ -626,7 +626,18 @@ def test_unitreduce_pairs_need_only_a_quadratic_budget():
         brute_check("UNITREDUCE", 2, 4, budget=255)
 
 
-# --- POWER and PERIOD_DIVIDES walk each distinct power once ---
+# --- POWER and PERIOD_DIVIDES walk a whole chunk at once ---
+
+
+def _alone(first_failure):
+    """A chunk predicate asked about one object: its counterexample or None."""
+
+    def check(obj):
+        found = first_failure([obj])
+        assert found is None or found[0] == 0
+        return found and found[1]
+
+    return check
 
 
 def _unmemoised_period_exponent(n, a):
@@ -689,7 +700,7 @@ def test_power_walk_matches_unmemoised_loops():
     checks = {}
     for n, k, a in _seeded_square_masks(2000, 1103):
         if (n, k) not in checks:
-            checks[n, k] = (oracle._power(n, k), _unmemoised_power(n, k))
+            checks[n, k] = (_alone(oracle._power(n, k)), _unmemoised_power(n, k))
         walked, fresh = checks[n, k]
         assert oracle._brute_period_exponent(n, a) == _unmemoised_period_exponent(n, a)
         for obj in ((False, a), (True, a)):
@@ -711,26 +722,27 @@ def _counting_wordmul(monkeypatch):
     return calls
 
 
-def test_power_walk_costs_one_product_per_distinct_power(monkeypatch):
+def test_power_walks_take_a_fixed_number_of_products_per_chunk(monkeypatch):
+    """One walk per chunk, whatever the chunk holds: the horizon's products
+    for the exponent search, and ``n - 2 + lcm`` (from ``A**1 = A`` up to
+    ``A**(n-1+lcm)``) for POWER."""
     objects = _seeded_square_masks(600, 2207)
-    distinct = []
-    for n, k, a in objects:
-        powers = [oracle._identity_masks(n, (1 << k) - 1)]
-        for _ in range((n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))):
-            powers.append(_triple_loop(n, powers[-1], a))
-        # A**1 .. A**horizon are the powers the exponent search multiplies.
-        # POWER's walks start at A as well and stop before the horizon, so
-        # they multiply no power the search does not.
-        distinct.append(len(set(powers[1:])))
     calls = _counting_wordmul(monkeypatch)
-    for (n, k, a), searched in zip(objects, distinct):
-        calls[0] = 0
-        oracle._brute_period_exponent(n, a)
-        assert calls[0] == searched
-        for obj in ((False, a), (True, a)):
+    for n, k, size in product(range(1, 5), range(1, 4), (1, 2, 37, oracle._CHUNK)):
+        lcm = math.lcm(*range(1, n + 1))
+        chunk = [a for m, j, a in objects if (m, j) == (n, k)][:size]
+        chunk += [chunk[-1]] * (size - len(chunk))
+        for predicate, wrap, products in (
+            (oracle._period_divides, lambda a: a, (n - 1) ** 2 + 1 + lcm),
+            (oracle._power, lambda a: (False, a), n - 2 + lcm),
+            (oracle._power, lambda a: (True, a), n - 2 + lcm),
+        ):
             calls[0] = 0
-            oracle._power(n, k)(obj)
-            assert calls[0] <= searched
+            predicate(n, k)([wrap(a) for a in chunk])
+            assert calls[0] == products, (n, k, predicate)
+        calls[0] = 0
+        oracle._brute_period_exponent(n, chunk[0])
+        assert calls[0] == (n - 1) ** 2 + 1 + lcm
 
 
 @pytest.mark.parametrize("theorem,most", [("PERIOD_DIVIDES", 1702), ("POWER", 1817)])
@@ -756,7 +768,7 @@ _REFERENCE_WORDMUL = oracle._wordmul
 
 
 def _word_product_dropping_last_term(n, w, x, tiles):
-    columns, spread = oracle._columns(n, w)
+    columns, spread, _ = oracle._columns(n, w)
     out = 0
     for (column, shift), tile in list(zip(columns, tiles))[: n - 1]:
         out |= ((x & column) >> shift) * spread & tile
@@ -769,8 +781,14 @@ def _unpack(word, w, count):
 
 
 def _transposed_word_product(n, w, x, tiles):
-    lanes = _unpack(_REFERENCE_WORDMUL(n, w, x, tiles), w, n * n)
-    return oracle._pack(oracle._transpose(n, lanes), w)
+    """The true product with each block (``n*n`` lanes and a guard lane)
+    transposed."""
+    word, out = _REFERENCE_WORDMUL(n, w, x, tiles), 0
+    stride = (n * n + 1) * w
+    for b in range(word.bit_length() // stride + 1):
+        lanes = _unpack(word >> stride * b, w, n * n)
+        out |= oracle._pack(oracle._transpose(n, lanes), w) << stride * b
+    return out
 
 
 # The same two mistakes made on mask tuples, by literal loops.
@@ -805,7 +823,8 @@ def _transposed_product(n, a, b):
 def test_power_theorems_fail_under_a_wrong_product(monkeypatch, wrong_word, wrong, n, k, theorem, fresh):
     """A wrong word product fails the walks on the first object, and with
     the counterexample, that the one-product-per-step loops give under the
-    same mistake made on mask tuples."""
+    same mistake made on mask tuples. The word mistakes are made in every
+    block of a chunk."""
     monkeypatch.setattr(oracle, "_wordmul", wrong_word)
     monkeypatch.setitem(globals(), "_triple_loop", wrong)
     check = fresh(n, k)
@@ -865,6 +884,280 @@ def test_naive_products_stay_the_kernel_reference():
                 for t in range(n):
                     expected |= a[i * n + t] & b[t * n + j]
                 assert _word_product(n, 5, a, b)[i * n + j] == expected
+
+
+# --- the chunked predicates against one object at a time ---
+
+
+def _literal_inner(u, v):
+    return _or_all(x & y for x, y in zip(u, v))
+
+
+def _literal_orthovector(v):
+    return all(x & y == 0 for x, y in combinations(v, 2))
+
+
+def _literal_norm_laws(n, k, inner=_literal_inner, orthovector=_literal_orthovector):
+    """NORM's laws on one triple, straight from the definitions: a norm is
+    the join of the entries, an orthovector has pairwise disjoint entries."""
+    alg = _numbered_algebra(k)
+
+    def check(obj):
+        a, b, c = obj
+        ca, cb = tuple(c & x for x in a), tuple(c & x for x in b)
+        na, nb, ab = _or_all(a), _or_all(b), inner(a, b)
+        equal_orthovectors = orthovector(a) and orthovector(b) and na == nb
+        for law, holds in (
+            ("definiteness", (inner(a, a) == 0) == (a == (0,) * n)),
+            ("symmetry", inner(b, a) == ab),
+            ("norm of sum", _or_all(x | y for x, y in zip(a, b)) == na | nb),
+            ("norm bound", ab & ~(na & nb) == 0),
+            ("orthovector equality law", not equal_orthovectors or (ab == na & nb) == (a == b)),
+            ("scaled norm", _or_all(ca) == c & na),
+            ("scalar slide", inner(ca, b) == c & ab == inner(a, cb)),
+            ("bilinearity", inner(tuple(x | y for x, y in zip(ca, b)), b) == (c & ab) | nb),
+        ):
+            if not holds:
+                return f"{law} fails at c={c}, a={oracle._fmt_vec(a, alg)}, b={oracle._fmt_vec(b, alg)}"
+        return None
+
+    return check
+
+
+_REFERENCES = {"NORM": _literal_norm_laws, "POWER": _unmemoised_power, "PERIOD_DIVIDES": _unmemoised_period_divides}
+
+
+def _every_failure(first_failure, objects, size):
+    """Every ``(index, counterexample)`` a chunk predicate reports, asked
+    again from the object after each one, in chunks of ``size``."""
+    found, start = [], 0
+    while start < len(objects):
+        hit = first_failure(objects[start : start + size])
+        if hit is None:
+            start += size
+        else:
+            found.append((start + hit[0], hit[1]))
+            start += hit[0] + 1
+    return found
+
+
+def _reference_failures(check, objects):
+    return [(i, c) for i, obj in enumerate(objects) if (c := check(obj)) is not None]
+
+
+def _drawn(theorem, n, k, count, seed):
+    rng, alg = random.Random(seed), _numbered_algebra(k)
+    return [THEOREMS[theorem].sampler(rng, alg, n) for _ in range(count)]
+
+
+_CHUNKED_OBJECTS = [
+    *((theorem, n, k, None) for theorem in ("POWER", "PERIOD_DIVIDES", "NORM")
+      for n, k in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 2), (2, 4)) if (theorem, n, k) != ("NORM", 2, 4)),
+    # Lanes of two bytes (k > 8), and sizes the exhaustive grid cannot reach.
+    *((theorem, n, k, 150) for theorem in ("POWER", "PERIOD_DIVIDES", "NORM") for n, k in ((4, 3), (5, 2), (3, 9))),
+    *(("NORM", n, k, 300) for n, k in ((2, 4), (4, 4), (4, 6), (7, 3))),
+]
+
+
+@pytest.mark.parametrize("theorem,n,k,samples", _CHUNKED_OBJECTS)
+def test_chunked_predicates_match_one_object_at_a_time(theorem, n, k, samples):
+    """Every object of the exhaustive space (or seeded draws), in chunks of
+    several sizes, against the per-object reference loops."""
+    if samples is None:
+        objects = list(THEOREMS[theorem].source(n, k, DEFAULT_BUDGET))
+    else:
+        objects = _drawn(theorem, n, k, samples, 7 * n + k)
+    predicate = THEOREMS[theorem].predicate(n, k)
+    expected = _reference_failures(_REFERENCES[theorem](n, k), objects)
+    assert expected == []
+    for size in (1, 5, oracle._CHUNK):
+        assert _every_failure(predicate, objects, size) == expected
+
+
+@pytest.mark.parametrize("theorem", ["POWER", "PERIOD_DIVIDES"])
+def test_chunked_power_predicates_pass_every_object_at_n4_k2(theorem):
+    """65,536 stochastic matrices (and 576 unitaries): every chunk passes,
+    and every 97th object is checked against the reference on its own."""
+    verdict = brute_check(theorem, 4, 2)
+    assert verdict.passed, str(verdict)
+    assert verdict.checked == CHECKED[theorem](4, 2)
+    objects = list(THEOREMS[theorem].source(4, 2, DEFAULT_BUDGET))[::97]
+    assert _reference_failures(_REFERENCES[theorem](4, 2), objects) == []
+    assert _every_failure(THEOREMS[theorem].predicate(4, 2), objects, oracle._CHUNK) == []
+
+
+@pytest.mark.parametrize("wrong_word,wrong", [
+    pytest.param(_word_product_dropping_last_term, _product_dropping_last_term, id="_product_dropping_last_term"),
+    pytest.param(_transposed_word_product, _transposed_product, id="_transposed_product"),
+])
+@pytest.mark.parametrize("theorem,n,k,samples", [
+    ("POWER", 2, 2, None), ("POWER", 3, 2, None), ("POWER", 4, 3, 120),
+    ("PERIOD_DIVIDES", 2, 3, None), ("PERIOD_DIVIDES", 3, 2, None), ("PERIOD_DIVIDES", 4, 3, 120),
+])
+def test_chunked_power_predicates_fail_where_the_references_fail(monkeypatch, wrong_word, wrong, theorem, n, k, samples):
+    """Under the same wrong product, word and tuple, every failure and its
+    text match, and both outcomes occur. The predicate is asked again after
+    each failure, so the chunks here are short."""
+    monkeypatch.setattr(oracle, "_wordmul", wrong_word)
+    monkeypatch.setitem(globals(), "_triple_loop", wrong)
+    if samples is None:
+        objects = list(THEOREMS[theorem].source(n, k, DEFAULT_BUDGET))
+    else:
+        objects = _drawn(theorem, n, k, samples, 31)
+    expected = _reference_failures(_REFERENCES[theorem](n, k), objects)
+    assert 0 < len(expected) < len(objects)
+    assert _every_failure(THEOREMS[theorem].predicate(n, k), objects, 13) == expected
+
+
+_BLIND_INNER = (
+    ("_dot", lambda dot: lambda x, y, w, n: dot(x, y & ~(oracle._firsts(n, w) << w * (n - 1)), w, n)),
+    lambda u, v: _literal_inner(u, v[:-1]), _literal_orthovector,
+)
+_NO_TWICE = (("_twice", lambda twice: lambda x, w, n: 0), _literal_inner, lambda v: True)
+
+
+@pytest.mark.parametrize("plant,inner,orthovector,n,k,samples", [
+    # The oracle's blocks have a power-of-two lane count, so its last lane
+    # is the last slot only when n is a power of two.
+    pytest.param(*_BLIND_INNER, 2, 2, None, id="blind-inner-2-2"),
+    pytest.param(*_BLIND_INNER, 4, 3, 400, id="blind-inner-4-3x400"),
+    pytest.param(*_NO_TWICE, 2, 2, None, id="no-twice-2-2"),
+    pytest.param(*_NO_TWICE, 3, 1, None, id="no-twice-3-1"),
+    pytest.param(*_NO_TWICE, 3, 2, None, id="no-twice-3-2"),
+    pytest.param(*_NO_TWICE, 4, 3, 400, id="no-twice-4-3x400"),
+])
+def test_chunked_norm_laws_fail_where_the_literal_laws_fail(monkeypatch, plant, inner, orthovector, n, k, samples):
+    helper, wrong = plant
+    monkeypatch.setattr(oracle, helper, wrong(getattr(oracle, helper)))
+    objects = list(THEOREMS["NORM"].source(n, k, DEFAULT_BUDGET)) if samples is None else _drawn("NORM", n, k, samples, 41)
+    expected = _reference_failures(_literal_norm_laws(n, k, inner, orthovector), objects)
+    assert 0 < len(expected) < len(objects)
+    assert _every_failure(THEOREMS["NORM"].predicate(n, k), objects, oracle._CHUNK) == expected
+
+
+def test_carry_save_fold_finds_the_atoms_in_two_slots():
+    rng = random.Random(7723)
+    for _ in range(2000):
+        lanes, w = 1 << rng.randrange(4), 8 * rng.randrange(1, 3)
+        blocks = [tuple(rng.getrandbits(rng.randrange(1, 4)) for _ in range(lanes)) for _ in range(rng.randrange(1, 9))]
+        twice = oracle._twice(oracle._pack_all(blocks, lanes + 1, w), w, lanes)
+        for b, v in enumerate(blocks):
+            many = _or_all(x & y for x, y in combinations(v, 2))
+            assert twice >> (lanes + 1) * w * b & (1 << (lanes + 1) * w) - 1 == many, (lanes, w, v)
+
+
+# A 3x3 matrix whose third power is zero: its exponent is 3 > n - 1, and
+# A**8 != A**2. It is not stochastic, so ATOMS fails on it too.
+_NILPOTENT = (0, 0, 0, 3, 0, 0, 0, 3, 0)
+_PLANTED = {
+    "POWER": ((False, _NILPOTENT), None),
+    "PERIOD_DIVIDES": (_NILPOTENT, None),
+    "ATOMS": (_NILPOTENT, None),
+    "NORM": (((1, 1, 0), (1, 0, 0), 0), ("_twice", lambda twice: lambda x, w, n: 0)),
+}
+
+
+def _planted_objects(theorem, at, total):
+    """``total`` objects of the (3, 2) space (of (3, 1) for NORM), with the
+    planted one at ``at``."""
+    k = 1 if theorem == "NORM" else 2
+    if theorem == "NORM":
+        objects = [((0, 0, 0), (0, 0, 0), 0)] * total
+    else:
+        objects = list(islice(THEOREMS[theorem].source(3, k, DEFAULT_BUDGET), total))
+    objects[at] = _PLANTED[theorem][0]
+    return k, objects
+
+
+def _reference(theorem, k):
+    return {"ATOMS": _atoms, "POWER": _unmemoised_power, "PERIOD_DIVIDES": _unmemoised_period_divides}[theorem](3, k)
+
+
+@pytest.mark.parametrize("theorem", sorted(_PLANTED))
+@pytest.mark.parametrize("at", [0, 255, 256, 511, 590])
+def test_a_counterexample_at_a_chunk_edge_is_reported_as_one_at_a_time_would(monkeypatch, theorem, at):
+    """First and last object of a chunk, and inside the short final chunk
+    of 600 objects: the run stops there, with that object's text."""
+    k, objects = _planted_objects(theorem, at, 600)
+    if _PLANTED[theorem][1] is None:
+        reference = _reference(theorem, k)
+    else:
+        helper, wrong = _PLANTED[theorem][1]
+        monkeypatch.setattr(oracle, helper, wrong(getattr(oracle, helper)))
+        reference = _literal_norm_laws(3, k, orthovector=lambda v: True)
+    entry = dataclasses.replace(THEOREMS[theorem], source=lambda n, k, budget: iter(objects))
+    monkeypatch.setitem(THEOREMS, theorem, entry)
+    verdict = brute_check(theorem, 3, k)
+    expected = (at + 1, reference(objects[at]))
+    assert _reference_failures(reference, objects)[0] == (at, expected[1])
+    assert (verdict.passed, verdict.checked, verdict.counterexample) == (False, *expected)
+
+
+@pytest.mark.parametrize("theorem", ["POWER", "PERIOD_DIVIDES"])
+@pytest.mark.parametrize("samples,at", [(600, None), (1, None), (600, 517), (257, 256)])
+def test_sampled_runs_draw_in_order_whatever_the_chunk(monkeypatch, theorem, samples, at):
+    """A sample count that is not a multiple of the chunk: every draw is
+    checked, in the order drawn, and a planted draw is the one reported."""
+    sampler, seen, drawn = THEOREMS[theorem].sampler, [], _drawn(theorem, 3, 2, samples, 3)
+
+    def planted(rng, alg, n):
+        obj = sampler(rng, alg, n)
+        seen.append(obj)
+        return _PLANTED[theorem][0] if len(seen) - 1 == at else obj
+
+    monkeypatch.setitem(THEOREMS, theorem, dataclasses.replace(THEOREMS[theorem], sampler=planted))
+    verdict = sample_check(theorem, 3, 2, samples, seed=3)
+    if at is None:
+        assert verdict.passed and verdict.checked == len(seen) == samples
+        assert seen == drawn
+    else:
+        assert (verdict.checked, verdict.counterexample) == (at + 1, _reference(theorem, 2)(_PLANTED[theorem][0]))
+
+
+def test_a_budget_refused_midway_still_checks_what_was_streamed(monkeypatch):
+    """Objects streamed before a source refuses its budget are checked, as
+    one at a time: a counterexample among them is the verdict; without one,
+    the refusal stands."""
+    good = list(islice(THEOREMS["ATOMS"].source(3, 2, DEFAULT_BUDGET), 300))
+
+    def refusing(objects):
+        def source(n, k, budget):
+            yield from objects
+            raise BudgetExceededError(None, budget)
+
+        return dataclasses.replace(THEOREMS["ATOMS"], source=source)
+
+    monkeypatch.setitem(THEOREMS, "ATOMS", refusing(good[:270] + [_NILPOTENT]))
+    verdict = brute_check("ATOMS", 3, 2)
+    assert (verdict.passed, verdict.checked) == (False, 271)
+    assert verdict.counterexample == _atoms(3, 2)(_NILPOTENT)
+    monkeypatch.setitem(THEOREMS, "ATOMS", refusing(good))
+    with pytest.raises(BudgetExceededError):
+        brute_check("ATOMS", 3, 2)
+
+
+@pytest.mark.parametrize("theorem,n,k,required", [("STOINV", 4, 3, 64), ("DESCENT", 5, 4, 256), ("INCOMPLETE", 4, 2, 16)])
+def test_sampled_runs_refuse_a_table_past_the_budget(monkeypatch, capsys, theorem, n, k, required):
+    """The predicate's table of stochastic vectors is refused before it is
+    listed, in sampled runs and from the CLI (exit 2); at the budget it runs."""
+    from boolmat.cli import main
+
+    listing = oracle._iter_stochastic_masks
+
+    def forbidden(*args):
+        raise AssertionError("a table was listed")
+
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", required - 1)
+    monkeypatch.setattr(oracle, "_iter_stochastic_masks", forbidden)
+    with pytest.raises(BudgetExceededError) as err:
+        sample_check(theorem, n, k, samples=5)
+    assert (err.value.required, err.value.budget) == (required, required - 1)
+    argv = ["verify", "--theorem", theorem, "--n", str(n), "--atoms", str(k), "--samples", "5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: enumeration needs budget {required}, configured {required - 1}\n"
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", required)
+    monkeypatch.setattr(oracle, "_iter_stochastic_masks", listing)
+    assert sample_check(theorem, n, k, samples=5).passed
 
 
 # --- ATOMS and STOINV against their unpruned forms ---
@@ -948,7 +1241,7 @@ def test_pruned_atom_walk_lists_what_the_full_loop_lists():
 @pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 2)])
 def test_atoms_and_stoinv_match_their_references_on_every_object(theorem, reference, n, k):
     objects = list(THEOREMS[theorem].source(n, k, DEFAULT_BUDGET))
-    check, ref = THEOREMS[theorem].predicate(n, k), reference(n, k)
+    check, ref = _alone(THEOREMS[theorem].predicate(n, k)), reference(n, k)
     assert [check(a) for a in objects] == [ref(a) for a in objects] == [None] * len(objects)
 
 
@@ -960,7 +1253,7 @@ def test_atoms_and_stoinv_match_their_references_on_general_matrices(theorem, re
     outcomes = []
     for n, k, a in _general_square_masks(2000, 5501, range(1, 5), range(1, 4)):
         if (n, k) not in checks:
-            checks[n, k] = (THEOREMS[theorem].predicate(n, k), reference(n, k))
+            checks[n, k] = (_alone(THEOREMS[theorem].predicate(n, k)), reference(n, k))
         check, ref = checks[n, k]
         got = check(a)
         assert got == ref(a), (n, k, a)
@@ -1031,7 +1324,7 @@ def _merge_first_two_atoms(atoms_of):
 
 @pytest.mark.parametrize("theorem,n,k,helper,plant,checked,counterexample", [
     pytest.param(
-        "NORM", 2, 1, "_dot", lambda dot: lambda x, y, w, n: dot(x, y & (1 << w * (n - 1)) - 1, w, n),
+        "NORM", 2, 1, "_dot", lambda dot: lambda x, y, w, n: dot(x, y & ~(oracle._firsts(n, w) << w * (n - 1)), w, n),
         3, "bilinearity fails at c=0, a=({},{}), b=({},*)", id="NORM",
     ),
     pytest.param(
@@ -1078,7 +1371,8 @@ def _merge_first_two_atoms(atoms_of):
 ])
 def test_planted_falsehood_gives_the_first_counterexample(monkeypatch, theorem, n, k, helper, plant, checked, counterexample):
     """Each counterexample return fires on the first object a wrong helper
-    makes false: an inner product blind to one slot, a generating test that
+    makes false: an inner product blind to the last slot (of every block of
+    a chunk), a generating test that
     always answers the same, a product that drops the last column, atoms
     with two merged into one.
 
