@@ -25,16 +25,13 @@ it along each row, and an AND with row t of the right factor copied into
 every row gives ``x_it & y_tj`` in every lane at once. The OR of those n
 words is, lane by lane, ``OR_t (x_it & y_tj)``: the definition of the
 product, reached by a different algorithm from the per-entry loops of the
-library's kernels, so the oracle does not share their mistakes. A chunk of
-matrices is one int too, a block of lanes per matrix under a zero guard
-lane, and one product multiplies every block.
+library's kernels, so the oracle does not share their mistakes.
 
 Each theorem is written once, as a predicate that maps a chunk of objects
 to its first counterexample or None. Exhaustive and sampled runs feed it
-from the theorem's enumerator or its seeded one-object sampler, through one
-shared loop; a run that checked no object never passes. POWER,
-PERIOD_DIVIDES and NORM test the whole chunk in word operations; the other
-theorems check one object at a time, through ``_each``.
+from the theorem's enumerator or from its seeded one-object sampler, through
+one shared loop; a run that checked no object never passes. POWER,
+PERIOD_DIVIDES and NORM put a block of lanes per object in one int.
 
 Each exhaustive source guards its budget before it streams anything. Where
 the object count has a closed form it is computed up front from the spaces
@@ -43,8 +40,7 @@ the source combines (``2**(k*n)`` vectors, ``n**k`` stochastic vectors,
 search over orthonormal families refuses more candidate vectors than the
 budget, since each is a family alone, then counts node visits. Either way a
 run past the budget is refused rather than silently truncated, because a
-truncated exhaustive check is not exhaustive. A predicate that lists every
-stochastic vector refuses past ``DEFAULT_BUDGET`` first, in sampled runs too.
+truncated exhaustive check is not exhaustive.
 """
 
 from __future__ import annotations
@@ -79,6 +75,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10_000_000
 _CHUNK = 256  # objects per predicate call, and the blocks a cached chunk mask covers
+_WALK_BYTES = 1 << 21  # the power words a walk over a whole chunk may hold
 _FirstFailure = Callable[[list], "tuple[int, str] | None"]
 
 
@@ -240,19 +237,19 @@ def _inner(a: Sequence[int], b: Sequence[int]) -> int:
     return acc
 
 
-def _fold(x: int, w: int, n: int) -> int:
-    """The OR of the ``n`` lanes of ``w`` bits of ``x`` (of each block's, in a chunk), halving the lanes each step."""
-    firsts = _firsts(n, w)
+def _fold(x: int, w: int, n: int, firsts: int | None = None) -> int:
+    """The OR of the ``n`` lanes of ``w`` bits of ``x``, halving the lanes
+    each step; in a chunk, each block's, kept in the lanes ``firsts`` marks."""
     while n > 1:
         n = n + 1 >> 1
         x |= x >> w * n
-    return x & firsts
+    return x & ((1 << w) - 1 if firsts is None else firsts)
 
 
-def _twice(x: int, w: int, n: int) -> int:
+def _twice(x: int, w: int, n: int, firsts: int) -> int:
     """The atoms in two or more of the ``n`` (a power of two) lanes of each
     block: a carry-save fold, where each halving also keeps ``low & high``."""
-    firsts, twice = _firsts(n, w), 0
+    twice = 0
     while n > 1:
         n >>= 1
         twice |= twice >> w * n | x & x >> w * n
@@ -260,9 +257,9 @@ def _twice(x: int, w: int, n: int) -> int:
     return twice & firsts
 
 
-def _dot(x: int, y: int, w: int, n: int) -> int:
-    """The inner product of two packed vectors."""
-    return _fold(x & y, w, n)
+def _dot(x: int, y: int, w: int, n: int, firsts: int | None = None) -> int:
+    """The inner product of two packed vectors (of each pair of blocks)."""
+    return _fold(x & y, w, n, firsts)
 
 
 def _zero_lanes(y: int, ones: int, w: int) -> int:
@@ -319,15 +316,8 @@ def _pack_all(vectors: Sequence[Sequence[int]], stride: int, w: int) -> int:
     ``stride`` lanes of ``w`` bits (whole bytes) each, the lanes past a
     vector zero: linear in the word, where ``_pack``'s shift-and-OR is not."""
     size = w >> 3
-    gap = bytes(size * (stride - len(vectors[0])))
     blocks = map(bytes, vectors) if size == 1 else (b"".join(m.to_bytes(size, "little") for m in v) for v in vectors)
-    return int.from_bytes(gap.join(blocks), "little")
-
-
-@cache
-def _firsts(n: int, w: int) -> int:
-    """Lane 0 of each block of a chunk of vectors: ``n`` lanes up to a power of two, and a zero guard."""
-    return _spread(_CHUNK, ((1 << (n - 1).bit_length()) + 1) * w) * ((1 << w) - 1)
+    return int.from_bytes(bytes(size * (stride - len(vectors[0]))).join(blocks), "little")
 
 
 @cache
@@ -446,13 +436,24 @@ def _atoms_of(n: int, a: Sequence[int], full: int) -> list[int]:
     return out
 
 
-def _walk(n: int, w: int, x: int, top: int) -> list[int]:
-    """``X, X**2, ..., X**top`` for every block of ``x``, one right product with ``x`` per step."""
-    tiles = _row_tiles(n, w, x)
-    powers = [x]
-    for _ in range(top - 1):
-        powers.append(_wordmul(n, w, powers[-1], tiles))
-    return powers
+def _horizon(n: int) -> int:
+    """A power past the exponent plus the period of every Boolean ``n x n`` matrix."""
+    return (n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))
+
+
+def _walk(n: int, w: int, x: int, top: int) -> Callable[[int], int]:
+    """``m -> X**m`` (``1 <= m <= top``) for every block of ``x``, from one
+    right product with ``x`` per step. A step is a function of the word
+    before it, so once a word comes back the walk repeats itself: it stops
+    there, a later power is read off the cycle, and no word is multiplied
+    twice (for one matrix, no power)."""
+    tiles, seen, powers = _row_tiles(n, w, x), {}, []
+    while len(powers) < top and x not in seen:
+        seen[x] = len(powers)
+        powers.append(x)
+        x = _wordmul(n, w, x, tiles)
+    back = seen.get(x, 0)
+    return lambda m: powers[m - 1 if m <= len(powers) else back + (m - 1 - back) % (len(powers) - back)]
 
 
 def _repeats(n: int, w: int, x: int, ones: int) -> Iterator[tuple[int, int, int]]:
@@ -461,20 +462,22 @@ def _repeats(n: int, w: int, x: int, ones: int) -> Iterator[tuple[int, int, int]
 
     Horizon covers the worst case for any Boolean matrix; the period is the
     smallest p admitting any witness exponent, then the exponent is the
-    smallest witness for that p. Each ``(e, p)``, in that order, is one
-    zero-block test of ``X**(e+p) ^ X**e``; a block leaves at its first hit.
+    smallest witness for that p. A witness e for p is one for every later e
+    too (each power is the one before times X), so the last e shows which
+    blocks have one; each e, in order, is then one zero-block test of
+    ``X**(e+p) ^ X**e``, and a block leaves at its first hit.
     """
-    horizon = (n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))
-    size = (n * n + 1) * w - 1
-    powers = _walk(n, w, x, horizon + 1)
-    pending = ones << size
+    horizon, size = _horizon(n), (n * n + 1) * w - 1
+    power, pending = _walk(n, w, x, horizon + 1), ones << size
     for p in range(1, horizon + 1):
-        for e in range(1, horizon - p + 2):
-            if hit := _zero_lanes(powers[e - 1 + p] ^ powers[e - 1], ones, size) & pending:
+        witnessed, e = _zero_lanes(power(horizon + 1) ^ power(horizon + 1 - p), ones, size) & pending, 1
+        while witnessed:
+            if hit := _zero_lanes(power(e + p) ^ power(e), ones, size) & witnessed:
                 yield e, p, hit
-                pending ^= hit
-                if not pending:
-                    return
+                witnessed, pending = witnessed ^ hit, pending ^ hit
+            e += 1
+        if not pending:
+            return
     raise AssertionError("no repeat within the guaranteed horizon")
 
 
@@ -482,6 +485,15 @@ def _brute_period_exponent(n: int, a: Sequence[int]) -> tuple[int, int]:
     """(exponent, period) of one matrix: a chunk of one."""
     w = max(a, default=0).bit_length() or 1
     return next(_repeats(n, w, _pack(a, w), 1))[:2]
+
+
+def _chunked_if_small(n: int, w: int, top: int, first_failure: _FirstFailure) -> _FirstFailure:
+    """``first_failure`` on whole chunks if a walk's ``top`` words of one fit
+    ``_WALK_BYTES``, else on one matrix at a time: a chunk's walk ends when
+    every block repeats at once, one matrix's at its own first repeat."""
+    if _CHUNK * top * (n * n + 1) * w <= 8 * _WALK_BYTES:
+        return first_failure
+    return _one_at_a_time(lambda obj: (found := first_failure([obj])) and found[1])
 
 
 def _fmt_vec(v: Sequence[int], alg: Algebra) -> str:
@@ -589,6 +601,7 @@ def _norm_laws(n: int, k: int) -> _FirstFailure:
     alg = _numbered_algebra(k)
     w, lanes = 8 * (k + 7 >> 3), 1 << (n - 1).bit_length()
     stride = (lanes + 1) * w
+    firsts = _spread(_CHUNK, stride) * ((1 << w) - 1)
 
     def first_failure(chunk: list[Any]) -> tuple[int, str] | None:
         ones = _spread(len(chunk), stride)
@@ -600,17 +613,17 @@ def _norm_laws(n: int, k: int) -> _FirstFailure:
         pa, pb, cs = (_pack_all(part, lanes + 1, w) for part in zip(*((a, b, (c,)) for a, b, c in chunk)))
         pc = cs * _spread(n, w)
         ca, cb = pc & pa, pc & pb
-        na, nb, ab = _fold(pa, w, lanes), _fold(pb, w, lanes), _dot(pa, pb, w, lanes)
-        cab, equal_orthovectors = cs & ab, guards ^ nonzero(_twice(pa, w, lanes) | _twice(pb, w, lanes) | na ^ nb)
+        na, nb, ab = _fold(pa, w, lanes, firsts), _fold(pb, w, lanes, firsts), _dot(pa, pb, w, lanes, firsts)
+        cab, twice = cs & ab, _twice(pa, w, lanes, firsts) | _twice(pb, w, lanes, firsts)
         laws = (
-            ("definiteness", nonzero(_dot(pa, pa, w, lanes)) ^ nonzero(pa)),
-            ("symmetry", nonzero(_dot(pb, pa, w, lanes) ^ ab)),
-            ("norm of sum", nonzero(_fold(pa | pb, w, lanes) ^ (na | nb))),
+            ("definiteness", nonzero(_dot(pa, pa, w, lanes, firsts)) ^ nonzero(pa)),
+            ("symmetry", nonzero(_dot(pb, pa, w, lanes, firsts) ^ ab)),
+            ("norm of sum", nonzero(_fold(pa | pb, w, lanes, firsts) ^ (na | nb))),
             ("norm bound", nonzero(ab & ~(na & nb))),
-            ("orthovector equality law", equal_orthovectors & (nonzero(ab ^ na & nb) ^ nonzero(pa ^ pb))),
-            ("scaled norm", nonzero(_fold(ca, w, lanes) ^ cs & na)),
-            ("scalar slide", nonzero(_dot(ca, pb, w, lanes) ^ cab | cab ^ _dot(pa, cb, w, lanes))),
-            ("bilinearity", nonzero(_dot(ca | pb, pb, w, lanes) ^ (cab | nb))),
+            ("orthovector equality law", ~nonzero(twice | na ^ nb) & (nonzero(ab ^ na & nb) ^ nonzero(pa ^ pb))),
+            ("scaled norm", nonzero(_fold(ca, w, lanes, firsts) ^ cs & na)),
+            ("scalar slide", nonzero(_dot(ca, pb, w, lanes, firsts) ^ cab | cab ^ _dot(pa, cb, w, lanes, firsts))),
+            ("bilinearity", nonzero(_dot(ca | pb, pb, w, lanes, firsts) ^ (cab | nb))),
         )
         failed = _or_all(fails for _, fails in laws)
         if not failed:
@@ -632,7 +645,6 @@ def _descent(n: int, k: int) -> Callable[[Any], str | None]:
     c is tested on all slots at once, and every short stochastic c in one
     zero-lane test.
     """
-    _require_budget((n - 1) ** k, DEFAULT_BUDGET)
     alg = _numbered_algebra(k)
     full = alg._full
     search = _lane_search([_pack(c, k) for c in _iter_stochastic_masks(n - 1, k)], k * (n - 1))
@@ -719,7 +731,6 @@ def _dimcor2(n: int, k: int) -> Callable[[Any], str | None]:
 
 def _incomplete(n: int, k: int) -> Callable[[Any], str | None]:
     """Every short stochastic orthonormal family completes to a basis."""
-    _require_budget(n**k, DEFAULT_BUDGET)
     alg = _numbered_algebra(k)
     stoch = [(v, _pack(v, k)) for v in _iter_stochastic_masks(n, k)]
 
@@ -764,7 +775,6 @@ def _inverse(n: int, k: int) -> Callable[[Any], str | None]:
 
 def _stoinv(n: int, k: int) -> Callable[[Any], str | None]:
     """Invariant stochastic vector exists exactly when the trace is one."""
-    _require_budget(n**k, DEFAULT_BUDGET)
     alg = _numbered_algebra(k)
     fixes_some = _fixer(n, k, list(_iter_stochastic_masks(n, k)))
 
@@ -864,16 +874,18 @@ def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
 
 def _power(n: int, k: int) -> _FirstFailure:
     """The stochastic power identity, and its unitary sharpening: one walk
-    to ``A**(n-1+lcm)`` for the whole chunk, then one zero-block test."""
+    to ``A**(n-1+lcm)`` for the chunk, then one zero-block test."""
     alg = _numbered_algebra(k)
     lcm, w = math.lcm(*range(1, n + 1)), 8 * (k + 7 >> 3)
     stride = (n * n + 1) * w
+    ident = _pack(_identity_masks(n, alg._full), w)
 
     def first_failure(chunk: list[Any]) -> tuple[int, str] | None:
         ones = _spread(len(chunk), stride)
         unitary = _pack_all([(u,) for u, _ in chunk], n * n + 1, w) * ((1 << n * n * w) - 1)
-        powers = [_pack(_identity_masks(n, alg._full), w) * ones, *_walk(n, w, _pack_all([a for _, a in chunk], n * n + 1, w), n - 1 + lcm)]
-        differ = (powers[-1] ^ powers[n - 1]) & ~unitary | (powers[lcm] ^ powers[0]) & unitary
+        power, one = _walk(n, w, _pack_all([a for _, a in chunk], n * n + 1, w), n - 1 + lcm), ident * ones
+        head = power(n - 1) if n > 1 else one
+        differ = (power(n - 1 + lcm) ^ head) & ~unitary | (power(lcm) ^ one) & unitary
         failed = ones << stride - 1 ^ _zero_lanes(differ, ones, stride - 1)
         if not failed:
             return None
@@ -881,7 +893,7 @@ def _power(n: int, k: int) -> _FirstFailure:
         u, a = chunk[i]
         return i, f"unitary {_fmt_mat(n, a, alg)}" if u else _fmt_mat(n, a, alg)
 
-    return first_failure
+    return _chunked_if_small(n, w, n - 1 + lcm, first_failure)
 
 
 def _period_divides(n: int, k: int) -> _FirstFailure:
@@ -892,25 +904,23 @@ def _period_divides(n: int, k: int) -> _FirstFailure:
     stride = (n * n + 1) * w
 
     def first_failure(chunk: list[Any]) -> tuple[int, str] | None:
-        ones = _spread(len(chunk), stride)
-        repeats = _repeats(n, w, _pack_all(chunk, n * n + 1, w), ones)
+        repeats = _repeats(n, w, _pack_all(chunk, n * n + 1, w), _spread(len(chunk), stride))
         failed = min(((hit & -hit, e, p) for e, p, hit in repeats if lcm % p or e > max(n - 1, 1)), default=None)
         if failed is None:
             return None
         i = (failed[0].bit_length() - 1) // stride
         return i, f"e={failed[1]}, p={failed[2]} for {_fmt_mat(n, chunk[i], alg)}"
 
-    return first_failure
+    return _chunked_if_small(n, w, _horizon(n) + 1, first_failure)
+
+
+def _one_at_a_time(check: Callable[[Any], str | None]) -> _FirstFailure:
+    return lambda chunk: next(((i, c) for i, obj in enumerate(chunk) if (c := check(obj)) is not None), None)
 
 
 def _each(build: Callable[[int, int], Callable[[Any], str | None]]) -> Callable[[int, int], _FirstFailure]:
     """The chunk predicate of a check written for one object at a time."""
-
-    def predicate(n: int, k: int) -> _FirstFailure:
-        check = build(n, k)
-        return lambda chunk: next(((i, c) for i, obj in enumerate(chunk) if (c := check(obj)) is not None), None)
-
-    return predicate
+    return lambda n, k: _one_at_a_time(build(n, k))
 
 
 # --- preconditions on the dimension ---
@@ -942,7 +952,8 @@ class Theorem:
     counterexample)`` in it, or None. ``require(n)`` raises
     :class:`PreconditionError` outside the statement's dimensions.
     ``witness(n, k)``, when set, marks the objects a pass must have met at
-    least once; otherwise any object will do.
+    least once; otherwise any object will do. ``table(n, k)`` counts the
+    vectors a predicate lists, which a sampled run caps at ``DEFAULT_BUDGET``.
     """
 
     source: Callable[[int, int, int], Iterable[Any]]
@@ -950,23 +961,25 @@ class Theorem:
     sampler: Callable[[random.Random, Algebra, int], Any] | None = None
     require: Callable[[int], None] = _any_dimension
     witness: Callable[[int, int], Callable[[Any], bool]] | None = None
+    table: Callable[[int, int], int] | None = None
 
 
 THEOREMS: dict[str, Theorem] = {
     "NORM": Theorem(_norm_triples, _norm_laws, _sample_norm),
     "DUALITY": Theorem(_iter_orthonormal_sets, _each(_duality)),
     "DESCENT": Theorem(
-        _stochastic_pairs, _each(_descent), _sample_stochastic_pair, require=_dimension_at_least_two
+        _stochastic_pairs, _each(_descent), _sample_stochastic_pair, require=_dimension_at_least_two,
+        table=lambda n, k: (n - 1) ** k,
     ),
     "BASIS_UPBOUND": Theorem(_stochastic_orthonormal_sets, _each(_basis_upbound)),
     "DIMENSION": Theorem(_iter_orthonormal_sets, _each(_dimension), witness=_generating),
     "DIMCOR2": Theorem(_iter_orthonormal_sets, _each(_dimcor2)),
     "INCOMPLETE": Theorem(
         _short_stochastic_orthonormal_sets, _each(_incomplete), _sample_short_family,
-        require=_dimension_at_least_two,
+        require=_dimension_at_least_two, table=lambda n, k: n**k,
     ),
     "INVERSE": Theorem(_all_matrices, _each(_inverse)),
-    "STOINV": Theorem(_stochastic_matrices, _each(_stoinv), stochastic_matrix),
+    "STOINV": Theorem(_stochastic_matrices, _each(_stoinv), stochastic_matrix, table=lambda n, k: n**k),
     "ODDINV": Theorem(
         _symmetric_stochastic_matrices, _each(_oddinv), symmetric_stochastic, require=_odd_dimension
     ),
@@ -995,16 +1008,14 @@ def _lookup(theorem: str, n: int, k: int) -> Theorem:
 def _chunks(objects: Iterable[Any]) -> Iterator[list[Any]]:
     """``objects`` in lists of ``_CHUNK``; what a source streamed before it
     refused its budget is still handed over, as one object at a time was."""
-    it = iter(objects)
-    while True:
-        chunk: list[Any] = []
+    it, chunk = iter(objects), [None] * _CHUNK
+    while len(chunk) == _CHUNK:
+        chunk = []
         try:
             chunk.extend(islice(it, _CHUNK))
         finally:
             if chunk:
                 yield chunk
-        if len(chunk) < _CHUNK:
-            return
 
 
 def _run(theorem: str, entry: Theorem, n: int, k: int, objects: Iterable[Any], mode: str) -> Verdict:
@@ -1051,6 +1062,8 @@ def sample_check(theorem: str, n: int, k: int, samples: int, seed: int = 0) -> V
         raise PreconditionError(f"the sample count must be an int, got {samples!r}")
     if samples < 1:
         raise PreconditionError(f"need at least one sample, got {samples}")
+    if entry.table:
+        _require_budget(entry.table(n, k), DEFAULT_BUDGET)
     rng = random.Random(seed)
     alg = _numbered_algebra(k)
     draws = (entry.sampler(rng, alg, n) for _ in range(samples))

@@ -722,27 +722,75 @@ def _counting_wordmul(monkeypatch):
     return calls
 
 
-def test_power_walks_take_a_fixed_number_of_products_per_chunk(monkeypatch):
-    """One walk per chunk, whatever the chunk holds: the horizon's products
-    for the exponent search, and ``n - 2 + lcm`` (from ``A**1 = A`` up to
-    ``A**(n-1+lcm)``) for POWER."""
+def test_power_walk_costs_one_product_per_distinct_power(monkeypatch):
+    objects = _seeded_square_masks(600, 2207)
+    distinct = []
+    for n, k, a in objects:
+        powers = [oracle._identity_masks(n, (1 << k) - 1)]
+        for _ in range((n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))):
+            powers.append(_triple_loop(n, powers[-1], a))
+        # A**1 .. A**horizon are the powers the exponent search multiplies.
+        # POWER's walks start at A as well and stop before the horizon, so
+        # they multiply no power the search does not.
+        distinct.append(len(set(powers[1:])))
+    calls = _counting_wordmul(monkeypatch)
+    for (n, k, a), searched in zip(objects, distinct):
+        calls[0] = 0
+        oracle._brute_period_exponent(n, a)
+        assert calls[0] == searched
+        for obj in ((False, a), (True, a)):
+            calls[0] = 0
+            oracle._power(n, k)([obj])
+            assert calls[0] <= searched
+
+
+def test_a_chunk_walk_costs_one_product_per_distinct_word(monkeypatch):
+    """A chunk's word repeats when every block's power does: the walk over
+    a chunk of the matrices above multiplies each distinct word once, and
+    POWER's shorter walk no more."""
     objects = _seeded_square_masks(600, 2207)
     calls = _counting_wordmul(monkeypatch)
-    for n, k, size in product(range(1, 5), range(1, 4), (1, 2, 37, oracle._CHUNK)):
-        lcm = math.lcm(*range(1, n + 1))
-        chunk = [a for m, j, a in objects if (m, j) == (n, k)][:size]
-        chunk += [chunk[-1]] * (size - len(chunk))
-        for predicate, wrap, products in (
-            (oracle._period_divides, lambda a: a, (n - 1) ** 2 + 1 + lcm),
-            (oracle._power, lambda a: (False, a), n - 2 + lcm),
-            (oracle._power, lambda a: (True, a), n - 2 + lcm),
-        ):
-            calls[0] = 0
-            predicate(n, k)([wrap(a) for a in chunk])
-            assert calls[0] == products, (n, k, predicate)
+    for n, k in product(range(1, 5), range(1, 4)):
+        chunk = [a for m, j, a in objects if (m, j) == (n, k)]
+        walks = []
+        for a in chunk:
+            walks.append([tuple(a)])
+            for _ in range((n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))):
+                walks[-1].append(_triple_loop(n, walks[-1][-1], a))
         calls[0] = 0
-        oracle._brute_period_exponent(n, chunk[0])
-        assert calls[0] == (n - 1) ** 2 + 1 + lcm
+        oracle._period_divides(n, k)(chunk)
+        assert calls[0] == len(set(zip(*(walk[:-1] for walk in walks))))
+        searched, calls[0] = calls[0], 0
+        oracle._power(n, k)([(False, a) for a in chunk])
+        assert calls[0] <= searched
+
+
+@pytest.mark.parametrize("theorem,n,samples", [("POWER", 9, 40), ("PERIOD_DIVIDES", 9, 40), ("POWER", 11, 12), ("PERIOD_DIVIDES", 11, 12)])
+def test_large_sampled_power_checks_walk_each_matrix_to_its_first_repeat(monkeypatch, theorem, n, samples):
+    """Past n = 6 a chunk's walk would not fit the byte cap, so each matrix
+    walks alone and stops at its first repeated power: one product per
+    distinct power, far below the horizon's 2,586 (n = 9) or 27,822 (n = 11)
+    steps, and a few kilobytes held."""
+    import tracemalloc
+
+    expected = 0
+    for obj in _drawn(theorem, n, 2, samples, 5):
+        a = obj[1] if theorem == "POWER" else obj
+        seen, power = set(), tuple(a)
+        while power not in seen:
+            seen.add(power)
+            power = _triple_loop(n, power, a)
+        expected += len(seen)
+    calls = _counting_wordmul(monkeypatch)
+    tracemalloc.start()
+    try:
+        verdict = sample_check(theorem, n, 2, samples, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed and verdict.checked == samples
+    assert calls[0] == expected
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("theorem,most", [("PERIOD_DIVIDES", 1702), ("POWER", 1817)])
@@ -1010,10 +1058,10 @@ def test_chunked_power_predicates_fail_where_the_references_fail(monkeypatch, wr
 
 
 _BLIND_INNER = (
-    ("_dot", lambda dot: lambda x, y, w, n: dot(x, y & ~(oracle._firsts(n, w) << w * (n - 1)), w, n)),
+    ("_dot", lambda dot: lambda x, y, w, n, firsts: dot(x, y & ~(firsts << w * (n - 1)), w, n, firsts)),
     lambda u, v: _literal_inner(u, v[:-1]), _literal_orthovector,
 )
-_NO_TWICE = (("_twice", lambda twice: lambda x, w, n: 0), _literal_inner, lambda v: True)
+_NO_TWICE = (("_twice", lambda twice: lambda x, w, n, firsts: 0), _literal_inner, lambda v: True)
 
 
 @pytest.mark.parametrize("plant,inner,orthovector,n,k,samples", [
@@ -1040,7 +1088,8 @@ def test_carry_save_fold_finds_the_atoms_in_two_slots():
     for _ in range(2000):
         lanes, w = 1 << rng.randrange(4), 8 * rng.randrange(1, 3)
         blocks = [tuple(rng.getrandbits(rng.randrange(1, 4)) for _ in range(lanes)) for _ in range(rng.randrange(1, 9))]
-        twice = oracle._twice(oracle._pack_all(blocks, lanes + 1, w), w, lanes)
+        firsts = oracle._spread(len(blocks), (lanes + 1) * w) * ((1 << w) - 1)
+        twice = oracle._twice(oracle._pack_all(blocks, lanes + 1, w), w, lanes, firsts)
         for b, v in enumerate(blocks):
             many = _or_all(x & y for x, y in combinations(v, 2))
             assert twice >> (lanes + 1) * w * b & (1 << (lanes + 1) * w) - 1 == many, (lanes, w, v)
@@ -1053,7 +1102,7 @@ _PLANTED = {
     "POWER": ((False, _NILPOTENT), None),
     "PERIOD_DIVIDES": (_NILPOTENT, None),
     "ATOMS": (_NILPOTENT, None),
-    "NORM": (((1, 1, 0), (1, 0, 0), 0), ("_twice", lambda twice: lambda x, w, n: 0)),
+    "NORM": (((1, 1, 0), (1, 0, 0), 0), ("_twice", lambda twice: lambda x, w, n, firsts: 0)),
 }
 
 
@@ -1324,7 +1373,7 @@ def _merge_first_two_atoms(atoms_of):
 
 @pytest.mark.parametrize("theorem,n,k,helper,plant,checked,counterexample", [
     pytest.param(
-        "NORM", 2, 1, "_dot", lambda dot: lambda x, y, w, n: dot(x, y & ~(oracle._firsts(n, w) << w * (n - 1)), w, n),
+        "NORM", 2, 1, "_dot", lambda dot: lambda x, y, w, n, firsts: dot(x, y & ~(firsts << w * (n - 1)), w, n, firsts),
         3, "bilinearity fails at c=0, a=({},{}), b=({},*)", id="NORM",
     ),
     pytest.param(
