@@ -31,7 +31,9 @@ Each theorem is written once, as a predicate that maps a chunk of objects
 to its first counterexample or None. Exhaustive and sampled runs feed it
 from the theorem's enumerator or from its seeded one-object sampler, through
 one shared loop; a run that checked no object never passes. POWER,
-PERIOD_DIVIDES and NORM put a block of lanes per object in one int.
+PERIOD_DIVIDES and NORM put a block of lanes per object in one int, so one
+word operation tests the whole chunk; a walk of powers stops at the first
+word that comes back.
 
 Each exhaustive source guards its budget before it streams anything. Where
 the object count has a closed form it is computed up front from the spaces
@@ -915,6 +917,7 @@ def _period_divides(n: int, k: int) -> _FirstFailure:
 
 
 def _one_at_a_time(check: Callable[[Any], str | None]) -> _FirstFailure:
+    """The chunk predicate that asks ``check`` about each object in turn."""
     return lambda chunk: next(((i, c) for i, obj in enumerate(chunk) if (c := check(obj)) is not None), None)
 
 

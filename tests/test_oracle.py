@@ -1209,6 +1209,19 @@ def test_sampled_runs_refuse_a_table_past_the_budget(monkeypatch, capsys, theore
     assert sample_check(theorem, n, k, samples=5).passed
 
 
+@pytest.mark.parametrize("theorem,n,k", [("STOINV", 3, 2), ("DESCENT", 3, 2), ("INCOMPLETE", 3, 2)])
+def test_an_exhaustive_run_lists_its_table_under_its_own_budget(monkeypatch, theorem, n, k):
+    """The table cap is the sampled runs' only: an exhaustive run's space
+    holds the table, so the run's budget, above ``DEFAULT_BUDGET`` here,
+    bounds both."""
+    expected = brute_check(theorem, n, k)
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 3)
+    assert brute_check(theorem, n, k, budget=100_000) == expected
+    assert expected.passed
+    with pytest.raises(BudgetExceededError):
+        sample_check(theorem, n, k, samples=5)
+
+
 # --- ATOMS and STOINV against their unpruned forms ---
 # The two functions below, with conftest's ``selection_meets``, are the
 # plain definitions the oracle started from: every selection met in full,
