@@ -88,11 +88,7 @@ def symmetric_stochastic(rng: random.Random, alg: Any, n: int) -> tuple[int, ...
 
 
 def orthonormal_columns(rng: random.Random, alg: Any, n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """The first ``m`` columns of a uniform unitary, drawn as :func:`unitary`
-    draws it: ``m`` mutually orthogonal stochastic vectors."""
-    columns = [[0] * n for _ in range(m)]
-    for bit in range(alg.atom_count):
-        perm = permutation(rng, n)
-        for j in range(m):
-            columns[j][perm[j]] |= 1 << bit
-    return tuple(map(tuple, columns))
+    """The first ``m`` columns of a uniform :func:`unitary`: ``m`` mutually
+    orthogonal stochastic vectors."""
+    masks = unitary(rng, alg, n)
+    return tuple(masks[j::n] for j in range(m))

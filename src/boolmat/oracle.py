@@ -305,8 +305,13 @@ def _pack(v: Sequence[int], w: int) -> int:
     """The masks of ``v`` side by side in one int, ``w`` bits per slot.
 
     A row-major ``n x n`` matrix packs to its word: entry (i, j) in bits
-    ``[w*(i*n+j), w*(i*n+j+1))``.
+    ``[w*(i*n+j), w*(i*n+j+1))``. Past 64 masks each half is packed and the
+    two joined, so a long ``v`` does not cost a shift of the whole word per
+    mask; shorter ones shift and OR a mask at a time, which is faster there.
     """
+    if len(v) > 64:
+        half = len(v) >> 1
+        return _pack(v[half:], w) << w * half | _pack(v[:half], w)
     acc = 0
     for m in reversed(v):
         acc = acc << w | m
@@ -316,7 +321,7 @@ def _pack(v: Sequence[int], w: int) -> int:
 def _pack_all(vectors: Sequence[Sequence[int]], stride: int, w: int) -> int:
     """The equal-length ``vectors`` side by side in one int, a block of
     ``stride`` lanes of ``w`` bits (whole bytes) each, the lanes past a
-    vector zero: linear in the word, where ``_pack``'s shift-and-OR is not."""
+    vector zero: one pass over the word's bytes."""
     size = w >> 3
     blocks = map(bytes, vectors) if size == 1 else (b"".join(m.to_bytes(size, "little") for m in v) for v in vectors)
     return int.from_bytes(bytes(size * (stride - len(vectors[0]))).join(blocks), "little")
@@ -438,11 +443,6 @@ def _atoms_of(n: int, a: Sequence[int], full: int) -> list[int]:
     return out
 
 
-def _horizon(n: int) -> int:
-    """A power past the exponent plus the period of every Boolean ``n x n`` matrix."""
-    return (n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))
-
-
 def _walk(n: int, w: int, x: int, top: int) -> Callable[[int], int]:
     """``m -> X**m`` (``1 <= m <= top``) for every block of ``x``, from one
     right product with ``x`` per step. A step is a function of the word
@@ -458,35 +458,21 @@ def _walk(n: int, w: int, x: int, top: int) -> Callable[[int], int]:
     return lambda m: powers[m - 1 if m <= len(powers) else back + (m - 1 - back) % (len(powers) - back)]
 
 
-def _repeats(n: int, w: int, x: int, ones: int) -> Iterator[tuple[int, int, int]]:
-    """``(e, p, guards)``: the blocks of ``x`` whose (exponent, period) is
-    ``(e, p)``, straight from the definitions.
-
-    Horizon covers the worst case for any Boolean matrix; the period is the
-    smallest p admitting any witness exponent, then the exponent is the
-    smallest witness for that p. A witness e for p is one for every later e
-    too (each power is the one before times X), so the last e shows which
-    blocks have one; each e, in order, is then one zero-block test of
-    ``X**(e+p) ^ X**e``, and a block leaves at its first hit.
-    """
-    horizon, size = _horizon(n), (n * n + 1) * w - 1
-    power, pending = _walk(n, w, x, horizon + 1), ones << size
-    for p in range(1, horizon + 1):
-        witnessed, e = _zero_lanes(power(horizon + 1) ^ power(horizon + 1 - p), ones, size) & pending, 1
-        while witnessed:
-            if hit := _zero_lanes(power(e + p) ^ power(e), ones, size) & witnessed:
-                yield e, p, hit
-                witnessed, pending = witnessed ^ hit, pending ^ hit
-            e += 1
-        if not pending:
-            return
-    raise AssertionError("no repeat within the guaranteed horizon")
-
-
 def _brute_period_exponent(n: int, a: Sequence[int]) -> tuple[int, int]:
-    """(exponent, period) of one matrix: a chunk of one."""
-    w = max(a, default=0).bit_length() or 1
-    return next(_repeats(n, w, _pack(a, w), 1))[:2]
+    """(exponent, period) of one matrix, straight from the definitions.
+
+    The horizon covers the worst case for any Boolean matrix; the period is
+    the smallest p admitting any witness exponent, then the exponent is the
+    smallest witness for that p. A witness e for p is one for every later e
+    too (each power is the one before times X), so the last e below the
+    horizon shows whether p has one.
+    """
+    w, horizon = max(a, default=0).bit_length() or 1, (n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))
+    power = _walk(n, w, _pack(a, w), horizon + 1)
+    for p in range(1, horizon + 1):
+        if power(horizon + 1) == power(horizon + 1 - p):
+            return next(e for e in range(1, horizon + 2 - p) if power(e + p) == power(e)), p
+    raise AssertionError("no repeat within the guaranteed horizon")
 
 
 def _chunked_if_small(n: int, w: int, top: int, first_failure: _FirstFailure) -> _FirstFailure:
@@ -899,21 +885,26 @@ def _power(n: int, k: int) -> _FirstFailure:
 
 
 def _period_divides(n: int, k: int) -> _FirstFailure:
-    """Stochastic exponent and period bounds, from definition-level search
-    over the whole chunk."""
+    """Stochastic exponent and period bounds. The powers repeat from the
+    exponent e on with period p, so ``e <= m = max(n-1, 1)`` and p dividing
+    lcm hold together exactly when ``A**(m+lcm) == A**m``: one walk to
+    ``A**(m+lcm)`` for the chunk, then one zero-block test. Only the matrix
+    a failure reports has its (e, p) searched, for its text."""
     alg = _numbered_algebra(k)
-    lcm, w = math.lcm(*range(1, n + 1)), 8 * (k + 7 >> 3)
+    m, lcm, w = max(n - 1, 1), math.lcm(*range(1, n + 1)), 8 * (k + 7 >> 3)
     stride = (n * n + 1) * w
 
     def first_failure(chunk: list[Any]) -> tuple[int, str] | None:
-        repeats = _repeats(n, w, _pack_all(chunk, n * n + 1, w), _spread(len(chunk), stride))
-        failed = min(((hit & -hit, e, p) for e, p, hit in repeats if lcm % p or e > max(n - 1, 1)), default=None)
-        if failed is None:
+        ones = _spread(len(chunk), stride)
+        power = _walk(n, w, _pack_all(chunk, n * n + 1, w), m + lcm)
+        failed = ones << stride - 1 ^ _zero_lanes(power(m + lcm) ^ power(m), ones, stride - 1)
+        if not failed:
             return None
-        i = (failed[0].bit_length() - 1) // stride
-        return i, f"e={failed[1]}, p={failed[2]} for {_fmt_mat(n, chunk[i], alg)}"
+        i = ((failed & -failed).bit_length() - 1) // stride
+        e, p = _brute_period_exponent(n, chunk[i])
+        return i, f"e={e}, p={p} for {_fmt_mat(n, chunk[i], alg)}"
 
-    return _chunked_if_small(n, w, _horizon(n) + 1, first_failure)
+    return _chunked_if_small(n, w, m + lcm, first_failure)
 
 
 def _one_at_a_time(check: Callable[[Any], str | None]) -> _FirstFailure:

@@ -410,6 +410,24 @@ def test_samplers_draw_what_the_random_generators_draw(draw, reference, atoms, s
                 assert mine.getstate() == theirs.getstate(), (k, n, seed)
 
 
+def test_orthonormal_columns_are_the_per_atom_permutation_loop():
+    """Each atom's permutation puts it in slot ``perm[j]`` of column j: the
+    same columns, and the same rng state after, for every m."""
+    for seed in range(3000):
+        n, k = seed % 7 + 1, seed // 7 % 9 + 1
+        alg = make_algebra([str(i + 1) for i in range(k)])
+        for m in range(1, n + 1):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            columns = [[0] * n for _ in range(m)]
+            for bit in range(k):
+                perm = list(range(n))
+                theirs.shuffle(perm)
+                for j in range(m):
+                    columns[j][perm[j]] |= 1 << bit
+            assert _draw.orthonormal_columns(mine, alg, n, m) == tuple(map(tuple, columns)), (seed, m)
+            assert mine.getstate() == theirs.getstate(), (seed, m)
+
+
 def test_draw_helper_is_randrange():
     for seed in (0, 1, 2, 99, 2**40 + 7):
         mine, theirs = random.Random(seed), random.Random(seed)
@@ -745,24 +763,71 @@ def test_power_walk_costs_one_product_per_distinct_power(monkeypatch):
 
 
 def test_a_chunk_walk_costs_one_product_per_distinct_word(monkeypatch):
-    """A chunk's word repeats when every block's power does: the walk over
-    a chunk of the matrices above multiplies each distinct word once, and
-    POWER's shorter walk no more."""
+    """A chunk's word repeats when every block's power does: PERIOD_DIVIDES'
+    walk over a chunk of the matrices above, to ``A**(m+lcm)``, multiplies
+    each distinct word once, and POWER's walk no more. The products of the
+    (e, p) search for a failing chunk's reported matrix are counted apart."""
     objects = _seeded_square_masks(600, 2207)
     calls = _counting_wordmul(monkeypatch)
+    search, reported = oracle._brute_period_exponent, []
+
+    def counted_search(n, a):
+        before = calls[0]
+        found = search(n, a)
+        reported.append(calls[0] - before)
+        return found
+
+    monkeypatch.setattr(oracle, "_brute_period_exponent", counted_search)
     for n, k in product(range(1, 5), range(1, 4)):
         chunk = [a for m, j, a in objects if (m, j) == (n, k)]
         walks = []
         for a in chunk:
             walks.append([tuple(a)])
-            for _ in range((n - 1) ** 2 + 1 + math.lcm(*range(1, n + 1))):
+            for _ in range(max(n - 1, 1) + math.lcm(*range(1, n + 1)) - 1):
                 walks[-1].append(_triple_loop(n, walks[-1][-1], a))
-        calls[0] = 0
+        calls[0], reported[:] = 0, []
         oracle._period_divides(n, k)(chunk)
-        assert calls[0] == len(set(zip(*(walk[:-1] for walk in walks))))
-        searched, calls[0] = calls[0], 0
+        searched = calls[0] - sum(reported)
+        assert searched == len(set(zip(*walks)))
+        calls[0] = 0
         oracle._power(n, k)([(False, a) for a in chunk])
         assert calls[0] <= searched
+
+
+def test_only_a_reported_matrix_has_its_exponent_and_period_searched(monkeypatch):
+    """A passing chunk searches no (e, p); a failing one searches once, for
+    the matrix it reports, however many of its matrices fail."""
+    searched = []
+    search = oracle._brute_period_exponent
+    monkeypatch.setattr(oracle, "_brute_period_exponent", lambda n, a: searched.append(a) or search(n, a))
+    assert brute_check("PERIOD_DIVIDES", 3, 2).passed
+    assert searched == []
+    rng = random.Random(6101)
+    for n, k in product(range(2, 5), range(1, 4)):
+        chunk = [tuple(rng.getrandbits(k) for _ in range(n * n)) for _ in range(60)]
+        failing = _reference_failures(_unmemoised_period_divides(n, k), chunk)
+        assert len(failing) > 1
+        searched.clear()
+        assert oracle._period_divides(n, k)(chunk) == failing[0]
+        assert searched == [chunk[failing[0][0]]]
+
+
+def test_one_object_period_divides_matches_the_definitions_on_general_matrices():
+    """General matrices can have an exponent past ``max(n-1, 1)``, the side
+    of ``A**(m+lcm) == A**m`` that stochastic matrices never reach: the
+    verdict and the text equal the definition-level search's."""
+    rng = random.Random(7207)
+    checks, seen = {}, set()
+    for _ in range(3000):
+        n, k = rng.randrange(1, 5), rng.randrange(1, 4)
+        if (n, k) not in checks:
+            checks[n, k] = _alone(oracle._period_divides(n, k)), _unmemoised_period_divides(n, k)
+        walked, fresh = checks[n, k]
+        a = tuple(rng.getrandbits(k) for _ in range(n * n))
+        verdict = walked(a)
+        assert verdict == fresh(a), (n, k, a)
+        seen.add(verdict is None)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("theorem,n,samples", [("POWER", 9, 40), ("PERIOD_DIVIDES", 9, 40), ("POWER", 11, 12), ("PERIOD_DIVIDES", 11, 12)])
@@ -911,6 +976,19 @@ def test_lane_folds_are_the_joins_of_the_lanes():
         pa, pb = oracle._pack(a, w), oracle._pack(b, w)
         assert oracle._fold(pa, w, n) == _or_all(a), (n, w, a)
         assert oracle._dot(pa, pb, w, n) == oracle._inner(a, b), (n, w, a, b)
+
+
+@pytest.mark.parametrize("w", [1, 3, 9])
+def test_pack_is_the_shift_and_or_of_its_masks(w):
+    """Lengths either side of the halving cutoff and one far past it; each
+    mask fills its lane, so a slot that lands a bit off would show."""
+    rng = random.Random(8311 + w)
+    for length in (0, 1, 64, 65, 129, 100_000):
+        v = [rng.getrandbits(w) for _ in range(length)]
+        expected = 0
+        for i, m in enumerate(v):
+            expected |= m << w * i
+        assert oracle._pack(v, w) == oracle._pack(tuple(v), w) == expected, length
 
 
 def _word_product(n, w, a, b):
