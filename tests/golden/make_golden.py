@@ -2,9 +2,11 @@
 fixtures (``cli_outputs.json``), what ``verify`` prints
 (``verify_outputs.json``), what the two atom-slot constructions,
 ``extend_to_basis`` and ``matrix_atoms``, return on seeded stochastic input
-(``construct_outputs.json``), and what the two reductions,
+(``construct_outputs.json``), what the two reductions,
 ``reduce_unitary`` and ``reduce_by_orthogonal_set``, return on seeded
-unitary input (``reduce_outputs.json``).
+unitary input (``reduce_outputs.json``), and every counterexample each
+oracle predicate reports on seeded objects outside its theorem's class
+(``counterexample_outputs.json``).
 
 Run from the root of a checkout whose output is the reference::
 
@@ -13,7 +15,9 @@ Run from the root of a checkout whose output is the reference::
 Each record holds one in-process ``boolmat.cli.main`` call with its exit
 code, stdout and stderr. Model records name command, fixture and mode;
 verify records hold the argv itself. Construction and reduction records
-hold input and output as masks. ``tests/test_golden.py`` replays the
+hold input and output as masks; counterexample records hold the objects as
+masks, the wrong helper a run substitutes (if any), and every ``(index,
+text)`` the predicate reports. ``tests/test_golden.py`` replays the
 records, so a change that alters one output byte fails there.
 """
 
@@ -24,6 +28,7 @@ import io
 import json
 import os
 import random
+from contextlib import contextmanager
 
 from boolmat import (
     BMatrix,
@@ -34,6 +39,7 @@ from boolmat import (
     reduce_by_orthogonal_set,
     reduce_unitary,
 )
+from boolmat import oracle
 from boolmat.cli import fixture_path, main
 from boolmat.oracle import THEOREMS
 from boolmat.rand import random_stochastic_matrix, random_stochastic_orthonormal_set
@@ -48,6 +54,7 @@ GOLDEN = os.path.join(HERE, "cli_outputs.json")
 VERIFY_GOLDEN = os.path.join(HERE, "verify_outputs.json")
 CONSTRUCT_GOLDEN = os.path.join(HERE, "construct_outputs.json")
 REDUCE_GOLDEN = os.path.join(HERE, "reduce_outputs.json")
+TEXT_GOLDEN = os.path.join(HERE, "counterexample_outputs.json")
 
 # Every theorem runs exhaustively at (n, k) = (3, 2): odd, at least two and
 # each run under a second. INVERSE is refused there (16,777,216 matrices
@@ -86,6 +93,25 @@ ATOM_DIMS = range(0, 11)
 # passed in shuffled order.
 REDUCE_SEED = 31
 REDUCE_DIMS = range(1, 10)
+
+
+# Counterexample inputs: at each scale, seeded objects of each predicate's
+# shape with every mask drawn at random, so most lie outside the theorem's
+# class; families hold 1 to n+1 vectors (INCOMPLETE's 1 to n-1), UNITREDUCE
+# families 1 or 2 matrices, and half of INVERSE's matrices are unitaries.
+# NORM, DUALITY, DIMENSION and INVERSE hold on such objects, so each also
+# runs under a wrong helper that the oracle tests substitute: a fold that
+# finds no atom in two slots, a generating test that always says yes, and a
+# matrix-vector product blind to the last slot.
+TEXT_SEED = 37
+TEXT_SCALES = ((3, 2), (2, 4))
+TEXT_OBJECTS = 120
+FAKES = {
+    "NORM": ("_twice", lambda twice: lambda x, w, n, firsts: 0),
+    "DUALITY": ("_is_generating", lambda gen: lambda vectors, n, k: True),
+    "DIMENSION": ("_is_generating", lambda gen: lambda vectors, n, k: True),
+    "INVERSE": ("_matvec", lambda matvec: lambda n, a, v: matvec(n, a, (*v[:-1], 0))),
+}
 
 
 def argv_of(command: str, fixture: str, names: list[str], porcelain: bool) -> list[str]:
@@ -254,6 +280,81 @@ def reduce_records() -> list[dict]:
     return found
 
 
+def _vector(rng: random.Random, n: int, k: int) -> list[int]:
+    return [rng.getrandbits(k) for _ in range(n)]
+
+
+def _family(rng: random.Random, n: int, k: int, most: int, length: int) -> list[list[int]]:
+    return [_vector(rng, length, k) for _ in range(1 + rng.randrange(most))]
+
+
+def text_object(theorem: str, rng: random.Random, n: int, k: int):
+    """One object of ``theorem``'s predicate shape, every mask at random."""
+    if theorem == "NORM":
+        return [_vector(rng, n, k), _vector(rng, n, k), rng.getrandbits(k)]
+    if theorem == "DESCENT":
+        return [_vector(rng, n, k), _vector(rng, n, k)]
+    if theorem in ("DUALITY", "BASIS_UPBOUND", "DIMENSION", "DIMCOR2", "INCOMPLETE"):
+        return _family(rng, n, k, n - 1 if theorem == "INCOMPLETE" else n + 1, n)
+    if theorem == "UNITREDUCE":
+        return _family(rng, n, k, 2, n * n)
+    if theorem == "POWER":
+        return [bool(rng.getrandbits(1)), _vector(rng, n * n, k)]
+    if theorem == "INVERSE" and rng.getrandbits(1):
+        return _unitary_masks(n, [rng.sample(range(n), n) for _ in range(k)])
+    return _vector(rng, n * n, k)
+
+
+def _tuples(obj):
+    return tuple(map(_tuples, obj)) if isinstance(obj, list) else obj
+
+
+@contextmanager
+def substituted(theorem: str, fake: str | None):
+    """The oracle with ``theorem``'s wrong helper in place, if ``fake`` names it."""
+    if fake is None:
+        yield
+        return
+    helper, wrong = FAKES[theorem]
+    assert fake == helper, (theorem, fake)
+    right = getattr(oracle, helper)
+    setattr(oracle, helper, wrong(right))
+    try:
+        yield
+    finally:
+        setattr(oracle, helper, right)
+
+
+def text_output(theorem: str, n: int, k: int, fake: str | None, objects: list) -> list[list]:
+    """Every ``[index, text]`` the predicate reports, asked again from the
+    object after each one."""
+    objects = [_tuples(obj) for obj in objects]
+    found, start = [], 0
+    with substituted(theorem, fake):
+        first_failure = THEOREMS[theorem].predicate(n, k)
+        while start < len(objects):
+            hit = first_failure(objects[start:])
+            if hit is None:
+                break
+            found.append([start + hit[0], hit[1]])
+            start += hit[0] + 1
+    return found
+
+
+def text_records() -> list[dict]:
+    rng = random.Random(TEXT_SEED)
+    found = []
+    for theorem in THEOREMS:
+        for n, k in TEXT_SCALES:
+            objects = [text_object(theorem, rng, n, k) for _ in range(TEXT_OBJECTS)]
+            for fake in (None, FAKES[theorem][0]) if theorem in FAKES else (None,):
+                found.append({
+                    "theorem": theorem, "n": n, "k": k, "fake": fake, "objects": objects,
+                    "failures": text_output(theorem, n, k, fake, objects),
+                })
+    return found
+
+
 def write(path: str, recs: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(recs, fh, indent=1)
@@ -273,3 +374,4 @@ if __name__ == "__main__":
     write(VERIFY_GOLDEN, verify_records())
     write_lines(CONSTRUCT_GOLDEN, construct_records())
     write_lines(REDUCE_GOLDEN, reduce_records())
+    write_lines(TEXT_GOLDEN, text_records())

@@ -7,8 +7,10 @@ one exhaustive scale, UNITREDUCE at three, every theorem with a sampler at
 one seeded sampled scale, and refused runs. ``construct_outputs.json`` holds
 ``extend_to_basis`` and ``matrix_atoms`` on seeded stochastic input, and
 ``reduce_outputs.json`` holds ``reduce_unitary`` and
-``reduce_by_orthogonal_set`` on seeded unitary input, both as masks. An
-intended output change regenerates them with
+``reduce_by_orthogonal_set`` on seeded unitary input, both as masks.
+``counterexample_outputs.json`` holds every counterexample text each oracle
+predicate reports on seeded objects outside its theorem's class, some under
+a wrong helper. An intended output change regenerates them with
 ``tests/golden/make_golden.py``.
 """
 
@@ -21,12 +23,15 @@ from golden.make_golden import (
     CONSTRUCT_GOLDEN,
     GOLDEN,
     REDUCE_GOLDEN,
+    TEXT_GOLDEN,
+    TEXT_SCALES,
     VERIFY_GOLDEN,
     argv_of,
     atoms_output,
     basis_output,
     orthogonal_reduce_output,
     run,
+    text_output,
     unitary_reduce_output,
 )
 
@@ -38,6 +43,8 @@ with open(CONSTRUCT_GOLDEN, encoding="utf-8") as fh:
     CONSTRUCT_RECORDS = json.load(fh)
 with open(REDUCE_GOLDEN, encoding="utf-8") as fh:
     REDUCE_RECORDS = json.load(fh)
+with open(TEXT_GOLDEN, encoding="utf-8") as fh:
+    TEXT_RECORDS = json.load(fh)
 UNITARY_RECORDS = [r for r in REDUCE_RECORDS if r["reduce"] == "unitary"]
 ORTHOGONAL_RECORDS = [r for r in REDUCE_RECORDS if r["reduce"] == "orthogonal"]
 BASIS_RECORDS = [r for r in CONSTRUCT_RECORDS if r["construct"] == "extend_to_basis"]
@@ -128,3 +135,18 @@ def test_reduce_records_cover_every_scale():
     orthogonal = {(r["n"], len(r["invariants"])) for r in ORTHOGONAL_RECORDS}
     assert orthogonal == {(n, m) for n in range(1, 10) for m in range(1, n + 1)}
     assert {r["k"] for r in ORTHOGONAL_RECORDS} == set(ks)
+
+
+@pytest.mark.parametrize(
+    "record",
+    TEXT_RECORDS,
+    ids=[f"{r['theorem']}-n{r['n']}-k{r['k']}" + (f"-{r['fake']}" if r["fake"] else "") for r in TEXT_RECORDS],
+)
+def test_counterexample_texts_match_golden(record):
+    got = text_output(record["theorem"], record["n"], record["k"], record["fake"], record["objects"])
+    assert got == record["failures"]
+
+
+def test_counterexample_records_fail_every_theorem_at_every_scale():
+    failing = {(r["theorem"], r["n"], r["k"]) for r in TEXT_RECORDS if r["failures"]}
+    assert failing == {(t, n, k) for t in THEOREMS for n, k in TEXT_SCALES}
