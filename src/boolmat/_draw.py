@@ -11,14 +11,14 @@ once.
 ``below`` makes ``rng.randrange(m)``'s ``getrandbits`` calls and
 ``permutation`` makes ``rng.shuffle``'s, without their frames. The module
 imports only the standard library, so importing ``rand`` does not load the
-oracle. ``alg`` is only asked for its ``atom_count``.
+oracle.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cache
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 def below(rng: random.Random, m: int) -> int:
@@ -75,20 +75,20 @@ def matrix_masks(n: int, maps: Iterable[Sequence[int]]) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def stochastic_matrix(rng: random.Random, alg: Any, n: int) -> tuple[int, ...]:
-    return matrix_masks(n, [[below(rng, n) for _ in range(n)] for _ in range(alg.atom_count)])
+def stochastic_matrix(rng: random.Random, k: int, n: int) -> tuple[int, ...]:
+    return matrix_masks(n, [[below(rng, n) for _ in range(n)] for _ in range(k)])
 
 
-def unitary(rng: random.Random, alg: Any, n: int) -> tuple[int, ...]:
-    return matrix_masks(n, [permutation(rng, n) for _ in range(alg.atom_count)])
+def unitary(rng: random.Random, k: int, n: int) -> tuple[int, ...]:
+    return matrix_masks(n, [permutation(rng, n) for _ in range(k)])
 
 
-def symmetric_stochastic(rng: random.Random, alg: Any, n: int) -> tuple[int, ...]:
-    return matrix_masks(n, [involution(rng, n) for _ in range(alg.atom_count)])
+def symmetric_stochastic(rng: random.Random, k: int, n: int) -> tuple[int, ...]:
+    return matrix_masks(n, [involution(rng, n) for _ in range(k)])
 
 
-def orthonormal_columns(rng: random.Random, alg: Any, n: int, m: int) -> tuple[tuple[int, ...], ...]:
+def orthonormal_columns(rng: random.Random, k: int, n: int, m: int) -> tuple[tuple[int, ...], ...]:
     """The first ``m`` columns of a uniform :func:`unitary`: ``m`` mutually
     orthogonal stochastic vectors."""
-    masks = unitary(rng, alg, n)
+    masks = unitary(rng, k, n)
     return tuple(masks[j::n] for j in range(m))

@@ -108,6 +108,7 @@ class Verdict:
         return f"{self.theorem} n={self.n} k={self.k} [{self.mode}]: {tail} ({self.checked} objects)"
 
 
+@cache
 def _numbered_algebra(k: int) -> Algebra:
     return Algebra([str(i + 1) for i in range(k)])
 
@@ -449,12 +450,13 @@ def _walk(n: int, w: int, x: int, top: int) -> Callable[[int], int]:
     before it, so once a word comes back the walk repeats itself: it stops
     there, a later power is read off the cycle, and no word is multiplied
     twice (for one matrix, no power)."""
-    tiles, seen, powers = _row_tiles(n, w, x), {}, []
-    while len(powers) < top and x not in seen:
+    tiles, seen, powers = _row_tiles(n, w, x), {x: 0}, [x]
+    while len(powers) < top and (x := _wordmul(n, w, x, tiles)) not in seen:
         seen[x] = len(powers)
         powers.append(x)
-        x = _wordmul(n, w, x, tiles)
-    back = seen.get(x, 0)
+    if len(powers) == top:  # no word came back: every power asked for is held
+        return lambda m: powers[m - 1]
+    back = seen[x]
     return lambda m: powers[m - 1 if m <= len(powers) else back + (m - 1 - back) % (len(powers) - back)]
 
 
@@ -484,16 +486,16 @@ def _chunked_if_small(n: int, w: int, top: int, first_failure: _FirstFailure) ->
     return _one_at_a_time(lambda obj: (found := first_failure([obj])) and found[1])
 
 
-def _fmt_vec(v: Sequence[int], alg: Algebra) -> str:
-    return "(" + ",".join(map(alg.literal, v)) + ")"
+def _fmt_vec(v: Sequence[int], k: int) -> str:
+    return "(" + ",".join(map(_numbered_algebra(k).literal, v)) + ")"
 
 
-def _fmt_family(fam: Sequence[Sequence[int]], alg: Algebra) -> str:
-    return str([_fmt_vec(v, alg) for v in fam])
+def _fmt_family(fam: Sequence[Sequence[int]], k: int) -> str:
+    return str([_fmt_vec(v, k) for v in fam])
 
 
-def _fmt_mat(n: int, a: Sequence[int], alg: Algebra) -> str:
-    rows = "; ".join(" ".join(map(alg.literal, a[i * n : (i + 1) * n])) for i in range(n))
+def _fmt_mat(n: int, a: Sequence[int], k: int) -> str:
+    rows = "; ".join(" ".join(map(_numbered_algebra(k).literal, a[i * n : (i + 1) * n])) for i in range(n))
     return f"[{rows}]"
 
 
@@ -550,32 +552,32 @@ def _stochastic_then_unitary(n: int, k: int, budget: int) -> Iterable[Any]:
     return chain(((False, a) for a in stochastic), ((True, u) for u in _iter_unitary_masks(n, k)))
 
 
-# --- one-object samplers (rng, alg, n), each drawing what its source yields ---
+# --- one-object samplers (rng, k, n), each drawing what its source yields ---
 
 
-def _sample_norm(rng: random.Random, alg: Algebra, n: int) -> Any:
-    widths = (alg.atom_count,) * n
-    return tuple(map(rng.getrandbits, widths)), tuple(map(rng.getrandbits, widths)), rng.getrandbits(alg.atom_count)
+def _sample_norm(rng: random.Random, k: int, n: int) -> Any:
+    widths = (k,) * n
+    return tuple(map(rng.getrandbits, widths)), tuple(map(rng.getrandbits, widths)), rng.getrandbits(k)
 
 
-def _sample_stochastic_pair(rng: random.Random, alg: Algebra, n: int) -> Any:
+def _sample_stochastic_pair(rng: random.Random, k: int, n: int) -> Any:
     """Two independent stochastic vectors, orthogonal or not: each atom takes
     one slot in each."""
     a, b = [0] * n, [0] * n
-    for bit in range(alg.atom_count):
+    for bit in range(k):
         a[below(rng, n)] |= 1 << bit
         b[below(rng, n)] |= 1 << bit
     return tuple(a), tuple(b)
 
 
-def _sample_short_family(rng: random.Random, alg: Algebra, n: int) -> Any:
+def _sample_short_family(rng: random.Random, k: int, n: int) -> Any:
     """The first m < n columns of a uniform unitary, for a uniform m."""
-    return orthonormal_columns(rng, alg, n, 1 + below(rng, n - 1))
+    return orthonormal_columns(rng, k, n, 1 + below(rng, n - 1))
 
 
-def _sample_power(rng: random.Random, alg: Algebra, n: int) -> Any:
+def _sample_power(rng: random.Random, k: int, n: int) -> Any:
     """A stochastic matrix or a unitary, chosen by a fair coin."""
-    return (True, unitary(rng, alg, n)) if below(rng, 2) else (False, stochastic_matrix(rng, alg, n))
+    return (True, unitary(rng, k, n)) if below(rng, 2) else (False, stochastic_matrix(rng, k, n))
 
 
 # --- predicates (n, k) -> (chunk -> (index, counterexample) | None), or through _each ---
@@ -586,7 +588,6 @@ def _norm_laws(n: int, k: int) -> _FirstFailure:
     triples, each law one test of every triple's block of slots. A block is
     a power of two of lanes, so a fold halves within it, and a zero guard
     lane; an orthovector has no atom in two slots."""
-    alg = _numbered_algebra(k)
     w, lanes = 8 * (k + 7 >> 3), 1 << (n - 1).bit_length()
     stride = (lanes + 1) * w
     firsts = _spread(_CHUNK, stride) * ((1 << w) - 1)
@@ -619,7 +620,7 @@ def _norm_laws(n: int, k: int) -> _FirstFailure:
         low = failed & -failed
         i, law = (low.bit_length() - 1) // stride, next(law for law, fails in laws if fails & low)
         a, b, c = chunk[i]
-        return i, f"{law} fails at c={c}, a={_fmt_vec(a, alg)}, b={_fmt_vec(b, alg)}"
+        return i, f"{law} fails at c={c}, a={_fmt_vec(a, k)}, b={_fmt_vec(b, k)}"
 
     return first_failure
 
@@ -633,8 +634,7 @@ def _descent(n: int, k: int) -> Callable[[Any], str | None]:
     c is tested on all slots at once, and every short stochastic c in one
     zero-lane test.
     """
-    alg = _numbered_algebra(k)
-    full = alg._full
+    full = (1 << k) - 1
     search = _lane_search([_pack(c, k) for c in _iter_stochastic_masks(n - 1, k)], k * (n - 1))
     full_head = _pack((full,) * (n - 1), k)
 
@@ -651,27 +651,27 @@ def _descent(n: int, k: int) -> Callable[[Any], str | None]:
             c = tuple((b[n - 1] & a[i]) | b[i] for i in range(n - 1))
             # Stochastic: c joins to one, and no atom is in two slots.
             if _or_all(c) != full or sum(m.bit_count() for m in c) != k:
-                return f"a={_fmt_vec(a, alg)} b={_fmt_vec(b, alg)}: constructed c not stochastic"
+                return f"a={_fmt_vec(a, k)} b={_fmt_vec(b, k)}: constructed c not stochastic"
             found = _pack(c, k) & outside_a == head
         else:
             found = search(outside_a, head)
         if found == orthogonal:
             return None
-        return f"a={_fmt_vec(a, alg)} b={_fmt_vec(b, alg)}: orthogonal={orthogonal}, witness={not orthogonal}"
+        return f"a={_fmt_vec(a, k)} b={_fmt_vec(b, k)}: orthogonal={orthogonal}, witness={not orthogonal}"
 
     return check
 
 
 def _duality(n: int, k: int) -> Callable[[Any], str | None]:
     """Orthonormal family is a basis iff its transposed family is orthonormal."""
-    alg = _numbered_algebra(k)
+    full = (1 << k) - 1
 
     def check(fam: Any) -> str | None:
         transposed = [tuple(v[i] for v in fam) for i in range(n)]
-        dual_ortho = _is_orthonormal_family(transposed, alg._full)
+        dual_ortho = _is_orthonormal_family(transposed, full)
         generating = _is_generating(fam, n, k)
         if generating != dual_ortho:
-            return f"{_fmt_family(fam, alg)}: generating={generating}, dual orthonormal={dual_ortho}"
+            return f"{_fmt_family(fam, k)}: generating={generating}, dual orthonormal={dual_ortho}"
         return None
 
     return check
@@ -679,11 +679,10 @@ def _duality(n: int, k: int) -> Callable[[Any], str | None]:
 
 def _basis_upbound(n: int, k: int) -> Callable[[Any], str | None]:
     """No stochastic orthonormal family exceeds the dimension."""
-    alg = _numbered_algebra(k)
 
     def check(fam: Any) -> str | None:
         if len(fam) > n:
-            return f"{len(fam)} orthonormal stochastic vectors in dimension {n}: {_fmt_family(fam, alg)}"
+            return f"{len(fam)} orthonormal stochastic vectors in dimension {n}: {_fmt_family(fam, k)}"
         return None
 
     return check
@@ -691,27 +690,21 @@ def _basis_upbound(n: int, k: int) -> Callable[[Any], str | None]:
 
 def _dimension(n: int, k: int) -> Callable[[Any], str | None]:
     """Every orthonormal generating family has exactly n members."""
-    alg = _numbered_algebra(k)
 
     def check(fam: Any) -> str | None:
         if len(fam) != n and _is_generating(fam, n, k):
-            return f"basis of cardinality {len(fam)} != {n}: {_fmt_family(fam, alg)}"
+            return f"basis of cardinality {len(fam)} != {n}: {_fmt_family(fam, k)}"
         return None
 
     return check
 
 
-def _generating(n: int, k: int) -> Callable[[Any], bool]:
-    return lambda fam: _is_generating(fam, n, k)
-
-
 def _dimcor2(n: int, k: int) -> Callable[[Any], str | None]:
     """An orthonormal family is generating exactly when it has n members."""
-    alg = _numbered_algebra(k)
 
     def check(fam: Any) -> str | None:
         if (len(fam) == n) != _is_generating(fam, n, k):
-            return f"cardinality {len(fam)} vs generating mismatch: {_fmt_family(fam, alg)}"
+            return f"cardinality {len(fam)} vs generating mismatch: {_fmt_family(fam, k)}"
         return None
 
     return check
@@ -719,7 +712,6 @@ def _dimcor2(n: int, k: int) -> Callable[[Any], str | None]:
 
 def _incomplete(n: int, k: int) -> Callable[[Any], str | None]:
     """Every short stochastic orthonormal family completes to a basis."""
-    alg = _numbered_algebra(k)
     stoch = [(v, _pack(v, k)) for v in _iter_stochastic_masks(n, k)]
 
     def completes(fam: tuple[tuple[int, ...], ...], used: int) -> bool:
@@ -731,15 +723,14 @@ def _incomplete(n: int, k: int) -> Callable[[Any], str | None]:
 
     def check(fam: Any) -> str | None:
         used = _or_all(_pack(v, k) for v in fam)
-        return None if completes(tuple(fam), used) else f"no completion for {_fmt_family(fam, alg)}"
+        return None if completes(tuple(fam), used) else f"no completion for {_fmt_family(fam, k)}"
 
     return check
 
 
 def _inverse(n: int, k: int) -> Callable[[Any], str | None]:
     """Bijectivity, unitarity, column-basis and row-basis stay equivalent."""
-    alg = _numbered_algebra(k)
-    full = alg._full
+    full = (1 << k) - 1
     vectors = list(_iter_vector_masks(n, k))
     ident = _pack(_identity_masks(n, full), k)
 
@@ -753,7 +744,7 @@ def _inverse(n: int, k: int) -> Callable[[Any], str | None]:
         rows_basis = _is_orthonormal_family(rows, full) and _is_generating(rows, n, k)
         if not bijective == unitary == cols_basis == rows_basis:
             return (
-                f"{_fmt_mat(n, flat, alg)}: bijective={bijective} unitary={unitary} "
+                f"{_fmt_mat(n, flat, k)}: bijective={bijective} unitary={unitary} "
                 f"cols={cols_basis} rows={rows_basis}"
             )
         return None
@@ -763,12 +754,12 @@ def _inverse(n: int, k: int) -> Callable[[Any], str | None]:
 
 def _stoinv(n: int, k: int) -> Callable[[Any], str | None]:
     """Invariant stochastic vector exists exactly when the trace is one."""
-    alg = _numbered_algebra(k)
+    full = (1 << k) - 1
     fixes_some = _fixer(n, k, list(_iter_stochastic_masks(n, k)))
 
     def check(a: Any) -> str | None:
-        if fixes_some(_pack(a, k)) != (_trace(n, a) == alg._full):
-            return _fmt_mat(n, a, alg)
+        if fixes_some(_pack(a, k)) != (_trace(n, a) == full):
+            return _fmt_mat(n, a, k)
         return None
 
     return check
@@ -776,8 +767,8 @@ def _stoinv(n: int, k: int) -> Callable[[Any], str | None]:
 
 def _oddinv(n: int, k: int) -> Callable[[Any], str | None]:
     """Symmetric stochastic matrices in odd dimension always have trace one."""
-    alg = _numbered_algebra(k)
-    return lambda a: None if _trace(n, a) == alg._full else _fmt_mat(n, a, alg)
+    full = (1 << k) - 1
+    return lambda a: None if _trace(n, a) == full else _fmt_mat(n, a, k)
 
 
 def _unitreduce(n: int, k: int) -> Callable[[Any], str | None]:
@@ -792,8 +783,7 @@ def _unitreduce(n: int, k: int) -> Callable[[Any], str | None]:
     first met. The memo also keeps the unitary's packed diagonal, so a
     family's joint trace is the fold of the AND of its members' diagonals.
     """
-    alg = _numbered_algebra(k)
-    full = alg._full
+    full = (1 << k) - 1
     conjugators = [
         (_pack(_transpose(n, b), k), _row_tiles(n, k, _pack(b, k))) for b in _iter_unitary_masks(n, k)
     ]
@@ -815,7 +805,7 @@ def _unitreduce(n: int, k: int) -> Callable[[Any], str | None]:
             bits &= reducers_of_m
             diagonal &= diagonal_of_m
         if (bits != 0) != (_fold(diagonal, k, n) == full):
-            return ", ".join(_fmt_mat(n, m, alg) for m in mats)
+            return ", ".join(_fmt_mat(n, m, k) for m in mats)
         return None
 
     return check
@@ -830,9 +820,7 @@ def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
     selection with t in column j would meet to a nonzero element that
     overlaps m, and "overlapping atoms" is reported before anything else.
     """
-    alg = _numbered_algebra(k)
-    full = alg._full
-
+    full = (1 << k) - 1
     ones = _spread(n * n, k + 1)
 
     def problem(a: Sequence[int]) -> str | None:
@@ -855,7 +843,7 @@ def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
 
     def check(a: Any) -> str | None:
         found = problem(a)
-        return None if found is None else f"{found} in {_fmt_mat(n, a, alg)}"
+        return None if found is None else f"{found} in {_fmt_mat(n, a, k)}"
 
     return check
 
@@ -863,10 +851,9 @@ def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
 def _power(n: int, k: int) -> _FirstFailure:
     """The stochastic power identity, and its unitary sharpening: one walk
     to ``A**(n-1+lcm)`` for the chunk, then one zero-block test."""
-    alg = _numbered_algebra(k)
     lcm, w = math.lcm(*range(1, n + 1)), 8 * (k + 7 >> 3)
     stride = (n * n + 1) * w
-    ident = _pack(_identity_masks(n, alg._full), w)
+    ident = _pack(_identity_masks(n, (1 << k) - 1), w)
 
     def first_failure(chunk: list[Any]) -> tuple[int, str] | None:
         ones = _spread(len(chunk), stride)
@@ -879,7 +866,7 @@ def _power(n: int, k: int) -> _FirstFailure:
             return None
         i = ((failed & -failed).bit_length() - 1) // stride
         u, a = chunk[i]
-        return i, f"unitary {_fmt_mat(n, a, alg)}" if u else _fmt_mat(n, a, alg)
+        return i, f"unitary {_fmt_mat(n, a, k)}" if u else _fmt_mat(n, a, k)
 
     return _chunked_if_small(n, w, n - 1 + lcm, first_failure)
 
@@ -890,7 +877,6 @@ def _period_divides(n: int, k: int) -> _FirstFailure:
     lcm hold together exactly when ``A**(m+lcm) == A**m``: one walk to
     ``A**(m+lcm)`` for the chunk, then one zero-block test. Only the matrix
     a failure reports has its (e, p) searched, for its text."""
-    alg = _numbered_algebra(k)
     m, lcm, w = max(n - 1, 1), math.lcm(*range(1, n + 1)), 8 * (k + 7 >> 3)
     stride = (n * n + 1) * w
 
@@ -902,7 +888,7 @@ def _period_divides(n: int, k: int) -> _FirstFailure:
             return None
         i = ((failed & -failed).bit_length() - 1) // stride
         e, p = _brute_period_exponent(n, chunk[i])
-        return i, f"e={e}, p={p} for {_fmt_mat(n, chunk[i], alg)}"
+        return i, f"e={e}, p={p} for {_fmt_mat(n, chunk[i], k)}"
 
     return _chunked_if_small(n, w, m + lcm, first_failure)
 
@@ -939,7 +925,7 @@ class Theorem:
     """One registered statement and where the objects it is checked on come from.
 
     ``source(n, k, budget)`` refuses sizes past the budget, then streams every
-    object of the exhaustive check; ``sampler(rng, alg, n)`` draws one object
+    object of the exhaustive check; ``sampler(rng, k, n)`` draws one object
     of the same shape, or is None for exhaustive-only theorems.
     ``predicate(n, k)`` builds the tables a run shares and returns the check
     mapping a chunk (a list of objects) to the first ``(index,
@@ -952,7 +938,7 @@ class Theorem:
 
     source: Callable[[int, int, int], Iterable[Any]]
     predicate: Callable[[int, int], _FirstFailure]
-    sampler: Callable[[random.Random, Algebra, int], Any] | None = None
+    sampler: Callable[[random.Random, int, int], Any] | None = None
     require: Callable[[int], None] = _any_dimension
     witness: Callable[[int, int], Callable[[Any], bool]] | None = None
     table: Callable[[int, int], int] | None = None
@@ -966,7 +952,9 @@ THEOREMS: dict[str, Theorem] = {
         table=lambda n, k: (n - 1) ** k,
     ),
     "BASIS_UPBOUND": Theorem(_stochastic_orthonormal_sets, _each(_basis_upbound)),
-    "DIMENSION": Theorem(_iter_orthonormal_sets, _each(_dimension), witness=_generating),
+    "DIMENSION": Theorem(
+        _iter_orthonormal_sets, _each(_dimension), witness=lambda n, k: lambda fam: _is_generating(fam, n, k)
+    ),
     "DIMCOR2": Theorem(_iter_orthonormal_sets, _each(_dimcor2)),
     "INCOMPLETE": Theorem(
         _short_stochastic_orthonormal_sets, _each(_incomplete), _sample_short_family,
@@ -1059,6 +1047,5 @@ def sample_check(theorem: str, n: int, k: int, samples: int, seed: int = 0) -> V
     if entry.table:
         _require_budget(entry.table(n, k), DEFAULT_BUDGET)
     rng = random.Random(seed)
-    alg = _numbered_algebra(k)
-    draws = (entry.sampler(rng, alg, n) for _ in range(samples))
+    draws = (entry.sampler(rng, k, n) for _ in range(samples))
     return _run(theorem, entry, n, k, draws, "sampled")

@@ -60,15 +60,15 @@ def random_orthogonal_stochastic_pair(rng: random.Random, algebra: Algebra, n: i
 
 
 def random_stochastic_matrix(rng: random.Random, algebra: Algebra, n: int) -> BMatrix:
-    return BMatrix(n, n, stochastic_matrix(rng, algebra, n), algebra)
+    return BMatrix(n, n, stochastic_matrix(rng, algebra.atom_count, n), algebra)
 
 
 def random_unitary(rng: random.Random, algebra: Algebra, n: int) -> BMatrix:
-    return BMatrix(n, n, unitary(rng, algebra, n), algebra)
+    return BMatrix(n, n, unitary(rng, algebra.atom_count, n), algebra)
 
 
 def random_symmetric_stochastic(rng: random.Random, algebra: Algebra, n: int) -> BMatrix:
-    return BMatrix(n, n, symmetric_stochastic(rng, algebra, n), algebra)
+    return BMatrix(n, n, symmetric_stochastic(rng, algebra.atom_count, n), algebra)
 
 
 def random_stochastic_orthonormal_set(
@@ -77,4 +77,4 @@ def random_stochastic_orthonormal_set(
     """m mutually orthogonal stochastic vectors (the first m columns of a unitary)."""
     if not 1 <= m <= n:
         raise PreconditionError(f"need 1 <= m <= n, got m={m}, n={n}")
-    return [BVec(v, algebra) for v in orthonormal_columns(rng, algebra, n, m)]
+    return [BVec(v, algebra) for v in orthonormal_columns(rng, algebra.atom_count, n, m)]

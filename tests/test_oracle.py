@@ -18,7 +18,6 @@ from boolmat.oracle import (
     _fmt_mat,
     _iter_stochastic_masks,
     _matvec,
-    _numbered_algebra,
     _or_all,
     _trace,
     brute_check,
@@ -292,8 +291,7 @@ def test_sampler_draws_from_the_exhaustive_object_space(theorem):
 
     space = {key(obj) for obj in entry.source(n, k, DEFAULT_BUDGET)}
     rng = random.Random(11)
-    alg = make_algebra([str(i + 1) for i in range(k)])
-    drawn = {key(entry.sampler(rng, alg, n)) for _ in range(200)}
+    drawn = {key(entry.sampler(rng, k, n)) for _ in range(200)}
     assert drawn <= space
     if theorem == "POWER":
         assert {unitary for unitary, _ in drawn} == {False, True}
@@ -381,11 +379,16 @@ def _masks(generator):
     return lambda rng, alg, n: generator(rng, alg, n).masks
 
 
+def _by_k(sampler):
+    """An oracle sampler, which takes the atom count, called with an algebra."""
+    return lambda rng, alg, n: sampler(rng, alg.atom_count, n)
+
+
 DRAWS = _draws(range(1, 5), range(2, 6), range(300), [
-    ("STOINV", THEOREMS["STOINV"].sampler, _literal_stochastic_matrix),
-    ("ODDINV", THEOREMS["ODDINV"].sampler, _literal_symmetric_stochastic),
-    ("POWER", THEOREMS["POWER"].sampler, _literal_power),
-    ("INCOMPLETE", THEOREMS["INCOMPLETE"].sampler, _literal_short_family),
+    ("STOINV", _by_k(THEOREMS["STOINV"].sampler), _literal_stochastic_matrix),
+    ("ODDINV", _by_k(THEOREMS["ODDINV"].sampler), _literal_symmetric_stochastic),
+    ("POWER", _by_k(THEOREMS["POWER"].sampler), _literal_power),
+    ("INCOMPLETE", _by_k(THEOREMS["INCOMPLETE"].sampler), _literal_short_family),
     ("rand-stochastic", _masks(br.random_stochastic_matrix), _literal_stochastic_matrix),
     ("rand-unitary", _masks(br.random_unitary), _literal_unitary),
     ("rand-symmetric", _masks(br.random_symmetric_stochastic), _literal_symmetric_stochastic),
@@ -394,8 +397,8 @@ DRAWS = _draws(range(1, 5), range(2, 6), range(300), [
         v.masks for v in br.random_stochastic_orthonormal_set(rng, alg, n, rng.randrange(1, n))
     ), _literal_short_family),
 ]) + _draws(range(1, 6), range(2, 7), range(100), [
-    ("DESCENT", THEOREMS["DESCENT"].sampler, _randrange_stochastic_pair),
-    ("NORM", THEOREMS["NORM"].sampler, _literal_norm_triple),
+    ("DESCENT", _by_k(THEOREMS["DESCENT"].sampler), _randrange_stochastic_pair),
+    ("NORM", _by_k(THEOREMS["NORM"].sampler), _literal_norm_triple),
 ])
 
 
@@ -415,7 +418,6 @@ def test_orthonormal_columns_are_the_per_atom_permutation_loop():
     same columns, and the same rng state after, for every m."""
     for seed in range(3000):
         n, k = seed % 7 + 1, seed // 7 % 9 + 1
-        alg = make_algebra([str(i + 1) for i in range(k)])
         for m in range(1, n + 1):
             mine, theirs = random.Random(seed), random.Random(seed)
             columns = [[0] * n for _ in range(m)]
@@ -424,7 +426,7 @@ def test_orthonormal_columns_are_the_per_atom_permutation_loop():
                 theirs.shuffle(perm)
                 for j in range(m):
                     columns[j][perm[j]] |= 1 << bit
-            assert _draw.orthonormal_columns(mine, alg, n, m) == tuple(map(tuple, columns)), (seed, m)
+            assert _draw.orthonormal_columns(mine, k, n, m) == tuple(map(tuple, columns)), (seed, m)
             assert mine.getstate() == theirs.getstate(), (seed, m)
 
 
@@ -556,8 +558,7 @@ UNITREDUCE_SCALES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]
 def _direct_unitreduce(n, k):
     """UNITREDUCE with reducibility as the plain any(all(...)) search: every
     conjugator tried on every member of every family, nothing remembered."""
-    alg = oracle._numbered_algebra(k)
-    full = alg._full
+    full = (1 << k) - 1
     conjugators = [(b, oracle._transpose(n, b)) for b in oracle._iter_unitary_masks(n, k)]
 
     def check(mats):
@@ -567,7 +568,7 @@ def _direct_unitreduce(n, k):
         )
         joint_trace = oracle._or_all(oracle._and_all(m[i * n + i] for m in mats) & full for i in range(n))
         if reducible != (joint_trace == full):
-            return ", ".join(oracle._fmt_mat(n, m, alg) for m in mats)
+            return ", ".join(oracle._fmt_mat(n, m, k) for m in mats)
         return None
 
     return check
@@ -673,9 +674,8 @@ def _unmemoised_period_exponent(n, a):
 
 def _unmemoised_power(n, k):
     """The POWER predicate with one fresh product per step, from ``A**1 = A``."""
-    alg = oracle._numbered_algebra(k)
     lcm = math.lcm(*range(1, n + 1))
-    ident = oracle._identity_masks(n, alg._full)
+    ident = oracle._identity_masks(n, (1 << k) - 1)
 
     def naive_power(a, e):
         cur = ident if e == 0 else tuple(a)
@@ -686,12 +686,12 @@ def _unmemoised_power(n, k):
     def check(obj):
         unitary, a = obj
         if unitary:
-            return None if naive_power(a, lcm) == ident else f"unitary {oracle._fmt_mat(n, a, alg)}"
+            return None if naive_power(a, lcm) == ident else f"unitary {oracle._fmt_mat(n, a, k)}"
         low = naive_power(a, n - 1)
         high = low
         for _ in range(lcm):
             high = _triple_loop(n, high, a)
-        return None if high == low else oracle._fmt_mat(n, a, alg)
+        return None if high == low else oracle._fmt_mat(n, a, k)
 
     return check
 
@@ -765,8 +765,10 @@ def test_power_walk_costs_one_product_per_distinct_power(monkeypatch):
 def test_a_chunk_walk_costs_one_product_per_distinct_word(monkeypatch):
     """A chunk's word repeats when every block's power does: PERIOD_DIVIDES'
     walk over a chunk of the matrices above, to ``A**(m+lcm)``, multiplies
-    each distinct word once, and POWER's walk no more. The products of the
-    (e, p) search for a failing chunk's reported matrix are counted apart."""
+    each distinct word once, but for a chunk whose words never repeat the
+    last, which no later power needs; POWER's walk makes no more. The
+    products of the (e, p) search for a failing chunk's reported matrix
+    are counted apart."""
     objects = _seeded_square_masks(600, 2207)
     calls = _counting_wordmul(monkeypatch)
     search, reported = oracle._brute_period_exponent, []
@@ -787,8 +789,8 @@ def test_a_chunk_walk_costs_one_product_per_distinct_word(monkeypatch):
                 walks[-1].append(_triple_loop(n, walks[-1][-1], a))
         calls[0], reported[:] = 0, []
         oracle._period_divides(n, k)(chunk)
-        searched = calls[0] - sum(reported)
-        assert searched == len(set(zip(*walks)))
+        searched, words = calls[0] - sum(reported), set(zip(*walks))
+        assert searched == len(words) - (len(words) == len(walks[0]))
         calls[0] = 0
         oracle._power(n, k)([(False, a) for a in chunk])
         assert calls[0] <= searched
@@ -866,13 +868,33 @@ def test_exhaustive_power_checks_stay_within_their_product_counts(monkeypatch, t
     assert 0 < calls[0] <= most
 
 
+def test_a_walk_multiplies_no_word_past_its_top(monkeypatch):
+    """A walk stops at its ``top``-th word: POWER at n = 1 (top 1) makes no
+    product, a 3x3 cyclic shift walked to ``X**2`` makes one, and the
+    exhaustive (3,2) walks, whose chunks all repeat before their top, keep
+    their 21 products each."""
+    calls = _counting_wordmul(monkeypatch)
+    for k in (1, 2, 3):
+        calls[0] = 0
+        assert brute_check("POWER", 1, k).passed
+        assert calls[0] == 0
+    shift = (0, 0, 1, 1, 0, 0, 0, 1, 0)
+    calls[0] = 0
+    power = oracle._walk(3, 1, oracle._pack(shift, 1), 2)
+    assert calls[0] == 1
+    assert [_unpack(power(m), 1, 9) for m in (1, 2)] == [shift, _triple_loop(3, shift, shift)]
+    for theorem in ("POWER", "PERIOD_DIVIDES"):
+        calls[0] = 0
+        assert brute_check(theorem, 3, 2).passed
+        assert calls[0] == 21
+
+
 def _unmemoised_period_divides(n, k):
-    alg = oracle._numbered_algebra(k)
     lcm = math.lcm(*range(1, n + 1))
 
     def check(a):
         e, p = _unmemoised_period_exponent(n, a)
-        return f"e={e}, p={p} for {oracle._fmt_mat(n, a, alg)}" if lcm % p or e > max(n - 1, 1) else None
+        return f"e={e}, p={p} for {oracle._fmt_mat(n, a, k)}" if lcm % p or e > max(n - 1, 1) else None
 
     return check
 
@@ -1026,7 +1048,6 @@ def _literal_orthovector(v):
 def _literal_norm_laws(n, k, inner=_literal_inner, orthovector=_literal_orthovector):
     """NORM's laws on one triple, straight from the definitions: a norm is
     the join of the entries, an orthovector has pairwise disjoint entries."""
-    alg = _numbered_algebra(k)
 
     def check(obj):
         a, b, c = obj
@@ -1044,7 +1065,7 @@ def _literal_norm_laws(n, k, inner=_literal_inner, orthovector=_literal_orthovec
             ("bilinearity", inner(tuple(x | y for x, y in zip(ca, b)), b) == (c & ab) | nb),
         ):
             if not holds:
-                return f"{law} fails at c={c}, a={oracle._fmt_vec(a, alg)}, b={oracle._fmt_vec(b, alg)}"
+                return f"{law} fails at c={c}, a={oracle._fmt_vec(a, k)}, b={oracle._fmt_vec(b, k)}"
         return None
 
     return check
@@ -1072,8 +1093,8 @@ def _reference_failures(check, objects):
 
 
 def _drawn(theorem, n, k, count, seed):
-    rng, alg = random.Random(seed), _numbered_algebra(k)
-    return [THEOREMS[theorem].sampler(rng, alg, n) for _ in range(count)]
+    rng = random.Random(seed)
+    return [THEOREMS[theorem].sampler(rng, k, n) for _ in range(count)]
 
 
 _CHUNKED_OBJECTS = [
@@ -1227,8 +1248,8 @@ def test_sampled_runs_draw_in_order_whatever_the_chunk(monkeypatch, theorem, sam
     checked, in the order drawn, and a planted draw is the one reported."""
     sampler, seen, drawn = THEOREMS[theorem].sampler, [], _drawn(theorem, 3, 2, samples, 3)
 
-    def planted(rng, alg, n):
-        obj = sampler(rng, alg, n)
+    def planted(rng, k, n):
+        obj = sampler(rng, k, n)
         seen.append(obj)
         return _PLANTED[theorem][0] if len(seen) - 1 == at else obj
 
@@ -1309,13 +1330,12 @@ def test_an_exhaustive_run_lists_its_table_under_its_own_budget(monkeypatch, the
 
 def _stoinv(n: int, k: int) -> Callable[[Any], str | None]:
     """Invariant stochastic vector exists exactly when the trace is one."""
-    alg = _numbered_algebra(k)
     stoch_vecs = list(_iter_stochastic_masks(n, k))
 
     def check(a: Any) -> str | None:
         has_invariant = any(_matvec(n, a, b) == b for b in stoch_vecs)
-        if has_invariant != (_trace(n, a) == alg._full):
-            return _fmt_mat(n, a, alg)
+        if has_invariant != (_trace(n, a) == (1 << k) - 1):
+            return _fmt_mat(n, a, k)
         return None
 
     return check
@@ -1323,8 +1343,7 @@ def _stoinv(n: int, k: int) -> Callable[[Any], str | None]:
 
 def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
     """Atoms partition one, rebuild every entry, and drive the slot action."""
-    alg = _numbered_algebra(k)
-    full = alg._full
+    full = (1 << k) - 1
 
     def problem(a: Sequence[int]) -> str | None:
         atoms = selection_meets(n, a, full)
@@ -1350,7 +1369,7 @@ def _atoms(n: int, k: int) -> Callable[[Any], str | None]:
 
     def check(a: Any) -> str | None:
         found = problem(a)
-        return None if found is None else f"{found} in {_fmt_mat(n, a, alg)}"
+        return None if found is None else f"{found} in {_fmt_mat(n, a, k)}"
 
     return check
 
@@ -1546,9 +1565,9 @@ def _descent_pairs():
     for n, k in ((3, 2), (4, 2)):
         for a, b in oracle._stochastic_pairs(n, k, DEFAULT_BUDGET):
             yield n, k, a, b
-    rng, alg = random.Random(8123), make_algebra(["1", "2", "3", "4"])
+    rng = random.Random(8123)
     for _ in range(2000):
-        yield (5, 4, *oracle._sample_stochastic_pair(rng, alg, 5))
+        yield (5, 4, *oracle._sample_stochastic_pair(rng, 4, 5))
 
 
 def test_one_word_witness_search_is_the_any_loop():
@@ -1581,10 +1600,22 @@ def _boolmat_imports(module):
     return found
 
 
+def _top_level_names(tree):
+    """For each top-level statement, its name (or None) and every name it reads."""
+    return [
+        (getattr(node, "name", None), {n.id for n in ast.walk(node) if isinstance(n, ast.Name)})
+        for node in tree.body
+    ]
+
+
 def test_oracle_imports_nothing_it_checks():
     """No kernel, bvec, bmatrix, chains or rand import. Besides ``algebra``
     it imports only ``_draw``, which imports nothing of ``boolmat``: the
-    draws ``rand`` shares with the oracle stay stdlib."""
+    draws ``rand`` shares with the oracle stay stdlib. Neither module reads
+    a private attribute (``Algebra._full``, ``_index``, ``_mask_of``, ...),
+    and the oracle builds an ``Algebra`` only in the cached
+    ``_numbered_algebra``, which only its counterexample formatters call.
+    Every sampler and every ``_draw`` draw takes the atom count as an int."""
     assert _boolmat_imports(oracle) == {"_draw", "algebra"}
     assert _boolmat_imports(_draw) == set()
     tree = ast.parse(inspect.getsource(oracle))
@@ -1597,4 +1628,19 @@ def test_oracle_imports_nothing_it_checks():
     for module, name in imported:
         parts = set(module.split(".")) | {name}
         assert not parts & {"_kernel", "bvec", "bmatrix", "chains", "rand", "_atom_slots"}, (module, name)
-    assert "_atom_slots" not in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for module in (oracle, _draw):
+        nodes = ast.walk(ast.parse(inspect.getsource(module)))
+        attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        assert not {a for a in attributes if a.startswith("_") and not a.endswith("__")}, module.__name__
+    names = _top_level_names(tree)
+    assert {owner for owner, read in names if "Algebra" in read} == {"_numbered_algebra"}
+    assert {owner for owner, read in names if "_numbered_algebra" in read} <= {"_fmt_vec", "_fmt_family", "_fmt_mat"}
+    assert oracle._numbered_algebra(3) is oracle._numbered_algebra(3)
+    rng = random.Random(5)
+    for k in (1, 3):
+        for entry in THEOREMS.values():
+            if entry.sampler is not None:
+                entry.sampler(rng, k, 3)
+        draws = [_draw.stochastic_matrix(rng, k, 3), _draw.unitary(rng, k, 3), _draw.symmetric_stochastic(rng, k, 3)]
+        for masks in draws + list(_draw.orthonormal_columns(rng, k, 3, 2)):
+            assert _or_all(masks) == (1 << k) - 1, masks
