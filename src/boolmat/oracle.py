@@ -446,15 +446,15 @@ def _atoms_of(n: int, a: Sequence[int], full: int) -> list[int]:
 
 def _walk(n: int, w: int, x: int, top: int) -> Callable[[int], int]:
     """``m -> X**m`` (``1 <= m <= top``) for every block of ``x``, from one
-    right product with ``x`` per step. A step is a function of the word
-    before it, so once a word comes back the walk repeats itself: it stops
-    there, a later power is read off the cycle, and no word is multiplied
-    twice (for one matrix, no power)."""
+    right product with ``x`` per step and none past ``X**top``. A step is a
+    function of the word before it, so once a word comes back the walk
+    repeats itself: it stops there, a later power is read off the cycle,
+    and no word is multiplied twice (for one matrix, no power)."""
     tiles, seen, powers = _row_tiles(n, w, x), {x: 0}, [x]
     while len(powers) < top and (x := _wordmul(n, w, x, tiles)) not in seen:
         seen[x] = len(powers)
         powers.append(x)
-    if len(powers) == top:  # no word came back: every power asked for is held
+    if len(powers) == top:  # no word came back, and every power asked for is held
         return lambda m: powers[m - 1]
     back = seen[x]
     return lambda m: powers[m - 1 if m <= len(powers) else back + (m - 1 - back) % (len(powers) - back)]

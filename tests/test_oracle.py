@@ -1600,14 +1600,6 @@ def _boolmat_imports(module):
     return found
 
 
-def _top_level_names(tree):
-    """For each top-level statement, its name (or None) and every name it reads."""
-    return [
-        (getattr(node, "name", None), {n.id for n in ast.walk(node) if isinstance(n, ast.Name)})
-        for node in tree.body
-    ]
-
-
 def test_oracle_imports_nothing_it_checks():
     """No kernel, bvec, bmatrix, chains or rand import. Besides ``algebra``
     it imports only ``_draw``, which imports nothing of ``boolmat``: the
@@ -1632,7 +1624,8 @@ def test_oracle_imports_nothing_it_checks():
         nodes = ast.walk(ast.parse(inspect.getsource(module)))
         attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
         assert not {a for a in attributes if a.startswith("_") and not a.endswith("__")}, module.__name__
-    names = _top_level_names(tree)
+    # Each top-level statement's name (None for a plain statement) and every name it reads.
+    names = [(getattr(node, "name", None), {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}) for node in tree.body]
     assert {owner for owner, read in names if "Algebra" in read} == {"_numbered_algebra"}
     assert {owner for owner, read in names if "_numbered_algebra" in read} <= {"_fmt_vec", "_fmt_family", "_fmt_mat"}
     assert oracle._numbered_algebra(3) is oracle._numbered_algebra(3)
