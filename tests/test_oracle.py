@@ -765,9 +765,9 @@ def test_power_walk_costs_one_product_per_distinct_power(monkeypatch):
 def test_a_chunk_walk_costs_one_product_per_distinct_word(monkeypatch):
     """A chunk's word repeats when every block's power does: PERIOD_DIVIDES'
     walk over a chunk of the matrices above, to ``A**(m+lcm)``, multiplies
-    each distinct word once, but for a chunk whose words never repeat the
-    last, which no later power needs; POWER's walk makes no more. The
-    products of the (e, p) search for a failing chunk's reported matrix
+    each distinct word once, except the last word of a chunk whose words
+    never repeat, which no later power needs; POWER's walk makes no more.
+    The products of the (e, p) search for a failing chunk's reported matrix
     are counted apart."""
     objects = _seeded_square_masks(600, 2207)
     calls = _counting_wordmul(monkeypatch)
