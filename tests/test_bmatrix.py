@@ -1024,6 +1024,16 @@ _WIDE = BMatrix(1, 2, (0, 0), _P)
             ShapeError,
             "invariant vectors must live in the matrix's space",
         ),
+        (
+            lambda: reduce_by_orthogonal_set(BMatrix(2, 2, (0, 3, 3, 0), _P), [delta(_P, 2, 0)]),
+            PreconditionError,
+            "(*,{}) is not invariant under the matrix",
+        ),
+        (
+            lambda: reduce_by_orthogonal_set(identity(_P, 2), [delta(_P, 2, 0), delta(_P, 2, 0)]),
+            PreconditionError,
+            "invariant vectors must be mutually orthogonal",
+        ),
         (lambda: power(_WIDE, 2), ShapeError, "powers of a non-square matrix"),
         (lambda: power(identity(_P, 2), -1), PreconditionError, "negative powers are not defined"),
     ],

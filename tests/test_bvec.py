@@ -411,6 +411,39 @@ def test_is_basis_matches_the_duality_form_on_random_families():
     assert seen[0, True] > 300 and seen[0, False] > 300
 
 
+def test_is_orthonormal_set_matches_a_pairwise_loop_on_random_unit_families():
+    """Families of 0-5 unit vectors at n 1-6 and k 1-4: the first columns
+    of a random unitary, padded with unit vectors, with atoms joined into
+    entries where no other member has them (units that stay orthogonal but
+    need not be stochastic), then perhaps one member repeated and one
+    swapped for a unit vector."""
+    rng = random.Random(3142)
+    seen = collections.Counter()
+    for _ in range(3000):
+        n, k = rng.randint(1, 6), rng.randint(1, 4)
+        alg = make_algebra([str(i + 1) for i in range(k)])
+        size = rng.randint(0, 5)
+        masks = [list(v.masks) for v in columns(br.random_unitary(rng, alg, n))[:size]]
+        masks += [list(_unit_vector(rng, alg, n).masks) for _ in range(size - len(masks))]
+        for v in masks:
+            for i in range(n):
+                if rng.random() < 0.3:
+                    taken = 0
+                    for w in masks:
+                        if w is not v:
+                            taken |= w[i]
+                    v[i] |= rng.randrange(alg._full + 1) & ~taken
+        if size >= 2 and rng.random() < 0.2:
+            masks[rng.randrange(size)] = list(rng.choice(masks))
+        if size and rng.random() < 0.2:
+            masks[rng.randrange(size)] = list(_unit_vector(rng, alg, n).masks)
+        family = [BVec(tuple(v), alg) for v in masks]
+        expected = _orthonormal_masks([v.masks for v in family], alg._full)
+        assert is_orthonormal_set(family) == expected, family
+        seen[expected, all(v.is_stochastic() for v in family)] += 1
+    assert all(seen[key] > 100 for key in product((False, True), repeat=2)), seen
+
+
 # --- coordinates ---
 
 
@@ -546,6 +579,37 @@ def test_complete_slots_extends_every_partial_injection():
             for slots in permutations(range(dim), m):
                 done = _complete_slots(slots, dim)
                 assert sorted(done) == list(range(dim)) and tuple(done[:m]) == slots
+
+
+def _rotate_and_descend(slots, dim):
+    """The slots one atom takes in the basis that extends its ``slots``.
+
+    The first vector's rotations form a cyclic basis, and rotation i holds
+    the atom at slot ``(s0 - i) % dim``. A later vector's atom at slot s is
+    where rotation ``(s0 - s) % dim`` puts it, which is at least 1; one
+    dimension down, without the first rotation, that index drops by one.
+    The smaller set is extended in turn, and slot u of its extension maps
+    back to ``(s0 - u - 1) % dim``. With no vector left, the canonical
+    basis extends.
+    """
+    if not slots:
+        return list(range(dim))
+    s0 = slots[0]
+    below = _rotate_and_descend([(s0 - s) % dim - 1 for s in slots[1:]], dim - 1)
+    return [s0, *[(s0 - u - 1) % dim for u in below]]
+
+
+def test_extend_puts_one_atom_where_rotate_and_descend_puts_it():
+    # Every partial injection of dimension 1-7: 16,071 input sets.
+    alg = make_algebra(["1"])
+    cases = 0
+    for dim in range(1, 8):
+        for m in range(dim + 1):
+            for slots in permutations(range(dim), m):
+                basis = extend_to_basis([delta(alg, dim, s) for s in slots], n=dim, algebra=alg)
+                assert [v.masks.index(1) for v in basis] == _rotate_and_descend(slots, dim)
+                cases += 1
+    assert cases == 16071
 
 
 @pytest.mark.parametrize("k", [1, 8, 65])
