@@ -24,7 +24,7 @@ from .algebra import (
     PreconditionError,
     ShapeError,
 )
-from .bvec import BVec, _atom_slots, _elem_masks, _is_partition, _join, disjoint_refinement, orthogonal
+from .bvec import BVec, _atom_slots, _elem_masks, _is_partition, _join, _pairwise_orthogonal, disjoint_refinement
 
 __all__ = [
     "BMatrix",
@@ -282,11 +282,12 @@ def find_invariant_stochastic(matrices: Sequence[BMatrix]) -> BVec | None:
 
 
 def _invariant(matrices: Sequence[BMatrix]) -> BVec | None:
-    """:func:`find_invariant_stochastic` of a checked family."""
-    vec = BVec(tuple(_diagonal_meet(matrices)), matrices[0].algebra)
-    if not vec.is_unit():
+    """:func:`find_invariant_stochastic` of a checked family. A 0x0 family
+    has joint trace zero, so no length-0 vector is ever built."""
+    meet = _diagonal_meet(matrices)
+    if _join(meet) != matrices[0].algebra._full:
         return None
-    return disjoint_refinement(vec)
+    return disjoint_refinement(BVec(tuple(meet), matrices[0].algebra))
 
 
 def reflection_from(b: BVec) -> BMatrix:
@@ -391,23 +392,23 @@ def reduce_by_orthogonal_set(a: BMatrix, invariants: Sequence[BVec]) -> Reductio
     invariant; per atom, the conjugator B takes invariant t's slot to
     position t, so ``A = B . diag(I_m, C) . B*`` with m = len(invariants).
     B is the product of the reflections that peel the invariants in order.
+    So a stochastic v is invariant exactly when ``v_s & ~A_ss == 0`` for
+    every slot s, and the checks read the diagonal, not a product.
     """
     if not is_unitary(a):
         raise PreconditionError("reduce_by_orthogonal_set needs a unitary matrix")
     if not invariants:
         raise PreconditionError("need at least one invariant vector")
+    diagonal = a.masks[:: a.cols + 1]
     for v in invariants:
         if v.algebra is not a.algebra or len(v) != a.rows:
             raise ShapeError("invariant vectors must live in the matrix's space")
         if not v.is_stochastic():
             raise PreconditionError("invariant vectors must be stochastic")
-        if apply(a, v) != v:
+        if any(x & ~d for x, d in zip(v.masks, diagonal)):
             raise PreconditionError(f"{v} is not invariant under the matrix")
-    for i, v in enumerate(invariants):
-        for w in invariants[i + 1 :]:
-            if not orthogonal(v, w):
-                raise PreconditionError("invariant vectors must be mutually orthogonal")
-
+    if not _pairwise_orthogonal(invariants):
+        raise PreconditionError("invariant vectors must be mutually orthogonal")
     return _reduce_by_slots([a], invariants)[0]
 
 

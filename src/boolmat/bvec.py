@@ -296,18 +296,18 @@ def _uniform(vectors: Sequence[BVec]) -> tuple[int, Algebra]:
     return len(first), first.algebra
 
 
+def _pairwise_orthogonal(vectors: Sequence[BVec]) -> bool:
+    """Are vectors of one length pairwise orthogonal? Exactly when each
+    slot's entries are pairwise disjoint."""
+    return all(_is_partition(col, _join(col)) for col in zip(*(v.masks for v in vectors)))
+
+
 def is_orthonormal_set(vectors: Sequence[BVec]) -> bool:
     """Pairwise orthogonal and every norm one. Vacuously true when empty."""
     if not vectors:
         return True
     _uniform(vectors)
-    for i, v in enumerate(vectors):
-        if not v.is_unit():
-            return False
-        for w in vectors[i + 1 :]:
-            if not orthogonal(v, w):
-                return False
-    return True
+    return all(v.is_unit() for v in vectors) and _pairwise_orthogonal(vectors)
 
 
 def is_basis(vectors: Sequence[BVec]) -> bool:
@@ -357,24 +357,6 @@ def _atom_slots(columns: Sequence[Sequence[int]], k: int) -> dict[tuple[int, ...
     return groups
 
 
-def _complete_slots(slots: Sequence[int], dim: int) -> list[int]:
-    """A permutation of ``range(dim)`` that starts with the distinct ``slots``.
-
-    Rotate-and-descend for one atom: with s0 first, slot s goes to
-    ``(s0 - s) % dim - 1`` one dimension down, until no slot is left; then
-    ``range`` of what remains maps back up through ``u -> (s0 - u - 1) % dim``.
-    """
-    heads = []
-    while slots:
-        heads.append((slots[0], dim))
-        slots = [(slots[0] - s) % dim - 1 for s in slots[1:]]
-        dim -= 1
-    out = list(range(dim))
-    for s0, d in reversed(heads):
-        out = [s0, *[(s0 - u - 1) % d for u in out]]
-    return out
-
-
 def extend_to_basis(
     vectors: Sequence[BVec],
     *,
@@ -388,11 +370,14 @@ def extend_to_basis(
     pick the space and the canonical basis is returned.
 
     Each atom takes one slot per vector, distinct across an orthonormal set.
-    Every group of atoms with the same slots is completed to a permutation
-    of the n slots by :func:`_complete_slots`, and output vector t holds the
-    group at the permutation's t-th slot. This is the basis got by rotating
-    the first vector into a cyclic basis, projecting the rest onto the other
-    rotations, extending one dimension down and mapping back.
+    Every group of atoms with the same slots takes the free slots in cyclic
+    order from its slot in the last input vector, running down when m is odd
+    and up when m is even (from slot 0 when m = 0); output vector m + t
+    holds the group at the t-th of them. This equals the rotate-and-descend
+    construction (rotate the first vector into a cyclic basis, project the
+    rest onto the other rotations, extend one dimension down, map back):
+    each step down, ``u -> (s0 - u - 1) % n``, reflects the cycle and skips
+    the first vector's slot s0.
     """
     vs = list(vectors)
     if vs:
@@ -409,14 +394,16 @@ def extend_to_basis(
         raise PreconditionError(f"extend_to_basis needs n >= 1, got n={n}")
     else:
         dim, alg = n, algebra
-    m = len(vs)
-    groups = _atom_slots([v.masks for v in vs], alg.atom_count)
-    # Also refuses m > dim: every atom would take some slot twice.
-    if any(len(set(s)) < m for s in groups):
+    # Also refuses m > dim: every atom would take some slot in two vectors.
+    if not _pairwise_orthogonal(vs):
         raise PreconditionError("extend_to_basis needs an orthonormal set")
+    m = len(vs)
+    step = -1 if m % 2 else 1
     rest = [[0] * dim for _ in range(m, dim)]
-    for s, w in groups.items():
-        for masks, slot in zip(rest, _complete_slots(s, dim)[m:]):
+    for s, w in _atom_slots([v.masks for v in vs], alg.atom_count).items():
+        last = s[-1] if s else -1
+        ring = [(last + step * i) % dim for i in range(1, dim + 1)]
+        for masks, slot in zip(rest, [u for u in ring if u not in s]):
             masks[slot] |= w
     return vs + [BVec(tuple(masks), alg) for masks in rest]
 

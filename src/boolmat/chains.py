@@ -272,6 +272,8 @@ def verify_power_theorem(a: BMatrix) -> bool:
     if not is_stochastic_matrix(a):
         raise PreconditionError("the power identity is stated for stochastic matrices")
     n = a.rows
+    if n == 0:
+        raise PreconditionError("power identity of an empty matrix")
     big, small = _powers(a, (lcm_upto(n) + n - 1, n - 1))
     return big == small
 

@@ -39,7 +39,7 @@ from boolmat import _kernel
 from boolmat import rand as br
 from boolmat.algebra import Elem
 from boolmat.bvec import inner
-from boolmat.chains import power_profile, relation_report
+from boolmat.chains import power_profile, relation_report, verify_power_theorem
 
 from conftest import columns, mat, reconstruct, rows, vec
 
@@ -770,6 +770,18 @@ def test_reduce_by_orthogonal_set_full(p3):
     assert reconstruct(red) == u
 
 
+def test_the_core_of_a_full_reduction_has_no_invariant_and_no_power_identity(p3):
+    # The 0x0 core is unitary with joint trace zero: both searches find
+    # nothing, and the power identity, stated from n >= 1, refuses it.
+    core = reduce_by_orthogonal_set(identity(p3, 3), [delta(p3, 3, i) for i in range(3)]).core
+    assert is_unitary(core) and joint_trace([core]).is_zero
+    assert find_invariant_stochastic([core]) is None
+    assert reduce_unitary([core]) is None
+    with pytest.raises(PreconditionError) as info:
+        verify_power_theorem(core)
+    assert str(info.value) == "power identity of an empty matrix"
+
+
 def test_reduce_by_orthogonal_set_roundtrip():
     rng = random.Random(43)
     alg = make_algebra(["1", "2", "3"])
@@ -803,20 +815,25 @@ def test_reduce_by_orthogonal_set_validations(p3):
 
 
 def test_reductions_read_atom_slots_without_products(monkeypatch):
-    # Neither reduction multiplies, whatever m is.
+    # Neither reduction multiplies a matrix or applies one, whatever m is.
     rng = random.Random(53)
     alg = make_algebra(["1", "2", "3"])
-    real = _kernel.matmul
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(name):
+        real = getattr(_kernel, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
 
     family = [block_diag(alg, 1, br.random_unitary(rng, alg, 4)) for _ in range(3)]
     conj = br.random_unitary(rng, alg, 5)
     a = mul(conj, mul(block_diag(alg, 3, br.random_unitary(rng, alg, 2)), adjoint(conj)))
-    monkeypatch.setattr(_kernel, "matmul", counting)
+    for name in ("matmul", "matvec"):
+        monkeypatch.setattr(_kernel, name, counting(name))
     for size in (1, 3):
         assert reduce_unitary(family[:size]) is not None
         assert calls == []

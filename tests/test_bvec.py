@@ -33,7 +33,7 @@ from boolmat import (
     zero_vec,
 )
 from boolmat import rand as br
-from boolmat.bvec import _atom_slots, _complete_slots
+from boolmat.bvec import _atom_slots
 
 from conftest import all_elems, columns, vec
 
@@ -571,14 +571,6 @@ def test_extend_permutes_every_atom_behind_its_input_slots(k):
             slots = _slots_of_atom(basis, bit)
             assert sorted(slots) == list(range(n))
             assert slots[:m] == _slots_of_atom(s, bit)
-
-
-def test_complete_slots_extends_every_partial_injection():
-    for dim in range(7):
-        for m in range(dim + 1):
-            for slots in permutations(range(dim), m):
-                done = _complete_slots(slots, dim)
-                assert sorted(done) == list(range(dim)) and tuple(done[:m]) == slots
 
 
 def _rotate_and_descend(slots, dim):
