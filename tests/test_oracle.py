@@ -1586,6 +1586,98 @@ def test_one_word_witness_search_is_the_any_loop():
     assert seen == {True, False}
 
 
+def _per_pair_descent(n, k):
+    """DESCENT's check written for one pair at a time, straight from the
+    lemma: the reference the registered predicate is held to, on any masks.
+    Its inner product is looked up when called, so a test can plant a
+    mistake in it."""
+    full = (1 << k) - 1
+    search = oracle._lane_search([oracle._pack(c, k) for c in _iter_stochastic_masks(n - 1, k)], k * (n - 1))
+    full_head = oracle._pack((full,) * (n - 1), k)
+
+    def check(obj):
+        a, b = obj
+        orthogonal = _literal_inner(a, b) == 0
+        if not orthogonal and _literal_inner(a, b[: n - 1]) != 0:
+            return None
+        head = oracle._pack(b[: n - 1], k)
+        outside_a = oracle._pack(a[: n - 1], k) ^ full_head
+        if orthogonal:
+            c = tuple((b[n - 1] & a[i]) | b[i] for i in range(n - 1))
+            if _or_all(c) != full or sum(m.bit_count() for m in c) != k:
+                return f"a={oracle._fmt_vec(a, k)} b={oracle._fmt_vec(b, k)}: constructed c not stochastic"
+            found = oracle._pack(c, k) & outside_a == head
+        else:
+            found = search(outside_a, head)
+        if found == orthogonal:
+            return None
+        return f"a={oracle._fmt_vec(a, k)} b={oracle._fmt_vec(b, k)}: orthogonal={orthogonal}, witness={not orthogonal}"
+
+    return check
+
+
+def _random_mask_pairs(n, k, count, seed):
+    """Pairs of any masks, three kinds in turn: uniform masks, masks that
+    are the AND of two draws, and an orthogonal stochastic pair with one bit
+    flipped, so that every reachable outcome of the check occurs."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        if i % 3 == 2:
+            a, b = [0] * n, [0] * n
+            for bit in range(k):
+                s, t = rng.sample(range(n), 2)
+                a[s] |= 1 << bit
+                b[t] |= 1 << bit
+            (a, b)[rng.getrandbits(1)][rng.randrange(n)] ^= 1 << rng.randrange(k)
+        else:
+            a, b = ([rng.getrandbits(k) & (rng.getrandbits(k) if i % 3 else -1) for _ in range(n)] for _ in range(2))
+        out.append((tuple(a), tuple(b)))
+    return out
+
+
+_DESCENT_GRID = [
+    *((n, k, "stochastic") for n, k in ((3, 2), (4, 2))),
+    (5, 4, "sampled"),
+    *((n, k, "masks") for k in (1, 2, 3, 4) for n in (2, 3, 4, 5, 6)),
+    *((n, 9, "masks") for n in (2, 3, 4)),
+]
+
+
+@pytest.mark.parametrize("n,k,kind", _DESCENT_GRID)
+def test_descent_predicate_matches_the_per_pair_check(n, k, kind):
+    """Every stochastic pair, 2,000 sampled pairs, or 400 pairs of any masks
+    (two-byte lanes at k = 9), asked again from the pair after each failure
+    in chunks of 1, 255 and 256: the same indices and texts as one pair at
+    a time."""
+    if kind == "stochastic":
+        objects = list(THEOREMS["DESCENT"].source(n, k, DEFAULT_BUDGET))
+    elif kind == "sampled":
+        objects = _drawn("DESCENT", n, k, 2000, 8123)
+    else:
+        objects = _random_mask_pairs(n, k, 400, 1000 * n + k)
+    expected = _reference_failures(_per_pair_descent(n, k), objects)
+    assert (expected == []) == (kind != "masks")
+    predicate = THEOREMS["DESCENT"].predicate(n, k)
+    for size in (1, 255, 256):
+        assert _every_failure(predicate, objects, size) == expected, size
+
+
+def test_descent_masks_reach_every_reachable_text():
+    """At every k of the mask grid both failure texts occur, and passes.
+    The third, ``orthogonal=True, witness=False``, cannot: for an
+    orthogonal pair, ``c[i] & ~a[i] = b[i] & ~a[i] = b[i]``."""
+    texts = {}
+    for n, k, kind in _DESCENT_GRID:
+        if kind == "masks":
+            check = _per_pair_descent(n, k)
+            for obj in _random_mask_pairs(n, k, 400, 1000 * n + k):
+                texts.setdefault(k, set()).add(None if (c := check(obj)) is None else c.split(": ", 1)[1])
+    assert set(texts) == {1, 2, 3, 4, 9}
+    for k, seen in texts.items():
+        assert seen == {None, "constructed c not stochastic", "orthogonal=False, witness=True"}, k
+
+
 # --- the oracle stays independent of what it checks ---
 
 
