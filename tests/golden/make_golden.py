@@ -6,7 +6,8 @@ fixtures (``cli_outputs.json``), what ``verify`` prints
 ``reduce_unitary`` and ``reduce_by_orthogonal_set``, return on seeded
 unitary input (``reduce_outputs.json``), and every counterexample each
 oracle predicate reports on seeded objects outside its theorem's class
-(``counterexample_outputs.json``).
+(``counterexample_outputs.json``), at two small scales for every theorem and
+in two-byte lanes for NORM and DESCENT.
 
 Run from the root of a checkout whose output is the reference::
 
@@ -112,6 +113,13 @@ FAKES = {
     "DIMENSION": ("_is_generating", lambda gen: lambda vectors, n, k: True),
     "INVERSE": ("_matvec", lambda matvec: lambda n, a, v: matvec(n, a, (*v[:-1], 0))),
 }
+# Two-byte lanes: NORM and DESCENT give each slot a lane of whole bytes, two
+# of them at k = 9. Uniform masks over nine atoms almost never fail either
+# check, so these objects are near-stochastic pairs (NORM's with a uniform
+# scalar), drawn from their own rng after every record above.
+WIDE_SEED = 43
+WIDE_SCALE = (3, 9)
+WIDE_THEOREMS = ("DESCENT", "NORM")
 
 
 def argv_of(command: str, fixture: str, names: list[str], porcelain: bool) -> list[str]:
@@ -305,6 +313,20 @@ def text_object(theorem: str, rng: random.Random, n: int, k: int):
     return _vector(rng, n * n, k)
 
 
+def near_stochastic_pair(rng: random.Random, n: int, k: int) -> list[list[int]]:
+    """Two stochastic vectors whose atoms sit in distinct slots (orthogonal)
+    or in the same slots (equal) by a fair coin, then, by another, one bit
+    of one of them flipped."""
+    a, b, apart = [0] * n, [0] * n, rng.getrandbits(1)
+    for bit in range(k):
+        s, t = rng.sample(range(n), 2) if apart else (rng.randrange(n),) * 2
+        a[s] |= 1 << bit
+        b[t] |= 1 << bit
+    if rng.getrandbits(1):
+        (a, b)[rng.getrandbits(1)][rng.randrange(n)] ^= 1 << rng.randrange(k)
+    return [a, b]
+
+
 def _tuples(obj):
     return tuple(map(_tuples, obj)) if isinstance(obj, list) else obj
 
@@ -341,17 +363,27 @@ def text_output(theorem: str, n: int, k: int, fake: str | None, objects: list) -
     return found
 
 
+def _text_records(theorem: str, n: int, k: int, objects: list) -> list[dict]:
+    """One record of ``objects``, and one more under the theorem's wrong helper if it has one."""
+    return [
+        {
+            "theorem": theorem, "n": n, "k": k, "fake": fake, "objects": objects,
+            "failures": text_output(theorem, n, k, fake, objects),
+        }
+        for fake in ((None, FAKES[theorem][0]) if theorem in FAKES else (None,))
+    ]
+
+
 def text_records() -> list[dict]:
     rng = random.Random(TEXT_SEED)
     found = []
     for theorem in THEOREMS:
         for n, k in TEXT_SCALES:
-            objects = [text_object(theorem, rng, n, k) for _ in range(TEXT_OBJECTS)]
-            for fake in (None, FAKES[theorem][0]) if theorem in FAKES else (None,):
-                found.append({
-                    "theorem": theorem, "n": n, "k": k, "fake": fake, "objects": objects,
-                    "failures": text_output(theorem, n, k, fake, objects),
-                })
+            found += _text_records(theorem, n, k, [text_object(theorem, rng, n, k) for _ in range(TEXT_OBJECTS)])
+    rng, (n, k) = random.Random(WIDE_SEED), WIDE_SCALE
+    for theorem in WIDE_THEOREMS:
+        pairs = [near_stochastic_pair(rng, n, k) for _ in range(TEXT_OBJECTS)]
+        found += _text_records(theorem, n, k, [pair + [rng.getrandbits(k)] if theorem == "NORM" else pair for pair in pairs])
     return found
 
 

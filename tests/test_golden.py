@@ -10,7 +10,7 @@ one seeded sampled scale, and refused runs. ``construct_outputs.json`` holds
 ``reduce_by_orthogonal_set`` on seeded unitary input, both as masks.
 ``counterexample_outputs.json`` holds every counterexample text each oracle
 predicate reports on seeded objects outside its theorem's class, some under
-a wrong helper. An intended output change regenerates them with
+a wrong helper, plus NORM and DESCENT in two-byte lanes. An intended output change regenerates them with
 ``tests/golden/make_golden.py``.
 """
 
@@ -26,6 +26,8 @@ from golden.make_golden import (
     TEXT_GOLDEN,
     TEXT_SCALES,
     VERIFY_GOLDEN,
+    WIDE_SCALE,
+    WIDE_THEOREMS,
     argv_of,
     atoms_output,
     basis_output,
@@ -149,4 +151,5 @@ def test_counterexample_texts_match_golden(record):
 
 def test_counterexample_records_fail_every_theorem_at_every_scale():
     failing = {(r["theorem"], r["n"], r["k"]) for r in TEXT_RECORDS if r["failures"]}
-    assert failing == {(t, n, k) for t in THEOREMS for n, k in TEXT_SCALES}
+    wide = {(t, *WIDE_SCALE) for t in WIDE_THEOREMS}
+    assert failing == {(t, n, k) for t in THEOREMS for n, k in TEXT_SCALES} | wide
