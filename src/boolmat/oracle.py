@@ -12,7 +12,8 @@ states.
 
 DESCENT's witness search, STOINV's invariant vectors and ATOMS' rebuilt
 entries ask every candidate at once, each in a lane under a guard bit
-(``_zero_lanes``). Stochastic matrices, unitaries, symmetric stochastic
+(``_zero_lanes``); DESCENT searches only for pairs that meet in the last
+slot alone. Stochastic matrices, unitaries, symmetric stochastic
 matrices and orthonormal columns are sampled by ``_draw``, the stdlib-only
 module whose draws ``rand`` wraps too, so each kind of object is drawn from
 an rng in one place, with ``randrange``'s and ``shuffle``'s ``getrandbits``
@@ -31,9 +32,9 @@ Each theorem is written once, as a predicate that maps a chunk of objects
 to its first counterexample or None. Exhaustive and sampled runs feed it
 from the theorem's enumerator or from its seeded one-object sampler, through
 one shared loop; a run that checked no object never passes. POWER,
-PERIOD_DIVIDES and NORM put a block of lanes per object in one int, so one
-word operation tests the whole chunk; a walk of powers stops at the first
-word that comes back.
+PERIOD_DIVIDES, NORM and DESCENT put a block of lanes per object in one
+int, so one word operation tests the whole chunk; a walk of powers stops at
+the first word that comes back.
 
 Each exhaustive source guards its budget before it streams anything. Where
 the object count has a closed form it is computed up front from the spaces
@@ -328,6 +329,41 @@ def _pack_all(vectors: Sequence[Sequence[int]], stride: int, w: int) -> int:
     return int.from_bytes(bytes(size * (stride - len(vectors[0]))).join(blocks), "little")
 
 
+class _Blocks:
+    """A chunk of ``count`` objects laid out slot by slot (NORM, DESCENT):
+    each vector of an object fills a block of ``lanes`` lanes of ``w`` bits
+    (whole bytes) and a zero guard lane, whose top bit a zero-block test
+    borrows. ``lanes`` is a power of two at least n, so a fold halves within
+    a block; ``firsts`` marks lane 0 of every block."""
+
+    __slots__ = ("w", "lanes", "stride", "ones", "guards", "firsts")
+
+    def __init__(self, n: int, k: int, count: int):
+        self.w, self.lanes = 8 * (k + 7 >> 3), 1 << (n - 1).bit_length()
+        self.stride = (self.lanes + 1) * self.w
+        self.ones = _spread(count, self.stride)
+        self.guards = self.ones << self.stride - 1
+        self.firsts = self.ones * ((1 << self.w) - 1)
+
+    def pack(self, vectors: Sequence[Sequence[int]]) -> int:
+        return _pack_all(vectors, self.lanes + 1, self.w)
+
+    def zero(self, y: int) -> int:
+        """The guard bit of every block of ``y`` that is zero."""
+        return _zero_lanes(y, self.ones, self.stride - 1)
+
+    def nonzero(self, y: int) -> int:
+        """The guard bit of every block of ``y`` that is not zero."""
+        return self.guards ^ _zero_lanes(y, self.ones, self.stride - 1)
+
+    def indices(self, guards: int) -> list[int]:
+        """The blocks whose guard bit ``guards`` sets, in order: each guard
+        is the top bit of its block's last byte."""
+        size = self.stride >> 3
+        tops = guards.to_bytes(guards.bit_length() + 7 >> 3, "little")[size - 1 :: size]
+        return [i for i, top in enumerate(tops) if top]
+
+
 @cache
 def _spread(n: int, w: int) -> int:
     """A 1 in each of ``n`` lanes of ``w`` bits: times a value that fits
@@ -585,21 +621,13 @@ def _sample_power(rng: random.Random, k: int, n: int) -> Any:
 
 def _norm_laws(n: int, k: int) -> _FirstFailure:
     """Norm laws and the inner-product axioms on a chunk of (a, b, c)
-    triples, each law one test of every triple's block of slots. A block is
-    a power of two of lanes, so a fold halves within it, and a zero guard
-    lane; an orthovector has no atom in two slots."""
-    w, lanes = 8 * (k + 7 >> 3), 1 << (n - 1).bit_length()
-    stride = (lanes + 1) * w
-    firsts = _spread(_CHUNK, stride) * ((1 << w) - 1)
+    triples, each law one test of every triple's block of slots
+    (``_Blocks``); an orthovector has no atom in two slots."""
 
     def first_failure(chunk: list[Any]) -> tuple[int, str] | None:
-        ones = _spread(len(chunk), stride)
-        guards = ones << stride - 1
-
-        def nonzero(y: int) -> int:
-            return guards ^ _zero_lanes(y, ones, stride - 1)
-
-        pa, pb, cs = (_pack_all(part, lanes + 1, w) for part in zip(*((a, b, (c,)) for a, b, c in chunk)))
+        blocks = _Blocks(n, k, len(chunk))
+        w, lanes, firsts, nonzero = blocks.w, blocks.lanes, blocks.firsts, blocks.nonzero
+        pa, pb, cs = map(blocks.pack, zip(*((a, b, (c,)) for a, b, c in chunk)))
         pc = cs * _spread(n, w)
         ca, cb = pc & pa, pc & pb
         na, nb, ab = _fold(pa, w, lanes, firsts), _fold(pb, w, lanes, firsts), _dot(pa, pb, w, lanes, firsts)
@@ -609,7 +637,7 @@ def _norm_laws(n: int, k: int) -> _FirstFailure:
             ("symmetry", nonzero(_dot(pb, pa, w, lanes, firsts) ^ ab)),
             ("norm of sum", nonzero(_fold(pa | pb, w, lanes, firsts) ^ (na | nb))),
             ("norm bound", nonzero(ab & ~(na & nb))),
-            ("orthovector equality law", ~nonzero(twice | na ^ nb) & (nonzero(ab ^ na & nb) ^ nonzero(pa ^ pb))),
+            ("orthovector equality law", blocks.zero(twice | na ^ nb) & (nonzero(ab ^ na & nb) ^ nonzero(pa ^ pb))),
             ("scaled norm", nonzero(_fold(ca, w, lanes, firsts) ^ cs & na)),
             ("scalar slide", nonzero(_dot(ca, pb, w, lanes, firsts) ^ cab | cab ^ _dot(pa, cb, w, lanes, firsts))),
             ("bilinearity", nonzero(_dot(ca | pb, pb, w, lanes, firsts) ^ (cab | nb))),
@@ -618,48 +646,54 @@ def _norm_laws(n: int, k: int) -> _FirstFailure:
         if not failed:
             return None
         low = failed & -failed
-        i, law = (low.bit_length() - 1) // stride, next(law for law, fails in laws if fails & low)
+        i, law = blocks.indices(low)[0], next(law for law, fails in laws if fails & low)
         a, b, c = chunk[i]
         return i, f"{law} fails at c={c}, a={_fmt_vec(a, k)}, b={_fmt_vec(b, k)}"
 
     return first_failure
 
 
-def _descent(n: int, k: int) -> Callable[[Any], str | None]:
+def _descent(n: int, k: int) -> _FirstFailure:
     """A stochastic pair is orthogonal exactly when a short stochastic c has
     ``b[i] = c[i] & ~a[i]`` below the last slot; for orthogonal pairs the
-    explicit construction must be such a c.
+    explicit ``c[i] = (b[n-1] & a[i]) | b[i]`` must be such a c.
 
-    Vectors below the last slot are packed into one int each, so a candidate
-    c is tested on all slots at once, and every short stochastic c in one
-    zero-lane test.
+    A chunk of pairs is laid out as NORM's triples are (``_Blocks``).
+    Zero-block tests of ``a & b`` find the orthogonal pairs and those that
+    meet below the last slot, where ``c[i] & ~a[i]`` cannot be ``b[i]``.
+    Every c is built at once, lane n-1 of b copied across the lanes below
+    it, and is stochastic when its lanes join to one with no atom in two of
+    them. Pairs that meet in the last slot alone ask the search, one at a
+    time and only ahead of the first failure the word tests found: every
+    short stochastic c, packed below the last slot, in one zero-lane test.
     """
     full = (1 << k) - 1
     search = _lane_search([_pack(c, k) for c in _iter_stochastic_masks(n - 1, k)], k * (n - 1))
     full_head = _pack((full,) * (n - 1), k)
 
-    def check(obj: Any) -> str | None:
-        a, b = obj
-        orthogonal = _inner(a, b) == 0
-        # c[i] & ~a[i] never meets a[i], so only pairs that meet in the last
-        # slot alone can have a witness; the search covers exactly those.
-        if not orthogonal and _inner(a, b[: n - 1]) != 0:
+    def first_failure(chunk: list[Any]) -> tuple[int, str] | None:
+        blocks = _Blocks(n, k, len(chunk))
+        w, firsts = blocks.w, blocks.firsts
+        pa, pb = map(blocks.pack, zip(*chunk))
+        head, last = pb & blocks.ones * ((1 << w * (n - 1)) - 1), pb >> w * (n - 1) & firsts
+        orthogonal, meets_below = blocks.zero(pa & pb), blocks.nonzero(pa & head)
+        c = last * _spread(n - 1, w) & pa | head
+        fold, twice = _fold(c, w, blocks.lanes, firsts), _twice(c, w, blocks.lanes, firsts)
+        not_stochastic = blocks.nonzero(fold ^ blocks.ones * full | twice)
+        failed = orthogonal & (not_stochastic | blocks.nonzero(c & ~pa ^ head))
+        first = failed & -failed
+        for i in blocks.indices((blocks.guards ^ orthogonal ^ meets_below) & (first - 1 if failed else -1)):
+            a, b = chunk[i]
+            if search(_pack(a[: n - 1], k) ^ full_head, _pack(b[: n - 1], k)):
+                return i, f"a={_fmt_vec(a, k)} b={_fmt_vec(b, k)}: orthogonal=False, witness=True"
+        if not failed:
             return None
-        head = _pack(b[: n - 1], k)
-        outside_a = _pack(a[: n - 1], k) ^ full_head
-        if orthogonal:
-            c = tuple((b[n - 1] & a[i]) | b[i] for i in range(n - 1))
-            # Stochastic: c joins to one, and no atom is in two slots.
-            if _or_all(c) != full or sum(m.bit_count() for m in c) != k:
-                return f"a={_fmt_vec(a, k)} b={_fmt_vec(b, k)}: constructed c not stochastic"
-            found = _pack(c, k) & outside_a == head
-        else:
-            found = search(outside_a, head)
-        if found == orthogonal:
-            return None
-        return f"a={_fmt_vec(a, k)} b={_fmt_vec(b, k)}: orthogonal={orthogonal}, witness={not orthogonal}"
+        i = blocks.indices(first)[0]
+        a, b = chunk[i]
+        tail = "constructed c not stochastic" if not_stochastic & first else "orthogonal=True, witness=False"
+        return i, f"a={_fmt_vec(a, k)} b={_fmt_vec(b, k)}: {tail}"
 
-    return check
+    return first_failure
 
 
 def _duality(n: int, k: int) -> Callable[[Any], str | None]:
@@ -948,7 +982,7 @@ THEOREMS: dict[str, Theorem] = {
     "NORM": Theorem(_norm_triples, _norm_laws, _sample_norm),
     "DUALITY": Theorem(_iter_orthonormal_sets, _each(_duality)),
     "DESCENT": Theorem(
-        _stochastic_pairs, _each(_descent), _sample_stochastic_pair, require=_dimension_at_least_two,
+        _stochastic_pairs, _descent, _sample_stochastic_pair, require=_dimension_at_least_two,
         table=lambda n, k: (n - 1) ** k,
     ),
     "BASIS_UPBOUND": Theorem(_stochastic_orthonormal_sets, _each(_basis_upbound)),
@@ -972,6 +1006,11 @@ THEOREMS: dict[str, Theorem] = {
 }
 
 
+def _is_int(x: Any) -> bool:
+    """An int that is not a bool: ``True`` is no dimension or count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _lookup(theorem: str, n: int, k: int) -> Theorem:
     try:
         entry = THEOREMS[theorem]
@@ -979,7 +1018,7 @@ def _lookup(theorem: str, n: int, k: int) -> Theorem:
         raise PreconditionError(
             f"unknown theorem {theorem!r}; registered: {', '.join(sorted(THEOREMS))}"
         ) from None
-    if not (isinstance(n, int) and isinstance(k, int)):
+    if not (_is_int(n) and _is_int(k)):
         raise PreconditionError(f"n and k must be ints, got {n!r} and {k!r}")
     if n < 1 or k < 1:
         raise PreconditionError("n and k must be at least 1")
@@ -1040,7 +1079,7 @@ def sample_check(theorem: str, n: int, k: int, samples: int, seed: int = 0) -> V
     entry = _lookup(theorem, n, k)
     if entry.sampler is None:
         raise PreconditionError(f"{theorem} supports exhaustive checking only")
-    if not isinstance(samples, int):
+    if not _is_int(samples):
         raise PreconditionError(f"the sample count must be an int, got {samples!r}")
     if samples < 1:
         raise PreconditionError(f"need at least one sample, got {samples}")

@@ -40,16 +40,17 @@ def test_spec_validation():
         brute_check("ODDINV", 0, 2)
 
 
-@pytest.mark.parametrize("n,k", [(2.0, 2), (2, 2.0), ("2", 2), (2, None)])
+@pytest.mark.parametrize("n,k", [(2.0, 2), (2, 2.0), ("2", 2), (2, None), (True, 2), (2, True)])
 def test_non_int_dimensions_rejected(n, k):
-    """Caught before any comparison: ``"2" < 1`` would raise TypeError."""
+    """Caught before any comparison: ``"2" < 1`` would raise TypeError. A
+    bool is an int to ``isinstance``, but no dimension: ``True`` ran as 1."""
     with pytest.raises(PreconditionError, match="n and k must be ints"):
         brute_check("STOINV", n, k)
     with pytest.raises(PreconditionError, match="n and k must be ints"):
         sample_check("STOINV", n, k, samples=3)
 
 
-@pytest.mark.parametrize("samples", [2.0, "2", None])
+@pytest.mark.parametrize("samples", [2.0, "2", None, True])
 def test_non_int_sample_counts_rejected(samples):
     with pytest.raises(PreconditionError, match="sample count must be an int"):
         sample_check("STOINV", 2, 2, samples)
@@ -1481,26 +1482,68 @@ def _merge_first_two_atoms(atoms_of):
     return merged
 
 
+def _zero_blind_to(lane):
+    """``_Blocks.zero`` blind to lane ``lane(blocks)`` of every block."""
+    return lambda zero: lambda self, y: zero(self, y & ~(self.firsts << self.w * lane(self)))
+
+
+def _always_meets(inner):
+    """An inner product of two whole vectors that is never zero."""
+    return lambda u, v: inner(u, v) | (len(u) == len(v))
+
+
+def _never_zero(zero):
+    return lambda self, y: 0
+
+
+# DESCENT's planted mistakes: (n, k, the predicate's wrong helpers, the same
+# mistake in the per-pair check's inner product, checked, counterexample).
+# An orthogonality test blind to slot 0 reaches the witness branch, one
+# blind to the last slot the construction; one that never finds a pair
+# orthogonal sends the orthogonal pairs to the search, which must find
+# their witness: the first of the four short stochastic vectors, in a
+# search that keeps only that one, or else the last.
+_DESCENT_PLANTS = {
+    "witness": (
+        2, 2, (("_Blocks.zero", _zero_blind_to(lambda blocks: 0)),),
+        lambda inner: lambda u, v: inner(u[1:], v[1:]),
+        1, "a=(*,{}) b=(*,{}): orthogonal=True, witness=False",
+    ),
+    "construction": (
+        2, 2, (("_Blocks.zero", _zero_blind_to(lambda blocks: blocks.lanes - 1)),),
+        lambda inner: lambda u, v: inner(u[:-1], v[:-1]),
+        8, "a=({1},{2}) b=({},*): constructed c not stochastic",
+    ),
+    "search-first": (
+        3, 2, (("_Blocks.zero", _never_zero), ("_lane_search", lambda search: lambda words, w: search(words[:1], w))),
+        _always_meets, 9, "a=(*,{},{}) b=({},{},*): orthogonal=False, witness=True",
+    ),
+    "search-last": (
+        3, 2, (("_Blocks.zero", _never_zero),),
+        _always_meets, 5, "a=(*,{},{}) b=({},*,{}): orthogonal=False, witness=True",
+    ),
+}
+
+
+def _plant(monkeypatch, helpers, plants):
+    """Each oracle attribute at a dotted path of ``helpers`` replaced by its
+    plant, a function of the right one."""
+    for helper, plant in zip(helpers, plants):
+        owner, name = oracle, helper
+        if "." in helper:
+            path, name = helper.rsplit(".", 1)
+            owner = getattr(oracle, path)
+        monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
+
+
 @pytest.mark.parametrize("theorem,n,k,helper,plant,checked,counterexample", [
     pytest.param(
         "NORM", 2, 1, "_dot", lambda dot: lambda x, y, w, n, firsts: dot(x, y & ~(firsts << w * (n - 1)), w, n, firsts),
         3, "bilinearity fails at c=0, a=({},{}), b=({},*)", id="NORM",
     ),
-    pytest.param(
-        "DESCENT", 2, 2, "_inner", lambda inner: lambda a, b: inner(a[1:], b[1:]),
-        1, "a=(*,{}) b=(*,{}): orthogonal=True, witness=False", id="DESCENT-witness",
-    ),
-    pytest.param(
-        "DESCENT", 2, 2, "_inner", lambda inner: lambda a, b: inner(a[:-1], b[:-1]),
-        8, "a=({1},{2}) b=({},*): constructed c not stochastic", id="DESCENT-construction",
-    ),
-    pytest.param(
-        "DESCENT", 3, 2, "_inner", lambda inner: lambda a, b: inner(a, b) | b[-1],
-        9, "a=(*,{},{}) b=({},{},*): orthogonal=False, witness=True", id="DESCENT-search-first",
-    ),
-    pytest.param(
-        "DESCENT", 3, 2, "_inner", lambda inner: lambda a, b: inner(a, b) | (a[-2] & b[-1]),
-        15, "a=({1},{2},{}) b=({},{1},{2}): orthogonal=False, witness=True", id="DESCENT-search-last",
+    *(
+        pytest.param("DESCENT", n, k, *zip(*plants), checked, text, id=f"DESCENT-{branch}")
+        for branch, (n, k, plants, _, checked, text) in _DESCENT_PLANTS.items()
     ),
     pytest.param(
         "DUALITY", 2, 1, "_is_generating", lambda gen: lambda vectors, n, k: False,
@@ -1531,19 +1574,30 @@ def _merge_first_two_atoms(atoms_of):
 def test_planted_falsehood_gives_the_first_counterexample(monkeypatch, theorem, n, k, helper, plant, checked, counterexample):
     """Each counterexample return fires on the first object a wrong helper
     makes false: an inner product blind to the last slot (of every block of
-    a chunk), a generating test that
-    always answers the same, a product that drops the last column, atoms
-    with two merged into one.
-
-    The two DESCENT-search inner products also meet b's last entry (with
-    everything, or with a's second-last entry), so pairs that are in fact
-    orthogonal reach the non-orthogonal search, which must find their
-    witness: the first and the last of the four short stochastic vectors
-    respectively. A search that drops either of them moves the first
+    a chunk), a generating test that always answers the same, a product that
+    drops the last column, atoms with two merged into one, and DESCENT's
+    wrong orthogonality tests (``_DESCENT_PLANTS``). A DESCENT search that
+    dropped the short stochastic vector it must find would move the first
     counterexample."""
-    monkeypatch.setattr(oracle, helper, plant(getattr(oracle, helper)))
+    if isinstance(helper, str):
+        helper, plant = (helper,), (plant,)
+    _plant(monkeypatch, helper, plant)
     verdict = brute_check(theorem, n, k)
     assert (verdict.passed, verdict.checked, verdict.counterexample) == (False, checked, counterexample)
+
+
+@pytest.mark.parametrize("branch", sorted(_DESCENT_PLANTS))
+def test_descent_plants_fail_where_the_per_pair_check_fails(monkeypatch, branch):
+    """Under each planted mistake, made in the predicate's helpers and in the
+    per-pair check's inner product, every failure and its text match over
+    the exhaustive space, and the first is the one the planted test pins."""
+    n, k, plants, inner, checked, text = _DESCENT_PLANTS[branch]
+    _plant(monkeypatch, *zip(*plants))
+    monkeypatch.setitem(globals(), "_literal_inner", inner(_literal_inner))
+    objects = list(THEOREMS["DESCENT"].source(n, k, DEFAULT_BUDGET))
+    expected = _reference_failures(_per_pair_descent(n, k), objects)
+    assert expected[0] == (checked - 1, text)
+    assert _every_failure(THEOREMS["DESCENT"].predicate(n, k), objects, 13) == expected
 
 
 def test_invariance_helper_matches_the_product():
